@@ -24,7 +24,6 @@ from .graphs import (
     graph6_encode,
     induced_subgraph,
     is_connected,
-    is_isomorphic_small,
     leaf_count,
     leaves,
     mask_of,
@@ -71,7 +70,6 @@ from .prover import (
     isolate_k2,
     isolate_k3,
     residual_set_for_bad,
-    serialize_trace,
 )
 from .enumeration import connected_graphs, count_connected, read_graph6_stream
 

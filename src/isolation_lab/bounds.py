@@ -23,18 +23,12 @@ as a bare integer numerator (``Beta14``) and never touches floats.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import total_ordering
+from functools import lru_cache, total_ordering
 from typing import Optional, Union
 
+from .enumeration import canonical_form
 from .families import CYCLES, edge_family, exact_iota
-from .graphs import (
-    Graph,
-    graph6_encode,
-    is_isomorphic_small,
-    leaf_count,
-    leaves,
-    named_graph,
-)
+from .graphs import Graph, graph6_encode, leaf_count, leaves, named_graph
 
 
 @total_ordering
@@ -119,7 +113,7 @@ def bound_cycles(n: int) -> int:
 
 THEOREMS = ("k1", "k2", "k3", "cycles")
 
-# Exceptions per bound, as (tag, model graph) in a fixed recognition order.
+# Exception tags per bound.
 _EXCEPTIONS = {
     "k1": ("K2", "C5"),
     "k2": ("P3", "K3", "K13", "C6", "C6P", "C6PP"),
@@ -130,24 +124,27 @@ _EXCEPTIONS = {
 S_GRAPH_TAGS = _EXCEPTIONS["k2"]
 
 
+@lru_cache(maxsize=None)
+def _exception_keys(theorem: str) -> dict[tuple[int, int], dict[tuple, str]]:
+    """(n, edge count) -> canonical form -> tag, for the bound's exceptions."""
+    keys: dict[tuple[int, int], dict[tuple, str]] = {}
+    for tag in _EXCEPTIONS[theorem]:
+        model = named_graph(tag)
+        keys.setdefault((model.n, model.edge_count()), {})[canonical_form(model)] = tag
+    return keys
+
+
 def classify_exception(g: Graph, theorem: str) -> Optional[str]:
     """The exception tag of g for the given bound, or None.
 
     The exception sets differ per bound (C6 is exceptional for the E_2 bound
-    but not for E_3), hence the explicit theorem context.
+    but not for E_3), hence the explicit theorem context.  Only a graph with
+    the vertex and edge count of some exception gets a canonical form.
     """
     if theorem not in THEOREMS:
         raise ValueError(f"unknown theorem id {theorem!r}")
-    for tag in _EXCEPTIONS[theorem]:
-        model = named_graph(tag)
-        if g.n == model.n and is_isomorphic_small(g, model):
-            return tag
-    return None
-
-
-def is_s_graph(g: Graph) -> bool:
-    """Is g one of the six E_2-bound exception graphs?"""
-    return classify_exception(g, "k2") is not None
+    candidates = _exception_keys(theorem).get((g.n, g.edge_count()))
+    return None if candidates is None else candidates.get(canonical_form(g))
 
 
 # ===== Bound checking ========================================================

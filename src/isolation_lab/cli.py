@@ -561,8 +561,10 @@ def cmd_certify(args) -> int:
 
 
 def _add_common(sub, *, n_defaults=(1, 8), budget=True, jobs=True):
-    sub.add_argument("--n-min", type=int, default=n_defaults[0])
-    sub.add_argument("--n-max", type=int, default=n_defaults[1])
+    """Shared options; ``n_defaults=None`` for commands that read every size."""
+    if n_defaults is not None:
+        sub.add_argument("--n-min", type=int, default=n_defaults[0])
+        sub.add_argument("--n-max", type=int, default=n_defaults[1])
     sub.add_argument("--source", default="builtin",
                      help="builtin, file:PATH, or - for stdin")
     sub.add_argument("--json", metavar="PATH", help="write JSON-lines rows")
@@ -617,14 +619,14 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("graph6", nargs="?", help="one graph6 line")
     solve.add_argument("--family", required=True,
                        help="e1, e2, e3, cycles, or k:K")
-    _add_common(solve, jobs=False)
+    _add_common(solve, n_defaults=None, jobs=False)
     solve.set_defaults(func=cmd_solve, source=None)
 
     certify = subs.add_parser(
         "certify", help="certified isolating set within the bound")
     certify.add_argument("graph6", nargs="?", help="one graph6 line")
     certify.add_argument("--k", type=int, choices=(2, 3), required=True)
-    _add_common(certify, budget=False, jobs=False)
+    _add_common(certify, n_defaults=None, budget=False, jobs=False)
     certify.set_defaults(func=cmd_certify, source=None)
 
     return parser

@@ -14,9 +14,9 @@ Conventions used throughout the package:
   is the basic move of isolation arguments (pick D, look at G - N[D]).
 * A leaf is a vertex of degree exactly 1.
 
-The isomorphism test here is deliberately small-scale (n <= 9, backtracking
-with degree pruning): it exists to recognise a fixed list of exceptional
-graphs on at most 7 vertices, not to compete with real canonical-form tools.
+Isomorphism is not decided here.  Two graphs are isomorphic exactly when
+their ``enumeration.canonical_form`` keys are equal, and
+``bounds.classify_exception`` recognises the exceptional graphs that way.
 """
 
 from __future__ import annotations
@@ -24,10 +24,6 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Optional
 
 MAX_VERTICES = 64
-
-# Cap for the exact isomorphism test; everything it is used for has <= 7
-# vertices, 9 leaves headroom for enumeration cross-checks.
-ISO_MAX_VERTICES = 9
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -217,75 +213,6 @@ def max_degree_vertex(g: Graph) -> int:
 
 def max_degree(g: Graph) -> int:
     return max((m.bit_count() for m in g.adj), default=0)
-
-
-# ===== Small-graph isomorphism ===============================================
-
-
-def _vertex_profile(g: Graph, v: int) -> tuple[int, tuple[int, ...]]:
-    """(degree, sorted neighbour degrees): a cheap per-vertex invariant."""
-    return (
-        g.adj[v].bit_count(),
-        tuple(sorted(g.adj[w].bit_count() for w in bits(g.adj[v]))),
-    )
-
-
-def is_isomorphic_small(a: Graph, b: Graph) -> bool:
-    """Exact isomorphism test for graphs with at most 9 vertices.
-
-    Degree/neighbour-degree prefilters followed by a backtracking search for
-    a consistent vertex bijection.  Raises if either graph is over the cap;
-    the intended use is recognising fixed exceptional graphs, all of which
-    have at most 7 vertices.
-    """
-    if a.n > ISO_MAX_VERTICES or b.n > ISO_MAX_VERTICES:
-        raise ValueError(f"isomorphism test capped at {ISO_MAX_VERTICES} vertices")
-    if a.n != b.n:
-        return False
-    if a.edge_count() != b.edge_count():
-        return False
-    if a.degree_sequence() != b.degree_sequence():
-        return False
-    prof_a = [_vertex_profile(a, v) for v in range(a.n)]
-    prof_b = [_vertex_profile(b, v) for v in range(b.n)]
-    if sorted(prof_a) != sorted(prof_b):
-        return False
-
-    n = a.n
-    # Map the most constrained vertices first: rarest profile, then highest
-    # degree.  candidates[v] = b-vertices sharing v's profile.
-    from collections import Counter
-
-    rarity = Counter(prof_a)
-    order = sorted(range(n), key=lambda v: (rarity[prof_a[v]], -a.degree(v), v))
-    candidates = [
-        [w for w in range(n) if prof_b[w] == prof_a[v]] for v in range(n)
-    ]
-
-    image = [-1] * n  # image[a-vertex] = b-vertex
-
-    def place(i: int, used: int) -> bool:
-        if i == n:
-            return True
-        v = order[i]
-        av = a.adj[v]
-        for w in candidates[v]:
-            if used >> w & 1:
-                continue
-            ok = True
-            for j in range(i):
-                u = order[j]
-                if bool(av >> u & 1) != bool(b.adj[w] >> image[u] & 1):
-                    ok = False
-                    break
-            if ok:
-                image[v] = w
-                if place(i + 1, used | (1 << w)):
-                    return True
-                image[v] = -1
-        return False
-
-    return place(0, 0)
 
 
 # ===== graph6 encoding =======================================================

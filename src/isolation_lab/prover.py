@@ -41,9 +41,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .bounds import bound_k2, bound_k3, classify_exception
+from .bounds import classify_exception, theorem_bound, theorem_family
 from .constructions import pattern_isolating_set
-from .families import edge_family, exact_iota, is_isolating
+from .families import exact_iota, is_isolating
 from .graphs import (
     Graph,
     bits,
@@ -52,16 +52,12 @@ from .graphs import (
     graph6_encode,
     induced_subgraph,
     is_connected,
-    is_isomorphic_small,
     leaf_count,
     leaves,
+    mask_of,
     max_degree,
     max_degree_vertex,
-    named_graph,
 )
-
-_E2 = edge_family(2)
-_E3 = edge_family(3)
 
 # pieces this small are solved exactly instead of recursively
 _SMALL_EXACT = 7
@@ -88,10 +84,6 @@ class TraceEntry:
 
     def line(self) -> str:
         return f"case={self.case} n={self.n} v={self.v} |d|={self.d_size}"
-
-
-def serialize_trace(trace: list[TraceEntry]) -> str:
-    return "\n".join(entry.line() for entry in trace)
 
 
 @dataclass(frozen=True)
@@ -145,14 +137,10 @@ def classify_bad_component_k2(g: Graph, comp: int) -> Optional[str]:
         return None
     if size == 6:
         return "c6" if _degrees_within(g, comp) == [2] * 6 else None
-    if size == 7:
-        if (leaves(g) & comp).bit_count() != 1:
-            return None
-        h, _ = induced_subgraph(g, comp)
-        if is_isomorphic_small(h, named_graph("C6P")):
-            return "c6p"
-        if is_isomorphic_small(h, named_graph("C6PP")):
-            return "c6pp"
+    if size == 7 and (leaves(g) & comp).bit_count() == 1:
+        # the only 7-vertex E_2 exceptions are C6P and C6PP
+        tag = classify_exception(induced_subgraph(g, comp)[0], "k2")
+        return None if tag is None else tag.lower()
     return None
 
 
@@ -186,6 +174,15 @@ def _cycle_through(g: Graph, within: int, start: int, length: int) -> list[int]:
     return got
 
 
+def _far_vertex(g: Graph, within: int, start: int, length: int) -> int:
+    """The vertex at cycle-distance 3 from ``start`` on a C_length, as a mask.
+
+    On a 7-cycle two vertices are that far; the smaller one is taken.
+    """
+    cyc = _cycle_through(g, within, start, length)
+    return 1 << (cyc[3] if length == 6 else min(cyc[3], cyc[4]))
+
+
 def residual_set_for_bad(g: Graph, comp: int, tag: str, y_attach: int) -> int:
     """The cheap leftover-isolating set for a bad component minus its attach.
 
@@ -197,11 +194,7 @@ def residual_set_for_bad(g: Graph, comp: int, tag: str, y_attach: int) -> int:
         raise ValueError("attachment vertex of a leafy bad component must not be its leaf")
     if tag in ("p3", "k3", "k13"):
         return 0
-    length = 7 if tag == "c7" else 6
-    cyc = _cycle_through(g, comp, y_attach, length)
-    if length == 6:
-        return 1 << cyc[3]
-    return 1 << min(cyc[3], cyc[4])
+    return _far_vertex(g, comp, y_attach, 7 if tag == "c7" else 6)
 
 
 # ===== Shared machinery ======================================================
@@ -246,18 +239,16 @@ def _second_anchor(links: int, first: int) -> int:
 
 
 class _Prover:
-    """One certification run; holds the trace and the per-k specialisations."""
+    """One certification run; holds the trace and the rules for its k."""
 
     def __init__(self, k: int):
         self.k = k
-        self.fam = _E2 if k == 2 else _E3
-        self.classify = classify_bad_component_k2 if k == 2 else classify_bad_component_k3
+        self.rules = _RULES[k]
+        self.fam = theorem_family(self.rules.theorem)
         self.trace: list[TraceEntry] = []
 
     def bound(self, g: Graph) -> int:
-        if self.k == 2:
-            return bound_k2(g.n, leaf_count(g))
-        return bound_k3(g.n)
+        return theorem_bound(g, self.rules.theorem)
 
     def finish(self, g: Graph, d: int, case: str, v: int) -> int:
         """Verify-then-return: every case leaf funnels through here."""
@@ -286,7 +277,7 @@ class _Prover:
         if h.n <= _SMALL_EXACT:
             local = exact_iota(h, self.fam).witness
         else:
-            local = self.dispatch(h)
+            local = _dispatch(self, h)
         out = 0
         for i in bits(local):
             out |= 1 << old[i]
@@ -332,11 +323,6 @@ class _Prover:
         if not home_mask:
             raise InternalConsistencyError("the carve removed the home vertex")
         return home_mask, strays, leftovers
-
-    def dispatch(self, g: Graph) -> int:
-        if self.k == 2:
-            return _dispatch_k2(self, g)
-        return _dispatch_k3(self, g)
 
 
 def _walk_order(g: Graph, start: int) -> list[int]:
@@ -392,9 +378,7 @@ def _case_wide_frontier(prover: _Prover, g: Graph, ctx: InductionContext, anchor
         d |= residual_set_for_bad(g, c, ctx.bad[c], _attach(g, xc, c))
     d |= prover.solve_comps(g, (c for c in ctx.comps if c not in ctx.bad))
     if prover.k == 2:
-        w_mask = g.adj[ctx.v]
-        for xc in anchors.values():
-            w_mask &= ~(1 << xc)
+        w_mask = g.adj[ctx.v] & ~mask_of(anchors.values())
         if w_mask.bit_count() == 3 and w_mask & leaves(g) == w_mask:
             # all three non-anchors are leaves: v is already dominated by
             # the anchors and its removal still leaves an isolating set
@@ -412,23 +396,100 @@ def _case_lone_anchor(prover: _Prover, g: Graph, ctx: InductionContext, comp: in
     d = (1 << x1) | residual_set_for_bad(g, comp, ctx.bad[comp], y1) | strays
     h, _ = induced_subgraph(g, home)
     case = "lone-anchor"
-    tag = classify_exception(h, "k2" if prover.k == 2 else "k3") if h.n <= 7 else None
+    tag = classify_exception(h, prover.rules.theorem)
     if tag in ("P3", "K3", "K13"):
         # the remainder is already dominated through x1's neighbourhood
         case = "lone-anchor-small-rescue"
     elif tag in ("C6", "C6P", "C6PP", "C7"):
         # the remainder is a near-cycle through v: v is covered via x1, and
         # the vertex at cycle-distance 3 finishes the job
-        length = 7 if tag == "C7" else 6
-        cyc = _cycle_through(g, home, ctx.v, length)
-        d |= 1 << (cyc[3] if length == 6 else min(cyc[3], cyc[4]))
+        d |= _far_vertex(g, home, ctx.v, 7 if tag == "C7" else 6)
         case = "lone-anchor-cycle-rescue"
     else:
         d |= prover.solve_piece(g, home)
     return prover.finish(g, d, case, ctx.v)
 
 
-# ===== The E_2 dispatcher ====================================================
+def _case_single(prover: _Prover, g: Graph, ctx: InductionContext, comp: int) -> int:
+    """The one bad component reaches two anchors x1, x1'; w is v's third neighbour."""
+    if g.degree(ctx.v) != 3:
+        raise InternalConsistencyError("a lone doubly-linked bad component forces degree 3")
+    x1 = _anchor(ctx.links[comp])
+    x1p = _second_anchor(ctx.links[comp], x1)
+    w = _anchor(g.adj[ctx.v] & ~(1 << x1) & ~(1 << x1p))
+    y_top = ctx.nv | comp  # N[v] plus the bad component
+    tag = ctx.bad[comp]
+    if tag in ("c6", "c7"):
+        length = 7 if tag == "c7" else 6
+        return _single_cycle(prover, g, ctx, comp, x1, x1p, w, y_top, length)
+    return prover.rules.single(prover, g, ctx, comp, x1, x1p, w, y_top)
+
+
+def _carve_anchor(g: Graph, y_top: int, x1: int, x1p: int, w: int) -> tuple[int, int]:
+    """The anchor to carve with: its partner (or w) must reach outside Y.
+
+    Carving removes one anchor; the surviving neighbourhood of v must keep
+    an escape edge into the rest of the graph, so carve the anchor whose
+    absence leaves one.
+    """
+    outside = g.vertex_mask & ~y_top
+    if (g.adj[x1p] | g.adj[w]) & outside:
+        return x1, x1p
+    return x1p, x1
+
+
+def _single_cycle(
+    prover: _Prover, g: Graph, ctx: InductionContext,
+    comp: int, x1: int, x1p: int, w: int, y_top: int, length: int,
+) -> int:
+    """The lone bad component is a C_length: a 6-cycle for E_2, a 7-cycle for E_3."""
+    v = ctx.v
+    case = f"single-c{length}"
+
+    def around(anchor: int) -> tuple[int, list[int], int]:
+        """(attachment, cycle from it, anchor plus the attachment's arc)."""
+        y1 = _attach(g, anchor, comp)
+        cyc = _cycle_through(g, comp, y1, length)
+        return y1, cyc, (1 << anchor) | (1 << cyc[0]) | (1 << cyc[1]) | (1 << cyc[-1])
+
+    if y_top == g.vertex_mask:
+        # G is N[v] plus the cycle: a 2-element set built around x1
+        y1, cyc, y_carve = around(x1)
+        imask = y_top & ~y_carve
+        if len(component_masks(g, imask)) != 1:
+            d = (1 << x1) | (1 << cyc[3])
+            for y in sorted((cyc[1], cyc[-1])):
+                if g.adj[y] & ((1 << x1p) | (1 << w)):
+                    d = (1 << y1) | (1 << y)
+                    break
+        elif classify_exception(induced_subgraph(g, imask)[0],
+                                prover.rules.theorem) != f"C{length}":
+            d = (1 << y1) | prover.solve_piece(g, imask)
+        elif length == 6:
+            d = (1 << x1) | (1 << cyc[3])
+        else:
+            # orient the cycle so the partner anchor meets it two steps
+            # from the attachment, then take the two far vertices
+            if not g.adj[x1p] >> cyc[2] & 1:
+                cyc = [cyc[0]] + cyc[1:][::-1]
+            d = (1 << cyc[2]) | (1 << cyc[5])
+        return prover.finish(g, d, f"{case}-whole", v)
+
+    c, cp = _carve_anchor(g, y_top, x1, x1p, w)
+    y1, _, y_carve = around(c)
+    if len(component_masks(g, y_top & ~y_carve)) == 1:
+        home, strays, _ = prover.carve(g, ctx, y_carve, v)
+        d = (1 << y1) | strays | prover.solve_piece(g, home)
+        return prover.finish(g, d, f"{case}-carve", v)
+    # the middle of the cycle is attached to nothing but its anchors: keep
+    # v and w, carve everything else around the component
+    removed = y_top & ~((1 << v) | (1 << w))
+    home, strays, _ = prover.carve(g, ctx, removed, v)
+    d = (1 << y1) | (1 << _attach(g, cp, comp)) | strays | prover.solve_piece(g, home)
+    return prover.finish(g, d, f"{case}-split", v)
+
+
+# ===== E_2-only cases ========================================================
 
 
 def _p3_parts(g: Graph, comp: int) -> tuple[int, int, int]:
@@ -444,48 +505,6 @@ def _centre_parts(g: Graph, comp: int) -> tuple[int, int, int]:
         verts = list(bits(comp))
         return verts[0], verts[1], verts[2]
     return _p3_parts(g, comp)
-
-
-def _dispatch_k2(prover: _Prover, g: Graph) -> int:
-    n = g.n
-    if n <= 7:
-        return prover.finish(g, exact_iota(g, _E2).witness, "exact-base", -1)
-    if max_degree(g) <= 2:
-        return _pattern_case(prover, g)
-    v = max_degree_vertex(g)
-    nv = closed_neighborhood(g, 1 << v)
-    if nv == g.vertex_mask:
-        return prover.finish(g, 1 << v, "dominated", v)
-    ctx = _build_context(g, v, classify_bad_component_k2)
-
-    if not ctx.bad:
-        d = (1 << v) | prover.solve_comps(g, ctx.comps)
-        return prover.finish(g, d, "no-bad", v)
-
-    for x in bits(g.adj[v]):
-        if sum(1 for c in ctx.bad if ctx.links[c] >> x & 1) >= 2:
-            return _case_shared_anchor(prover, g, ctx, x)
-
-    # every neighbour of v anchors at most one bad component
-    anchors = {c: _anchor(ctx.links[c]) for c in ctx.comps if c in ctx.bad}
-    x_mask = 0
-    for xc in anchors.values():
-        x_mask |= 1 << xc
-    w_mask = g.adj[v] & ~x_mask
-    if w_mask.bit_count() >= 3:
-        return _case_wide_frontier(prover, g, ctx, anchors)
-
-    for c in ctx.comps:
-        if c in ctx.bad and ctx.links[c] == 1 << anchors[c]:
-            return _case_lone_anchor(prover, g, ctx, c)
-
-    # two-anchor cases: every bad component reaches a second neighbour of v
-    badlist = [c for c in ctx.comps if c in ctx.bad]
-    if len(badlist) == 2:
-        return _k2_pair(prover, g, ctx, badlist)
-    if len(badlist) == 1:
-        return _k2_single(prover, g, ctx, badlist[0])
-    raise InternalConsistencyError("more than two doubly-linked bad components survived")
 
 
 def _k2_pair_carve(prover: _Prover, g: Graph, ctx: InductionContext, comp: int, case: str) -> int:
@@ -552,91 +571,19 @@ def _k2_pair(prover: _Prover, g: Graph, ctx: InductionContext, badlist: list[int
     return prover.finish(g, d, "pair-p3p3-shedleaf", ctx.v)
 
 
-def _k2_single(prover: _Prover, g: Graph, ctx: InductionContext, comp: int) -> int:
+def _k2_single(
+    prover: _Prover, g: Graph, ctx: InductionContext,
+    comp: int, x1: int, x1p: int, w: int, y_top: int,
+) -> int:
+    """The lone bad component is a star, a pendant 6-cycle, or 3 vertices."""
     v = ctx.v
-    if g.degree(v) != 3:
-        raise InternalConsistencyError("a lone doubly-linked bad component forces degree 3")
     tag = ctx.bad[comp]
-    x1 = _anchor(ctx.links[comp])
-    x1p = _second_anchor(ctx.links[comp], x1)
-    w = _anchor(g.adj[v] & ~(1 << x1) & ~(1 << x1p))
-    y_top = ctx.nv | comp  # N[v] plus the bad component
-
     if tag in ("k13", "c6p", "c6pp"):
         y1 = _attach(g, x1, comp)
         d = (1 << v) | (1 << y1) | residual_set_for_bad(g, comp, tag, y1)
         d |= prover.solve_comps(g, (c for c in ctx.comps if c not in ctx.bad))
         return prover.finish(g, d, "single-attached", v)
 
-    if tag == "c6":
-        return _k2_single_c6(prover, g, ctx, comp, x1, x1p, w, y_top)
-    return _k2_single_small(prover, g, ctx, comp, tag, x1, x1p, w, y_top)
-
-
-def _carve_anchor(g: Graph, y_top: int, x1: int, x1p: int, w: int) -> tuple[int, int]:
-    """The anchor to carve with: its partner (or w) must reach outside Y.
-
-    Carving removes one anchor; the surviving neighbourhood of v must keep
-    an escape edge into the rest of the graph, so carve the anchor whose
-    absence leaves one.
-    """
-    outside = g.vertex_mask & ~y_top
-    if (g.adj[x1p] | g.adj[w]) & outside:
-        return x1, x1p
-    return x1p, x1
-
-
-def _k2_single_c6(
-    prover: _Prover, g: Graph, ctx: InductionContext,
-    comp: int, x1: int, x1p: int, w: int, y_top: int,
-) -> int:
-    v = ctx.v
-
-    def dy_for(anchor: int, partner: int) -> int:
-        """A 2-element isolating set for G[Y], built around one anchor."""
-        y1 = _attach(g, anchor, comp)
-        cyc = _cycle_through(g, comp, y1, 6)
-        y_carve = (1 << anchor) | (1 << cyc[0]) | (1 << cyc[1]) | (1 << cyc[5])
-        imask = y_top & ~y_carve
-        icomps = component_masks(g, imask)
-        if len(icomps) == 1:
-            hi, old = induced_subgraph(g, imask)
-            if is_isomorphic_small(hi, named_graph("C6")):
-                return (1 << anchor) | (1 << cyc[3])
-            local = exact_iota(hi, _E2).witness
-            out = 1 << y1
-            for i in bits(local):
-                out |= 1 << old[i]
-            return out
-        for y in sorted((cyc[1], cyc[5])):
-            if g.adj[y] & ((1 << partner) | (1 << w)):
-                return (1 << y1) | (1 << y)
-        return (1 << anchor) | (1 << cyc[3])
-
-    if y_top == g.vertex_mask:
-        return prover.finish(g, dy_for(x1, x1p), "single-c6-whole", v)
-
-    c, cp = _carve_anchor(g, y_top, x1, x1p, w)
-    y1 = _attach(g, c, comp)
-    cyc = _cycle_through(g, comp, y1, 6)
-    y_carve = (1 << c) | (1 << cyc[0]) | (1 << cyc[1]) | (1 << cyc[5])
-    if len(component_masks(g, y_top & ~y_carve)) == 1:
-        home, strays, _ = prover.carve(g, ctx, y_carve, v)
-        d = (1 << y1) | strays | prover.solve_piece(g, home)
-        return prover.finish(g, d, "single-c6-carve", v)
-    # the middle of the cycle is attached to nothing but its anchors: keep
-    # v and w, carve everything else around the component
-    removed = y_top & ~((1 << v) | (1 << w))
-    home, strays, _ = prover.carve(g, ctx, removed, v)
-    d = (1 << y1) | (1 << _attach(g, cp, comp)) | strays | prover.solve_piece(g, home)
-    return prover.finish(g, d, "single-c6-split", v)
-
-
-def _k2_single_small(
-    prover: _Prover, g: Graph, ctx: InductionContext,
-    comp: int, tag: str, x1: int, x1p: int, w: int, y_top: int,
-) -> int:
-    v = ctx.v
     mid, e1, e2 = _centre_parts(g, comp)
     lg = leaves(g)
 
@@ -669,47 +616,7 @@ def _k2_single_small(
     return prover.finish(g, d, "single-small-sharedattach", v)
 
 
-# ===== The E_3 dispatcher ====================================================
-
-
-def _dispatch_k3(prover: _Prover, g: Graph) -> int:
-    n = g.n
-    if n <= 7:
-        return prover.finish(g, exact_iota(g, _E3).witness, "exact-base", -1)
-    if max_degree(g) <= 2:
-        return _pattern_case(prover, g)
-    v = max_degree_vertex(g)
-    nv = closed_neighborhood(g, 1 << v)
-    if nv == g.vertex_mask:
-        return prover.finish(g, 1 << v, "dominated", v)
-    ctx = _build_context(g, v, classify_bad_component_k3)
-
-    if not ctx.bad:
-        d = (1 << v) | prover.solve_comps(g, ctx.comps)
-        return prover.finish(g, d, "no-bad", v)
-
-    for x in bits(g.adj[v]):
-        if sum(1 for c in ctx.bad if ctx.links[c] >> x & 1) >= 2:
-            return _case_shared_anchor(prover, g, ctx, x)
-
-    anchors = {c: _anchor(ctx.links[c]) for c in ctx.comps if c in ctx.bad}
-    x_mask = 0
-    for xc in anchors.values():
-        x_mask |= 1 << xc
-    w_mask = g.adj[v] & ~x_mask
-    if w_mask.bit_count() >= 3:
-        return _case_wide_frontier(prover, g, ctx, anchors)
-
-    for c in ctx.comps:
-        if c in ctx.bad and ctx.links[c] == 1 << anchors[c]:
-            return _case_lone_anchor(prover, g, ctx, c)
-
-    badlist = [c for c in ctx.comps if c in ctx.bad]
-    if len(badlist) == 2:
-        return _k3_pair(prover, g, ctx, badlist)
-    if len(badlist) == 1:
-        return _k3_single(prover, g, ctx, badlist[0])
-    raise InternalConsistencyError("more than two doubly-linked bad components survived")
+# ===== E_3-only cases ========================================================
 
 
 def _k3_pair(prover: _Prover, g: Graph, ctx: InductionContext, badlist: list[int]) -> int:
@@ -727,25 +634,16 @@ def _k3_pair(prover: _Prover, g: Graph, ctx: InductionContext, badlist: list[int
     return prover.finish(g, d, "pair-carve", ctx.v)
 
 
-def _k3_single(prover: _Prover, g: Graph, ctx: InductionContext, comp: int) -> int:
+def _k3_single(
+    prover: _Prover, g: Graph, ctx: InductionContext,
+    comp: int, x1: int, x1p: int, w: int, y_top: int,
+) -> int:
+    """The lone bad component is a triangle."""
     v = ctx.v
-    if g.degree(v) != 3:
-        raise InternalConsistencyError("a lone doubly-linked bad component forces degree 3")
-    tag = ctx.bad[comp]
-    x1 = _anchor(ctx.links[comp])
-    x1p = _second_anchor(ctx.links[comp], x1)
-    w = _anchor(g.adj[v] & ~(1 << x1) & ~(1 << x1p))
-    y_top = ctx.nv | comp
-
-    if tag == "c7":
-        return _k3_single_c7(prover, g, ctx, comp, x1, x1p, w, y_top)
-
-    # a lone doubly-linked triangle
     c, cp = _carve_anchor(g, y_top, x1, x1p, w)
     y1 = _attach(g, c, comp)
     home, strays, _ = prover.carve(g, ctx, (1 << c) | comp, v)
-    hh, _ = induced_subgraph(g, home)
-    if hh.n == 7 and is_isomorphic_small(hh, named_graph("C7")):
+    if classify_exception(induced_subgraph(g, home)[0], "k3") == "C7":
         # the remainder closed into a 7-cycle: v with the other anchor
         # breaks it and reaches the triangle through that anchor's link
         d = (1 << v) | (1 << cp) | strays
@@ -754,51 +652,59 @@ def _k3_single(prover: _Prover, g: Graph, ctx: InductionContext, comp: int) -> i
     return prover.finish(g, d, "single-k3-carve", v)
 
 
-def _k3_single_c7(
-    prover: _Prover, g: Graph, ctx: InductionContext,
-    comp: int, x1: int, x1p: int, w: int, y_top: int,
-) -> int:
-    v = ctx.v
+# ===== The dispatcher ========================================================
 
-    def dy_for(anchor: int, partner: int) -> int:
-        y1 = _attach(g, anchor, comp)
-        cyc = _cycle_through(g, comp, y1, 7)
-        y_carve = (1 << anchor) | (1 << cyc[0]) | (1 << cyc[1]) | (1 << cyc[6])
-        imask = y_top & ~y_carve
-        icomps = component_masks(g, imask)
-        if len(icomps) == 1:
-            hi, old = induced_subgraph(g, imask)
-            if is_isomorphic_small(hi, named_graph("C7")):
-                # orient the cycle so the partner anchor meets it two steps
-                # from the attachment, then take the two far vertices
-                if not g.adj[partner] >> cyc[2] & 1:
-                    cyc = [cyc[0]] + cyc[1:][::-1]
-                return (1 << cyc[2]) | (1 << cyc[5])
-            local = exact_iota(hi, _E3).witness
-            out = 1 << y1
-            for i in bits(local):
-                out |= 1 << old[i]
-            return out
-        for y in sorted((cyc[1], cyc[6])):
-            if g.adj[y] & ((1 << partner) | (1 << w)):
-                return (1 << y1) | (1 << y)
-        return (1 << anchor) | (1 << cyc[3])
 
-    if y_top == g.vertex_mask:
-        return prover.finish(g, dy_for(x1, x1p), "single-c7-whole", v)
+@dataclass(frozen=True)
+class _Rules:
+    """What the induction does differently for E_2 and E_3."""
 
-    c, cp = _carve_anchor(g, y_top, x1, x1p, w)
-    y1 = _attach(g, c, comp)
-    cyc = _cycle_through(g, comp, y1, 7)
-    y_carve = (1 << c) | (1 << cyc[0]) | (1 << cyc[1]) | (1 << cyc[6])
-    if len(component_masks(g, y_top & ~y_carve)) == 1:
-        home, strays, _ = prover.carve(g, ctx, y_carve, v)
-        d = (1 << y1) | strays | prover.solve_piece(g, home)
-        return prover.finish(g, d, "single-c7-carve", v)
-    removed = y_top & ~((1 << v) | (1 << w))
-    home, strays, _ = prover.carve(g, ctx, removed, v)
-    d = (1 << y1) | (1 << _attach(g, cp, comp)) | strays | prover.solve_piece(g, home)
-    return prover.finish(g, d, "single-c7-split", v)
+    theorem: str  # "k2" or "k3": picks the family, the bound and the exceptions
+    classify: Callable[[Graph, int], Optional[str]]
+    pair: Callable  # two doubly-linked bad components
+    single: Callable  # one doubly-linked bad component that is not a cycle
+
+
+_RULES = {
+    2: _Rules("k2", classify_bad_component_k2, _k2_pair, _k2_single),
+    3: _Rules("k3", classify_bad_component_k3, _k3_pair, _k3_single),
+}
+
+
+def _dispatch(prover: _Prover, g: Graph) -> int:
+    if g.n <= _SMALL_EXACT:
+        return prover.finish(g, exact_iota(g, prover.fam).witness, "exact-base", -1)
+    if max_degree(g) <= 2:
+        return _pattern_case(prover, g)
+    v = max_degree_vertex(g)
+    if closed_neighborhood(g, 1 << v) == g.vertex_mask:
+        return prover.finish(g, 1 << v, "dominated", v)
+    ctx = _build_context(g, v, prover.rules.classify)
+
+    if not ctx.bad:
+        d = (1 << v) | prover.solve_comps(g, ctx.comps)
+        return prover.finish(g, d, "no-bad", v)
+
+    for x in bits(g.adj[v]):
+        if sum(1 for c in ctx.bad if ctx.links[c] >> x & 1) >= 2:
+            return _case_shared_anchor(prover, g, ctx, x)
+
+    # every neighbour of v anchors at most one bad component
+    anchors = {c: _anchor(ctx.links[c]) for c in ctx.comps if c in ctx.bad}
+    if (g.adj[v] & ~mask_of(anchors.values())).bit_count() >= 3:
+        return _case_wide_frontier(prover, g, ctx, anchors)
+
+    for c in ctx.comps:
+        if c in ctx.bad and ctx.links[c] == 1 << anchors[c]:
+            return _case_lone_anchor(prover, g, ctx, c)
+
+    # two-anchor cases: every bad component reaches a second neighbour of v
+    badlist = [c for c in ctx.comps if c in ctx.bad]
+    if len(badlist) == 2:
+        return prover.rules.pair(prover, g, ctx, badlist)
+    if len(badlist) == 1:
+        return _case_single(prover, g, ctx, badlist[0])
+    raise InternalConsistencyError("more than two doubly-linked bad components survived")
 
 
 # ===== Public entry points ===================================================
@@ -807,12 +713,11 @@ def _k3_single_c7(
 def _certify(g: Graph, k: int) -> Certificate:
     if not is_connected(g):
         raise ValueError("certification needs a connected graph")
-    theorem = "k2" if k == 2 else "k3"
-    tag = classify_exception(g, theorem)
+    prover = _Prover(k)
+    tag = classify_exception(g, prover.rules.theorem)
     if tag is not None:
         raise ValueError(f"the E_{k} bound does not hold for the exception graph {tag}")
-    prover = _Prover(k)
-    d = prover.dispatch(g)
+    d = _dispatch(prover, g)
     return Certificate(d, prover.bound(g), tuple(prover.trace))
 
 

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
+import oracles
 from isolation_lab.bounds import (
     Beta14,
     S_GRAPH_TAGS,
@@ -16,7 +19,6 @@ from isolation_lab.bounds import (
     bound_k3,
     check_bound,
     classify_exception,
-    is_s_graph,
     theorem_bound,
     theorem_family,
 )
@@ -97,11 +99,38 @@ def test_classify_exception_recognizes_relabelings():
         classify_exception(path_graph(3), "k9")
 
 
+def test_classify_exception_matches_oracle_keys(connected_upto):
+    # every class with n <= 7 and one seeded relabelling of each, against
+    # the brute-force canonical keys of the exception graphs
+    expected = {}
+    for theorem in THEOREMS:
+        for tag in {"k1": ("K2", "C5"), "k2": S_GRAPH_TAGS,
+                    "k3": ("K3", "C7"), "cycles": ("K3",)}[theorem]:
+            model = named_graph(tag)
+            key = (model.n, oracles.canonical_edge_key(model.n, list(model.edges())))
+            expected[theorem, key] = tag
+    rng = random.Random(7)
+    found = set()
+    for g in connected_upto(1, 7):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        relabelled = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+        for h in (g, relabelled):
+            key = (h.n, oracles.canonical_edge_key(h.n, list(h.edges())))
+            for theorem in THEOREMS:
+                tag = classify_exception(h, theorem)
+                assert tag == expected.get((theorem, key))
+                if tag is not None:
+                    found.add((theorem, tag))
+    # every exception of every bound is met, so no comparison is vacuous
+    assert found == {(th, tag) for (th, _), tag in expected.items()}
+
+
 def test_s_graph_tags():
     assert S_GRAPH_TAGS == ("P3", "K3", "K13", "C6", "C6P", "C6PP")
     for tag in S_GRAPH_TAGS:
-        assert is_s_graph(named_graph(tag))
-    assert not is_s_graph(cycle_graph(7))
+        assert classify_exception(named_graph(tag), "k2") is not None
+    assert classify_exception(cycle_graph(7), "k2") is None
     assert set(THEOREMS) == {"k1", "k2", "k3", "cycles"}
 
 

@@ -320,6 +320,18 @@ def test_certify_stream_mixes_refusals(tmp_path, capsys):
     assert "trace:" in out and "7-cycle exception" in err
 
 
+def test_solve_certify_take_no_size_range(capsys):
+    # solve and certify read every graph they are given, so a size range
+    # would be ignored; the parser refuses it instead
+    c8 = graph6_encode(named_graph("C8"))
+    for argv in (["certify", c8, "--k", "2", "--n-max", "5"],
+                 ["solve", c8, "--family", "e2", "--n-min", "9"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_argparse_usage_exit():
     with pytest.raises(SystemExit) as exc:
         cli.main(["sweep"])  # --family is required

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from isolation_lab.enumeration import canonical_form
 from isolation_lab.graphs import (
     Graph,
     Graph6Error,
@@ -20,7 +21,6 @@ from isolation_lab.graphs import (
     graph6_encode,
     induced_subgraph,
     is_connected,
-    is_isomorphic_small,
     leaf_count,
     leaves,
     mask_of,
@@ -133,7 +133,7 @@ def test_isomorphism_positive():
     a = Graph(6, [(0, 1), (1, 2), (2, 3), (2, 4), (4, 5)])
     perm = [3, 0, 5, 1, 4, 2]
     b = Graph(6, [(perm[u], perm[v]) for u, v in a.edges()])
-    assert is_isomorphic_small(a, b)
+    assert canonical_form(a) == canonical_form(b)
 
 
 def test_isomorphism_negative_same_degree_sequence():
@@ -143,13 +143,8 @@ def test_isomorphism_negative_same_degree_sequence():
     spider = Graph(6, [(0, 1), (0, 2), (2, 3), (0, 4), (4, 5)])
     caterpillar = Graph(6, [(0, 1), (0, 2), (0, 3), (3, 4), (4, 5)])
     assert spider.degree_sequence() == caterpillar.degree_sequence()
-    assert not is_isomorphic_small(spider, caterpillar)
-    assert not is_isomorphic_small(path_graph(4), star_graph(3))
-
-
-def test_isomorphism_size_guard():
-    with pytest.raises(ValueError):
-        is_isomorphic_small(path_graph(10), path_graph(10))
+    assert canonical_form(spider) != canonical_form(caterpillar)
+    assert canonical_form(path_graph(4)) != canonical_form(star_graph(3))
 
 
 # ===== graph6 ================================================================
