@@ -17,9 +17,7 @@ from .graphs import (
     closed_neighborhood,
     complete_graph,
     component_masks,
-    components,
     cycle_graph,
-    delete_closed_neighborhood,
     graph6_decode,
     graph6_encode,
     induced_subgraph,
@@ -36,10 +34,8 @@ from .families import (
     FamilySpec,
     IsolationResult,
     clique_family,
-    contains_family_graph,
     edge_family,
     exact_iota,
-    iota_monotonicity_check,
     is_isolating,
 )
 from .bounds import (

@@ -28,7 +28,7 @@ from typing import Optional, Union
 
 from .enumeration import canonical_form
 from .families import CYCLES, edge_family, exact_iota
-from .graphs import Graph, graph6_encode, leaf_count, leaves, named_graph
+from .graphs import Graph, leaf_count, leaves, named_graph
 
 
 @total_ordering
@@ -121,8 +121,6 @@ _EXCEPTIONS = {
     "cycles": ("K3",),
 }
 
-S_GRAPH_TAGS = _EXCEPTIONS["k2"]
-
 
 @lru_cache(maxsize=None)
 def _exception_keys(theorem: str) -> dict[tuple[int, int], dict[tuple, str]]:
@@ -173,17 +171,18 @@ def theorem_bound(g: Graph, theorem: str) -> int:
 
 @dataclass(frozen=True)
 class VerificationRecord:
-    """One graph checked against one bound."""
+    """One graph checked against one bound.
 
-    graph6: str
-    n: int
-    leaves: int
-    iota: Optional[int]  # None when a budget cut the solve short
+    ``iota`` and ``witness`` (an optimal isolating set, as a mask) are None
+    when a budget cut the solve short; the record then asserts nothing.
+    """
+
+    iota: Optional[int]
+    witness: Optional[int]
     bound: int
     exception: Optional[str]
     tight: bool
     violated: bool
-    skipped: bool = False
 
 
 def check_bound(g: Graph, theorem: str, budget: Optional[int] = None) -> VerificationRecord:
@@ -194,18 +193,15 @@ def check_bound(g: Graph, theorem: str, budget: Optional[int] = None) -> Verific
     graph; anything else means the implementation (not the mathematics) is
     broken.
     """
-    ell = leaf_count(g)
     bound = theorem_bound(g, theorem)
     exception = classify_exception(g, theorem)
     got = exact_iota(g, _FAMILY_FOR[theorem], budget=budget)
     if got is None:
-        return VerificationRecord(
-            graph6_encode(g), g.n, ell, None, bound, exception,
-            tight=False, violated=False, skipped=True,
-        )
+        return VerificationRecord(None, None, bound, exception,
+                                  tight=False, violated=False)
     value = got.value
     return VerificationRecord(
-        graph6_encode(g), g.n, ell, value, bound, exception,
+        value, got.witness, bound, exception,
         tight=(exception is None and value == bound),
         violated=(exception is None and value > bound),
     )

@@ -25,6 +25,10 @@ whose optimum exceeds the cap become "skipped (budget)" rows instead of
 aborting the run.  ``--jobs N`` (default from ISOLATION_LAB_JOBS) fans
 per-graph work out to N processes; results are merged back in input order,
 so reports are deterministic for a fixed command line.
+
+graph6 is the I/O format only: a line is decoded where it is read, a graph
+is encoded where its row (``_row``) or an error message is written, and
+workers receive ``Graph`` objects.
 """
 
 from __future__ import annotations
@@ -40,7 +44,6 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Optional, TextIO
 
 from .bounds import (
-    THEOREMS,
     check_bound,
     classify_exception,
     theorem_bound,
@@ -208,50 +211,58 @@ class _Writers:
             self._csv_file.close()
 
 
+def _row(g: Graph, iota: Optional[int] = None, bound: Optional[int] = None,
+         exception: Optional[str] = None, tight: bool = False) -> dict:
+    """The seven leading ROW_FIELDS of a graph's report row.
+
+    This is where a row's graph6 is encoded, once per row.
+    """
+    return {"graph6": graph6_encode(g), "n": g.n, "leaves": leaf_count(g),
+            "iota": iota, "bound": bound, "exception": exception,
+            "tight": tight}
+
+
+def _cert_fields(cert) -> dict:
+    """The certificate columns of a row: its size and its case trace."""
+    return {"cert_size": cert.d.bit_count(),
+            "case_trace": "; ".join(e.line() for e in cert.trace)}
+
+
 # ===== sweep =================================================================
 
 
-def _sweep_one(task: tuple[str, str, Optional[int]]) -> tuple[dict, list[str]]:
-    """Check one graph6 line against one bound; runs inside worker processes.
+def _sweep_one(task: tuple[Graph, str, Optional[int]]) -> tuple[dict, list[str]]:
+    """Check one graph against one bound; runs inside worker processes.
 
     Returns the report row plus any problem messages (bound violations or
     prover failures).  The sandwich iota <= |certificate| <= bound is checked
     here for the E_2/E_3 bounds.
     """
-    g6, theorem, budget = task
-    g = graph6_decode(g6)
+    g, theorem, budget = task
     rec = check_bound(g, theorem, budget=budget)
-    row = {
-        "graph6": rec.graph6,
-        "n": rec.n,
-        "leaves": rec.leaves,
-        "iota": rec.iota,
-        "bound": rec.bound,
-        "exception": rec.exception,
-        "tight": rec.tight,
-    }
+    row = _row(g, rec.iota, rec.bound, rec.exception, rec.tight)
+    g6 = row["graph6"]
     problems: list[str] = []
     if rec.violated:
         problems.append(
-            f"bound violated: iota={rec.iota} > bound={rec.bound} on {rec.graph6}"
+            f"bound violated: iota={rec.iota} > bound={rec.bound} on {g6}"
         )
     if theorem in ("k2", "k3") and rec.exception is None:
         prove = isolate_k2 if theorem == "k2" else isolate_k3
         try:
             cert = prove(g)
         except (InternalConsistencyError, ValueError) as exc:
-            problems.append(f"prover failed on {rec.graph6}: {exc}")
+            problems.append(f"prover failed on {g6}: {exc}")
         else:
-            size = cert.d.bit_count()
-            row["cert_size"] = size
-            row["case_trace"] = "; ".join(e.line() for e in cert.trace)
+            row.update(_cert_fields(cert))
+            size = row["cert_size"]
             if size > rec.bound:
                 problems.append(
-                    f"certificate too large on {rec.graph6}: {size} > {rec.bound}"
+                    f"certificate too large on {g6}: {size} > {rec.bound}"
                 )
             if rec.iota is not None and size < rec.iota:
                 problems.append(
-                    f"certificate beats the optimum on {rec.graph6}: "
+                    f"certificate beats the optimum on {g6}: "
                     f"{size} < iota={rec.iota} (solver or prover is wrong)"
                 )
     return row, problems
@@ -277,12 +288,11 @@ def cmd_sweep(args) -> int:
         )
     jobs = _resolve_jobs(args.jobs)
     start = time.monotonic()
-    graphs = [
-        graph6_encode(g)
+    tasks = [
+        (g, theorem, args.budget)
         for g in iter_source(args.source, args.n_min, args.n_max,
                              args.strict_parse)
     ]
-    tasks = [(g6, theorem, args.budget) for g6 in graphs]
     writers = _Writers(args.json, args.csv)
     checked = 0
     tight = 0
@@ -330,11 +340,11 @@ def cmd_sweep(args) -> int:
 # ===== ckn ===================================================================
 
 
-def _ckn_one(task: tuple[str, int]) -> tuple[str, int]:
-    g6, k = task
-    got = exact_iota(graph6_decode(g6), edge_family(k))
+def _ckn_one(task: tuple[Graph, int]) -> int:
+    g, k = task
+    got = exact_iota(g, edge_family(k))
     assert got is not None  # no budget on this path
-    return g6, got.value
+    return got.value
 
 
 def cmd_ckn(args) -> int:
@@ -347,22 +357,20 @@ def cmd_ckn(args) -> int:
     writers = _Writers(args.json, args.csv, fields=("k", "n", "c", "witness"))
     try:
         for n in range(args.n_min, args.n_max + 1):
-            tasks = [
-                (graph6_encode(g), k)
-                for g in iter_source(args.source, n, n, args.strict_parse)
-            ]
+            tasks = [(g, k) for g in iter_source(args.source, n, n,
+                                                  args.strict_parse)]
             best: Optional[Fraction] = None
             witness = None
-            for g6, value in _fan_out(_ckn_one, tasks, jobs):
+            for (g, _), value in zip(tasks, _fan_out(_ckn_one, tasks, jobs)):
                 c = Fraction(value, n)
                 if best is None or c > best:
-                    best, witness = c, g6
+                    best, witness = c, g
             if best is None:
                 continue  # source had no graphs of this order
             row = {"k": k, "n": n, "c": f"{best.numerator}/{best.denominator}",
-                   "witness": witness}
+                   "witness": graph6_encode(witness)}
             writers.write(row)
-            print(f"c_{{{k},{n}}} = {row['c']:<6} witness {witness}")
+            print(f"c_{{{k},{n}}} = {row['c']:<6} witness {row['witness']}")
     finally:
         writers.close()
     return 0
@@ -486,29 +494,24 @@ def cmd_solve(args) -> int:
                        fields=ROW_FIELDS[:7] + ("witness",))
     try:
         for g in _input_graphs(args):
-            g6 = graph6_encode(g)
-            exception = None if theorem is None else classify_exception(g, theorem)
-            bound = None
+            # the bounds, and so their exceptions, cover connected graphs only
             if theorem is not None and is_connected(g):
-                bound = theorem_bound(g, theorem)
-            got = exact_iota(g, fam, budget=args.budget)
-            if got is None:
-                row = {"graph6": g6, "n": g.n, "leaves": leaf_count(g),
-                       "iota": None, "bound": bound, "exception": exception,
-                       "tight": False, "witness": None}
-                writers.write(row)
-                print(f"skipped (budget): {g6}")
-                continue
-            tight = (bound is not None and exception is None
-                     and got.value == bound)
-            row = {"graph6": g6, "n": g.n, "leaves": leaf_count(g),
-                   "iota": got.value, "bound": bound, "exception": exception,
-                   "tight": tight, "witness": sorted(bits(got.witness))}
+                rec = check_bound(g, theorem, budget=args.budget)
+                row = _row(g, rec.iota, rec.bound, rec.exception, rec.tight)
+                witness = rec.witness
+            else:
+                got = exact_iota(g, fam, budget=args.budget)
+                row = _row(g, None if got is None else got.value)
+                witness = None if got is None else got.witness
+            row["witness"] = None if witness is None else sorted(bits(witness))
             writers.write(row)
-            note = f" (exception {exception})" if exception else ""
-            shown_bound = "-" if bound is None else bound
-            print(f"{g6}: iota_{label} = {got.value}  bound {shown_bound}"
-                  f"{note}  witness {_vertex_list(got.witness)}")
+            if row["iota"] is None:
+                print(f"skipped (budget): {row['graph6']}")
+                continue
+            note = f" (exception {row['exception']})" if row["exception"] else ""
+            shown_bound = "-" if row["bound"] is None else row["bound"]
+            print(f"{row['graph6']}: iota_{label} = {row['iota']}  bound "
+                  f"{shown_bound}{note}  witness {_vertex_list(witness)}")
     finally:
         writers.close()
     return 0
@@ -526,27 +529,21 @@ def cmd_certify(args) -> int:
     refused = 0
     try:
         for g in _input_graphs(args):
-            g6 = graph6_encode(g)
             if not is_connected(g):
-                raise UsageError(f"{g6} is disconnected; the bound only "
-                                 f"covers connected graphs")
+                raise UsageError(f"{graph6_encode(g)} is disconnected; the "
+                                 f"bound only covers connected graphs")
             tag = classify_exception(g, theorem)
             if tag is not None:
                 name = EXCEPTION_NAMES[tag]
-                print(f"certify refused: {g6} is the {name}; the E_{k} bound "
-                      f"does not hold for it", file=sys.stderr)
+                print(f"certify refused: {graph6_encode(g)} is the {name}; "
+                      f"the E_{k} bound does not hold for it", file=sys.stderr)
                 refused += 1
                 continue
             cert = prove(g)
-            row = {
-                "graph6": g6, "n": g.n, "leaves": leaf_count(g),
-                "iota": None, "bound": cert.bound, "exception": None,
-                "tight": False, "cert_size": cert.d.bit_count(),
-                "case_trace": "; ".join(e.line() for e in cert.trace),
-                "certificate": sorted(bits(cert.d)),
-            }
+            row = _row(g, bound=cert.bound)
+            row.update(_cert_fields(cert), certificate=sorted(bits(cert.d)))
             writers.write(row)
-            print(f"graph: {g6} (n={g.n}, {leaf_count(g)} leaves)")
+            print(f"graph: {row['graph6']} (n={g.n}, {row['leaves']} leaves)")
             print(f"bound: {cert.bound}  certificate: {_vertex_list(cert.d)} "
                   f"({cert.d.bit_count()} vertices)")
             print("trace:")
@@ -560,17 +557,21 @@ def cmd_certify(args) -> int:
 # ===== entry point ===========================================================
 
 
-def _add_common(sub, *, n_defaults=(1, 8), budget=True, jobs=True):
-    """Shared options; ``n_defaults=None`` for commands that read every size."""
+def _add_common(sub, *, n_defaults=(1, 8), source=True, budget=True,
+                jobs=True):
+    """Shared options; ``n_defaults=None`` for commands that read every size,
+    ``source=False`` for commands that build their own graphs."""
     if n_defaults is not None:
         sub.add_argument("--n-min", type=int, default=n_defaults[0])
         sub.add_argument("--n-max", type=int, default=n_defaults[1])
-    sub.add_argument("--source", default="builtin",
-                     help="builtin, file:PATH, or - for stdin")
+    if source:
+        sub.add_argument("--source", default="builtin",
+                         help="builtin, file:PATH, or - for stdin")
     sub.add_argument("--json", metavar="PATH", help="write JSON-lines rows")
     sub.add_argument("--csv", metavar="PATH", help="write CSV rows")
-    sub.add_argument("--strict-parse", action="store_true",
-                     help="fail on malformed graph6 lines instead of skipping")
+    if source:
+        sub.add_argument("--strict-parse", action="store_true",
+                         help="fail on malformed graph6 lines instead of skipping")
     if budget:
         sub.add_argument("--budget", type=int, metavar="S",
                          help="cap the exact solver at sets of size S")
@@ -602,7 +603,7 @@ def build_parser() -> argparse.ArgumentParser:
                                help="check bound-attaining equality rows")
     extremal.add_argument("--family", required=True,
                           help="e1, e2, e3, or cycles")
-    _add_common(extremal, n_defaults=(1, 16), jobs=False)
+    _add_common(extremal, n_defaults=(1, 16), source=False, jobs=False)
     extremal.set_defaults(func=cmd_extremal)
 
     emit = subs.add_parser("emit", help="print constructions as graph6")

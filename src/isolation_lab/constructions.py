@@ -158,8 +158,3 @@ def pattern_isolating_set(kind: str, n: int, k: int) -> int:
             mask |= 1 << (step * i)
         return mask
     raise ValueError(f"unknown pattern kind {kind!r}")
-
-
-def pendant_c6() -> Graph:
-    """The 7-vertex pendant 6-cycle used by build_B_prime_7r_C6."""
-    return build_B_prime_7r_C6(1)

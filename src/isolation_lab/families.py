@@ -107,30 +107,16 @@ def _find_clique(g: Graph, alive: int, k: int) -> Optional[int]:
     return grow(0, alive, k)
 
 
-def _contains_within(g: Graph, alive: int, fam: FamilySpec) -> tuple[bool, int]:
-    """Does g induced on ``alive`` contain an F-graph?  Witness as a mask.
-
-    For the edge and cycle families the witness is the vertex set of an
-    offending component; for cliques it is the clique itself.
-    """
+def _contains_within(g: Graph, alive: int, fam: FamilySpec) -> bool:
+    """Does g induced on ``alive`` contain an F-graph?"""
     if fam.kind == "edges":
-        for comp in component_masks(g, alive):
-            if _edges_within(g, comp) >= fam.k:
-                return True, comp
-        return False, 0
+        return any(_edges_within(g, comp) >= fam.k
+                   for comp in component_masks(g, alive))
     if fam.kind == "cycles":
-        for comp in component_masks(g, alive):
-            # a connected graph has a cycle iff it has >= |V| edges
-            if _edges_within(g, comp) >= comp.bit_count():
-                return True, comp
-        return False, 0
-    clique = _find_clique(g, alive, fam.k)
-    return (clique is not None), (clique or 0)
-
-
-def contains_family_graph(g: Graph, fam: FamilySpec) -> tuple[bool, int]:
-    """Whether g contains a graph of the family, plus a witness vertex set."""
-    return _contains_within(g, g.vertex_mask, fam)
+        # a connected graph has a cycle iff it has >= |V| edges
+        return any(_edges_within(g, comp) >= comp.bit_count()
+                   for comp in component_masks(g, alive))
+    return _find_clique(g, alive, fam.k) is not None
 
 
 def is_isolating(g: Graph, d: int, fam: FamilySpec) -> bool:
@@ -138,7 +124,7 @@ def is_isolating(g: Graph, d: int, fam: FamilySpec) -> bool:
     if d & ~g.vertex_mask:
         raise ValueError("isolating-set candidate contains out-of-range vertices")
     alive = g.vertex_mask & ~closed_neighborhood(g, d)
-    return not _contains_within(g, alive, fam)[0]
+    return not _contains_within(g, alive, fam)
 
 
 # ===== Branching witnesses ===================================================
@@ -306,13 +292,3 @@ def exact_iota(g: Graph, fam: FamilySpec, budget: Optional[int] = None) -> Optio
     if budget is not None and value > budget:
         return None
     return IsolationResult(value, mask)
-
-
-def iota_monotonicity_check(g: Graph, j: int, k: int) -> bool:
-    """Check iota_j(G) <= iota_k(G) for j >= k (more edges required = easier)."""
-    if not j >= k >= 1:
-        raise ValueError("need j >= k >= 1")
-    rj = exact_iota(g, edge_family(j))
-    rk = exact_iota(g, edge_family(k))
-    assert rj is not None and rk is not None
-    return rj.value <= rk.value

@@ -34,10 +34,6 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def bit_count(mask: int) -> int:
-    return mask.bit_count()
-
-
 def mask_of(vertices: Iterable[int]) -> int:
     """Build a bitmask from an iterable of vertex indices."""
     m = 0
@@ -151,11 +147,6 @@ def delete_vertices(g: Graph, xs: int) -> tuple[Graph, tuple[int, ...]]:
     return induced_subgraph(g, g.vertex_mask & ~xs)
 
 
-def delete_closed_neighborhood(g: Graph, xs: int) -> tuple[Graph, tuple[int, ...]]:
-    """G - N[xs], with the order-preserving relabelling map."""
-    return induced_subgraph(g, g.vertex_mask & ~closed_neighborhood(g, xs))
-
-
 def component_masks(g: Graph, within: Optional[int] = None) -> list[int]:
     """Vertex masks of the components of ``g`` (or of g induced on ``within``).
 
@@ -177,11 +168,6 @@ def component_masks(g: Graph, within: Optional[int] = None) -> list[int]:
         comps.append(comp)
         todo &= ~comp
     return comps
-
-
-def components(g: Graph) -> list[int]:
-    """Partition of V(g) into maximal connected pieces (as bitmasks)."""
-    return component_masks(g)
 
 
 def is_connected(g: Graph) -> bool:

@@ -74,10 +74,9 @@ class InternalConsistencyError(RuntimeError):
 
 @dataclass(frozen=True)
 class TraceEntry:
-    """One dispatch decision: which case fired, on which subgraph."""
+    """One dispatch decision: which case fired, on a subgraph of n vertices."""
 
     case: str
-    graph6: str
     n: int
     v: int  # the chosen max-degree vertex, or -1 for the caseless leaves
     d_size: int
@@ -263,7 +262,7 @@ class _Prover:
             raise InternalConsistencyError(
                 f"case {case}: |d|={d.bit_count()} exceeds bound {limit} on {graph6_encode(g)}"
             )
-        self.trace.append(TraceEntry(case, graph6_encode(g), g.n, v, d.bit_count()))
+        self.trace.append(TraceEntry(case, g.n, v, d.bit_count()))
         return d
 
     def solve_piece(self, g: Graph, mask: int) -> int:

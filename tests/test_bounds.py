@@ -9,7 +9,6 @@ import pytest
 import oracles
 from isolation_lab.bounds import (
     Beta14,
-    S_GRAPH_TAGS,
     THEOREMS,
     beta,
     beta_relative,
@@ -31,6 +30,9 @@ from isolation_lab.graphs import (
     path_graph,
     star_graph,
 )
+
+# the six exceptions of the E_2 bound, as the paper lists them
+S_TAGS = ("P3", "K3", "K13", "C6", "C6P", "C6PP")
 
 
 def test_beta14_arithmetic():
@@ -104,7 +106,7 @@ def test_classify_exception_matches_oracle_keys(connected_upto):
     # the brute-force canonical keys of the exception graphs
     expected = {}
     for theorem in THEOREMS:
-        for tag in {"k1": ("K2", "C5"), "k2": S_GRAPH_TAGS,
+        for tag in {"k1": ("K2", "C5"), "k2": S_TAGS,
                     "k3": ("K3", "C7"), "cycles": ("K3",)}[theorem]:
             model = named_graph(tag)
             key = (model.n, oracles.canonical_edge_key(model.n, list(model.edges())))
@@ -127,9 +129,8 @@ def test_classify_exception_matches_oracle_keys(connected_upto):
 
 
 def test_s_graph_tags():
-    assert S_GRAPH_TAGS == ("P3", "K3", "K13", "C6", "C6P", "C6PP")
-    for tag in S_GRAPH_TAGS:
-        assert classify_exception(named_graph(tag), "k2") is not None
+    for tag in S_TAGS:
+        assert classify_exception(named_graph(tag), "k2") == tag
     assert classify_exception(cycle_graph(7), "k2") is None
     assert set(THEOREMS) == {"k1", "k2", "k3", "cycles"}
 
@@ -138,7 +139,7 @@ def test_check_bound_exception_graph():
     rec = check_bound(cycle_graph(6), "k2")
     assert rec.exception == "C6"
     assert rec.iota == 2 and rec.bound == 1
-    assert not rec.violated and not rec.tight and not rec.skipped
+    assert not rec.violated and not rec.tight
 
 
 def test_check_bound_tight_graph():
@@ -150,4 +151,4 @@ def test_check_bound_tight_graph():
 
 def test_check_bound_budget_skip():
     rec = check_bound(cycle_graph(9), "k1", budget=0)
-    assert rec.skipped and rec.iota is None and not rec.violated
+    assert rec.iota is None and rec.witness is None and not rec.violated

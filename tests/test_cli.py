@@ -66,14 +66,29 @@ def test_sweep_row_schema(tmp_path, capsys):
 
 
 def test_sweep_parallel_matches_serial(tmp_path, capsys):
-    outs = []
-    for jobs in ("1", "2"):
-        path = tmp_path / f"rows-{jobs}.json"
-        code, _, _ = run(["sweep", "--family", "e3", "--n-max", "6",
-                          "--jobs", jobs, "--json", str(path)], capsys)
-        assert code == 0
-        outs.append(path.read_bytes())
-    assert outs[0] == outs[1]
+    # sweep and ckn both hand Graph objects to their workers
+    for command in ("sweep", "ckn"):
+        outs = []
+        for jobs in ("1", "2"):
+            path = tmp_path / f"{command}-{jobs}.json"
+            code, _, _ = run([command, "--family", "e3", "--n-max", "6",
+                              "--jobs", jobs, "--json", str(path)], capsys)
+            assert code == 0
+            outs.append(path.read_bytes())
+        assert outs[0] == outs[1], command
+
+
+@pytest.mark.parametrize("command", ["sweep", "ckn"])
+def test_builtin_graphs_are_never_decoded(command, monkeypatch, capsys):
+    # graph6 is an I/O format: builtin graphs reach the per-graph workers
+    # as Graph objects, so nothing between enumeration and report parses it
+    def no_decode(line):
+        raise AssertionError(f"graph6 round trip on {line!r}")
+
+    monkeypatch.setattr(cli, "graph6_decode", no_decode)
+    code, _, _ = run([command, "--family", "e2", "--n-max", "5",
+                      "--jobs", "1"], capsys)
+    assert code == 0
 
 
 def test_sweep_reports_violations(monkeypatch, capsys):
@@ -260,6 +275,37 @@ def test_solve_cycles_family(capsys):
     assert code == 0 and "iota_cycles = 1" in out
 
 
+def _solve_row(argv, tmp_path, capsys):
+    jpath = tmp_path / "solve.json"
+    code, _, _ = run(["solve", *argv, "--json", str(jpath)], capsys)
+    assert code == 0
+    return json.loads(jpath.read_text())
+
+
+def test_solve_disconnected_has_no_bound(tmp_path, capsys):
+    # the bounds speak about connected graphs only, and no exception graph
+    # is disconnected
+    g6 = graph6_encode(Graph(4, [(0, 1), (1, 2)]))  # P3 plus an isolated vertex
+    row = _solve_row([g6, "--family", "e2"], tmp_path, capsys)
+    assert row["bound"] is None and row["exception"] is None
+    assert row["tight"] is False
+    assert row["iota"] == 1 and len(row["witness"]) == 1
+
+
+def test_solve_unbounded_family(tmp_path, capsys):
+    c8 = graph6_encode(named_graph("C8"))
+    row = _solve_row([c8, "--family", "k:4"], tmp_path, capsys)
+    assert row["bound"] is None and row["exception"] is None
+    assert row["tight"] is False and row["iota"] == 2
+
+
+def test_solve_tight_row(tmp_path, capsys):
+    c8 = graph6_encode(named_graph("C8"))
+    row = _solve_row([c8, "--family", "e3"], tmp_path, capsys)
+    assert row["iota"] == row["bound"] == 2 and row["exception"] is None
+    assert row["tight"] is True and len(row["witness"]) == 2
+
+
 def test_solve_budget_skip(capsys):
     code, out, _ = run(["solve", "Bw", "--family", "e2", "--budget", "0"],
                        capsys)
@@ -322,10 +368,13 @@ def test_certify_stream_mixes_refusals(tmp_path, capsys):
 
 def test_solve_certify_take_no_size_range(capsys):
     # solve and certify read every graph they are given, so a size range
-    # would be ignored; the parser refuses it instead
+    # would be ignored; extremal builds its own graphs, so a source would
+    # be; the parser refuses such options instead
     c8 = graph6_encode(named_graph("C8"))
     for argv in (["certify", c8, "--k", "2", "--n-max", "5"],
-                 ["solve", c8, "--family", "e2", "--n-min", "9"]):
+                 ["solve", c8, "--family", "e2", "--n-min", "9"],
+                 ["extremal", "--family", "e2", "--source", "-"],
+                 ["extremal", "--family", "e2", "--strict-parse"]):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 2

@@ -11,7 +11,6 @@ from isolation_lab.constructions import (
     build_B_prime_7r_C6,
     build_B_prime_P3,
     pattern_isolating_set,
-    pendant_c6,
     spine_count,
 )
 from isolation_lab.enumeration import canonical_form
@@ -78,7 +77,6 @@ def test_build_B_prime_P3_small():
 def test_build_B_prime_7r_C6():
     g1 = build_B_prime_7r_C6(1)
     assert canonical_form(g1) == canonical_form(named_graph("C6P"))
-    assert pendant_c6() == g1
     g2 = build_B_prime_7r_C6(2)
     assert g2.n == 14 and is_connected(g2) and leaf_count(g2) == 0
     assert exact_iota(g2, E2).value == 4

@@ -10,11 +10,9 @@ from isolation_lab.families import (
     CYCLES,
     FamilySpec,
     clique_family,
-    contains_family_graph,
     edge_family,
     exact_iota,
     is_isolating,
-    iota_monotonicity_check,
 )
 from isolation_lab.graphs import (
     Graph,
@@ -106,14 +104,14 @@ def test_known_isolation_values():
 
 
 def test_contains_family_graph():
-    found, witness = contains_family_graph(path_graph(3), E2)
-    assert found and witness == mask_of([0, 1, 2])
-    assert not contains_family_graph(path_graph(3), E3)[0]
-    assert not contains_family_graph(Graph(5), E1)[0]
-    assert contains_family_graph(cycle_graph(4), CYCLES)[0]
-    assert not contains_family_graph(path_graph(9), CYCLES)[0]
-    assert contains_family_graph(complete_graph(4), clique_family(4))[0]
-    assert not contains_family_graph(cycle_graph(6), clique_family(3))[0]
+    # g contains an F-graph exactly when the empty set does not isolate F
+    assert not is_isolating(path_graph(3), 0, E2)
+    assert is_isolating(path_graph(3), 0, E3)
+    assert is_isolating(Graph(5), 0, E1)
+    assert not is_isolating(cycle_graph(4), 0, CYCLES)
+    assert is_isolating(path_graph(9), 0, CYCLES)
+    assert not is_isolating(complete_graph(4), 0, clique_family(4))
+    assert is_isolating(cycle_graph(6), 0, clique_family(3))
 
 
 def test_is_isolating():
@@ -138,9 +136,9 @@ def test_exact_iota_budget_semantics():
 
 
 def test_monotonicity_helper():
-    assert iota_monotonicity_check(cycle_graph(7), 3, 2)
-    with pytest.raises(ValueError):
-        iota_monotonicity_check(cycle_graph(7), 2, 3)
+    # more edges required means an easier family: iota_3 <= iota_2
+    g = cycle_graph(7)
+    assert exact_iota(g, E3).value <= exact_iota(g, E2).value
 
 
 def test_family_spec_validation():

@@ -15,7 +15,6 @@ from isolation_lab.graphs import (
     complete_graph,
     component_masks,
     cycle_graph,
-    delete_closed_neighborhood,
     delete_vertices,
     graph6_decode,
     graph6_encode,
@@ -79,7 +78,8 @@ def test_delete_vertices_and_closed_neighborhood():
     g = path_graph(6)
     h, labels = delete_vertices(g, mask_of([0, 5]))
     assert h.n == 4 and is_connected(h)
-    h2, labels2 = delete_closed_neighborhood(g, 1 << 2)
+    # G - N[2], as the induced subgraph on the complement of N[2]
+    h2, labels2 = induced_subgraph(g, g.vertex_mask & ~closed_neighborhood(g, 1 << 2))
     assert labels2 == (0, 4, 5)
     assert sorted(h2.edges()) == [(1, 2)]
 
