@@ -4,7 +4,7 @@ An F-isolating set of a graph G is a vertex set D such that G - N[D] contains
 no member of the family F; the F-isolation number iota(G, F) is the smallest
 size of such a set.  This package computes iota exactly for the families that
 matter in the connected-graph bounds (connected graphs with >= k edges,
-cycles, k-cliques), runs the constructive induction that certifies the known
+and cycles), runs the constructive induction that certifies the known
 sharp upper bounds for k = 2 and k = 3, builds the extremal families that
 attain them, and exhaustively verifies everything over all small connected
 graphs.
@@ -33,7 +33,6 @@ from .families import (
     CYCLES,
     FamilySpec,
     IsolationResult,
-    clique_family,
     edge_family,
     exact_iota,
     is_isolating,

@@ -45,7 +45,6 @@ from typing import Iterable, Iterator, Optional, TextIO
 
 from .bounds import (
     check_bound,
-    classify_exception,
     theorem_bound,
     theorem_family,
 )
@@ -61,7 +60,7 @@ from .graphs import (
     is_connected,
     leaf_count,
 )
-from .prover import InternalConsistencyError, isolate_k2, isolate_k3
+from .prover import InternalConsistencyError, NotCovered, isolate_k2, isolate_k3
 
 ROW_FIELDS = (
     "graph6", "n", "leaves", "iota", "bound", "exception", "tight",
@@ -523,23 +522,22 @@ def cmd_solve(args) -> int:
 def cmd_certify(args) -> int:
     k = args.k
     prove = isolate_k2 if k == 2 else isolate_k3
-    theorem = "k2" if k == 2 else "k3"
     writers = _Writers(args.json, args.csv,
                        fields=ROW_FIELDS + ("certificate",))
     refused = 0
     try:
         for g in _input_graphs(args):
-            if not is_connected(g):
-                raise UsageError(f"{graph6_encode(g)} is disconnected; the "
-                                 f"bound only covers connected graphs")
-            tag = classify_exception(g, theorem)
-            if tag is not None:
-                name = EXCEPTION_NAMES[tag]
+            try:
+                cert = prove(g)
+            except NotCovered as exc:
+                if exc.tag is None:
+                    raise UsageError(f"{graph6_encode(g)} is disconnected; the "
+                                     f"bound only covers connected graphs")
+                name = EXCEPTION_NAMES[exc.tag]
                 print(f"certify refused: {graph6_encode(g)} is the {name}; "
                       f"the E_{k} bound does not hold for it", file=sys.stderr)
                 refused += 1
                 continue
-            cert = prove(g)
             row = _row(g, bound=cert.bound)
             row.update(_cert_fields(cert), certificate=sorted(bits(cert.d)))
             writers.write(row)

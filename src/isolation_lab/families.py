@@ -3,23 +3,35 @@
 The families of interest are
 
 * ``edge_family(k)``: all connected graphs with at least k edges,
-* ``CYCLES``: all cycles,
-* ``clique_family(k)``: the complete graph on k vertices.
+* ``CYCLES``: all cycles.
 
 A vertex set D is F-isolating for G when G - N[D] contains no subgraph from
 F, and iota(G, F) is the minimum size of an F-isolating set.  ``exact_iota``
-computes it by branch and bound:
+computes it by depth-first branch and bound:
 
-* isolation numbers add up over components, so each component is solved
-  independently;
-* within a component, iterative deepening on the set size with a branching
-  rule driven by witnesses: if the residual graph still contains some
-  F-graph W, then any isolating set must contain a vertex of N[V(W)]
-  (removing vertices outside N[V(W)] cannot touch W), so only those vertices
-  are branched on.  Small witnesses keep the branching factor small.
+* isolation numbers add up over the components of G, so each component is
+  solved on its own;
+* a search node is the set ``alive`` of vertices not yet covered by N[D].
+  If g[alive] still contains an F-graph W, every isolating set contains a
+  vertex of N_G[V(W)], because deleting N[u] for u outside it leaves W
+  whole.  Small witnesses W supply these hitting sets: for E_k a k-edge
+  subtree grown breadth first from each alive vertex (for E_2, a P_3),
+  taking neighbours with small closed neighbourhoods first; for cycles a
+  short cycle in each cyclic component of g[alive];
+* the search branches on the vertices of the smallest hitting set, and it
+  prunes with a packing bound: hitting sets that are pairwise disjoint each
+  need their own vertex, so a greedy packing of them counts vertices that
+  any isolating set of the node still needs;
+* one memo per call, keyed on ``alive``, holds the optimum of a node once
+  it is solved and the best lower bound proven for it otherwise.
 
-All searches are deterministic: components in ascending order, candidate
-vertices in ascending index order.
+``alive`` is not split into its components below the top level.  A vertex
+outside ``alive`` can be adjacent to two of its components and isolate both
+with one choice, so the optima of the components do not add up.
+
+All searches are deterministic: components in ascending order, hitting
+sets of equal size by root in ascending order, candidate vertices in
+ascending index order.
 """
 
 from __future__ import annotations
@@ -30,23 +42,19 @@ from typing import Optional
 from .graphs import Graph, bits, closed_neighborhood, component_masks
 
 EDGE_FAMILY_MAX_K = 16
-CLIQUE_FAMILY_MAX_K = 8
 
 
 @dataclass(frozen=True)
 class FamilySpec:
     """One of the supported forbidden families."""
 
-    kind: str  # "edges" | "cycles" | "clique"
+    kind: str  # "edges" | "cycles"
     k: int = 0
 
     def __post_init__(self):
         if self.kind == "edges":
             if not 1 <= self.k <= EDGE_FAMILY_MAX_K:
                 raise ValueError(f"edge family k={self.k} outside 1..{EDGE_FAMILY_MAX_K}")
-        elif self.kind == "clique":
-            if not 1 <= self.k <= CLIQUE_FAMILY_MAX_K:
-                raise ValueError(f"clique family k={self.k} outside 1..{CLIQUE_FAMILY_MAX_K}")
         elif self.kind == "cycles":
             if self.k:
                 raise ValueError("the cycle family takes no parameter")
@@ -54,20 +62,12 @@ class FamilySpec:
             raise ValueError(f"unknown family kind {self.kind!r}")
 
     def label(self) -> str:
-        if self.kind == "edges":
-            return f"e{self.k}"
-        if self.kind == "cycles":
-            return "cycles"
-        return f"k{self.k}"
+        return f"e{self.k}" if self.kind == "edges" else "cycles"
 
 
 def edge_family(k: int) -> FamilySpec:
     """Connected graphs with at least ``k`` edges."""
     return FamilySpec("edges", k)
-
-
-def clique_family(k: int) -> FamilySpec:
-    return FamilySpec("clique", k)
 
 
 CYCLES = FamilySpec("cycles")
@@ -86,37 +86,14 @@ def _edges_within(g: Graph, mask: int) -> int:
     return sum((g.adj[v] & mask).bit_count() for v in bits(mask)) // 2
 
 
-def _find_clique(g: Graph, alive: int, k: int) -> Optional[int]:
-    """Lexicographically first k-clique inside ``alive``, or None."""
-
-    def grow(chosen: int, cand: int, need: int) -> Optional[int]:
-        if need == 0:
-            return chosen
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            if cand.bit_count() + 1 < need:
-                # not enough candidates left even taking this one
-                return None
-            v = low.bit_length() - 1
-            got = grow(chosen | low, cand & g.adj[v], need - 1)
-            if got is not None:
-                return got
-        return None
-
-    return grow(0, alive, k)
-
-
 def _contains_within(g: Graph, alive: int, fam: FamilySpec) -> bool:
     """Does g induced on ``alive`` contain an F-graph?"""
     if fam.kind == "edges":
         return any(_edges_within(g, comp) >= fam.k
                    for comp in component_masks(g, alive))
-    if fam.kind == "cycles":
-        # a connected graph has a cycle iff it has >= |V| edges
-        return any(_edges_within(g, comp) >= comp.bit_count()
-                   for comp in component_masks(g, alive))
-    return _find_clique(g, alive, fam.k) is not None
+    # a connected graph has a cycle iff it has >= |V| edges
+    return any(_edges_within(g, comp) >= comp.bit_count()
+               for comp in component_masks(g, alive))
 
 
 def is_isolating(g: Graph, d: int, fam: FamilySpec) -> bool:
@@ -127,32 +104,7 @@ def is_isolating(g: Graph, d: int, fam: FamilySpec) -> bool:
     return not _contains_within(g, alive, fam)
 
 
-# ===== Branching witnesses ===================================================
-
-# The solver wants the *smallest* convenient witness, not a whole component:
-# branching is restricted to N[V(W)], so fewer witness vertices means fewer
-# branches.  For the edge family a breadth-first prefix of k+1 vertices spans
-# a subtree with >= k edges; for cycles we chase a short cycle; for cliques
-# the clique itself is already minimal.
-
-
-def _bfs_prefix(g: Graph, comp: int, size: int) -> int:
-    start = comp & -comp
-    chosen = start
-    frontier = start
-    while chosen.bit_count() < size:
-        grow = 0
-        for v in bits(frontier):
-            grow |= g.adj[v]
-        grow &= comp & ~chosen
-        if not grow:
-            break
-        for v in bits(grow):
-            chosen |= 1 << v
-            if chosen.bit_count() == size:
-                return chosen
-        frontier = grow
-    return chosen
+# ===== Witnesses =============================================================
 
 
 def _short_cycle(g: Graph, comp: int) -> int:
@@ -207,67 +159,95 @@ def _short_cycle(g: Graph, comp: int) -> int:
     return best
 
 
-def _branch_witness(g: Graph, alive: int, fam: FamilySpec) -> Optional[int]:
-    """A small F-graph's vertex set in g[alive], or None if F-free."""
-    if fam.kind == "clique":
-        # search components in descending edge count for determinism
-        comps = sorted(
-            component_masks(g, alive),
-            key=lambda c: (-_edges_within(g, c), c & -c),
-        )
-        for comp in comps:
-            got = _find_clique(g, comp, fam.k)
-            if got is not None:
-                return got
-        return None
-
-    offending = []
-    for comp in component_masks(g, alive):
-        m = _edges_within(g, comp)
-        threshold = fam.k if fam.kind == "edges" else comp.bit_count()
-        if m >= threshold:
-            offending.append((m, comp))
-    if not offending:
-        return None
-    offending.sort(key=lambda t: (-t[0], t[1] & -t[1]))
-    comp = offending[0][1]
-    if fam.kind == "cycles":
-        return _short_cycle(g, comp)
-    return _bfs_prefix(g, comp, min(fam.k + 1, comp.bit_count()))
-
-
 # ===== Exact solver ==========================================================
 
 
-def _search(g: Graph, alive: int, remaining: int, fam: FamilySpec, fail: dict) -> Optional[int]:
-    """Find an isolating mask of size <= remaining for g[alive], else None."""
-    witness = _branch_witness(g, alive, fam)
-    if witness is None:
-        return 0
-    if remaining == 0:
-        return None
-    if fail.get(alive, -1) >= remaining:
-        return None
-    for u in bits(closed_neighborhood(g, witness)):
-        got = _search(g, alive & ~(g.adj[u] | 1 << u), remaining - 1, fam, fail)
-        if got is not None:
-            return got | (1 << u)
-    if remaining > fail.get(alive, -1):
-        fail[alive] = remaining
-    return None
+class _Search:
+    """Branch and bound over the alive sets of one graph and one family."""
 
+    def __init__(self, g: Graph, fam: FamilySpec):
+        self.g = g
+        self.fam = fam
+        self.closed = [a | 1 << v for v, a in enumerate(g.adj)]
+        # neighbours with small closed neighbourhoods first: witnesses
+        # grown from them have small hitting sets, which pack better
+        order = sorted(range(g.n), key=lambda w: self.closed[w].bit_count())
+        self.ranked = [[w for w in order if a >> w & 1] for a in g.adj]
+        # alive -> (value, mask) once solved, or a proven lower bound (int)
+        self.memo: dict = {}
 
-def _solve_component(g: Graph, comp: int, fam: FamilySpec, cap: Optional[int]) -> Optional[tuple[int, int]]:
-    """(value, mask) for one component, or None when the optimum exceeds cap."""
-    hi = comp.bit_count()  # taking every vertex always isolates
-    limit = hi if cap is None else min(hi, cap)
-    fail: dict = {}
-    for size in range(limit + 1):
-        got = _search(g, comp, size, fam, fail)
-        if got is not None:
-            assert got.bit_count() == size, "iterative deepening skipped a size"
-            return size, got
-    return None
+    def hoods(self, alive: int) -> list[int]:
+        """N_G[V(W)] for small F-graphs W in g[alive], smallest first.
+
+        Empty exactly when g[alive] is F-free.
+        """
+        if self.fam.kind == "edges":
+            found = [self.tree_hood(alive, root) for root in bits(alive)]
+        else:
+            g = self.g
+            found = [closed_neighborhood(g, _short_cycle(g, comp))
+                     for comp in component_masks(g, alive)
+                     if _edges_within(g, comp) >= comp.bit_count()]
+        return sorted(dict.fromkeys(h for h in found if h), key=int.bit_count)
+
+    def tree_hood(self, alive: int, root: int) -> int:
+        """N_G[V(W)] for the first k + 1 vertices W of a breadth-first search
+        of g[alive] from ``root``, which span a k-edge subtree; 0 when the
+        component of ``root`` has fewer than k edges."""
+        k, closed, ranked = self.fam.k, self.closed, self.ranked
+        chosen = 1 << root
+        hood = closed[root]
+        size = 1
+        layer = [root]
+        while layer:
+            nxt = []
+            for v in layer:
+                for w in ranked[v]:
+                    if alive >> w & 1 and not chosen >> w & 1:
+                        chosen |= 1 << w
+                        hood |= closed[w]
+                        size += 1
+                        if size > k:
+                            return hood
+                        nxt.append(w)
+            layer = nxt
+        # the component of root has at most k vertices: it is a witness
+        # itself if it has k edges
+        if size * (size - 1) // 2 < k or _edges_within(self.g, chosen) < k:
+            return 0
+        return hood
+
+    def solve(self, alive: int, cap: int) -> Optional[tuple[int, int]]:
+        """(value, mask) of a minimum isolating set of g[alive] if its size
+        is at most ``cap``, else None."""
+        known = self.memo.get(alive, 0)
+        if isinstance(known, tuple):
+            return known if known[0] <= cap else None
+        if known > cap:
+            return None
+        hoods = self.hoods(alive)
+        if not hoods:
+            self.memo[alive] = (0, 0)
+            return 0, 0
+        used = packed = 0
+        for hood in hoods:
+            if not hood & used:
+                used |= hood
+                packed += 1
+        lower = max(known, packed)
+        if lower > cap:
+            self.memo[alive] = lower
+            return None
+        best = None
+        for u in bits(hoods[0]):
+            got = self.solve(alive & ~self.closed[u], cap - 1)
+            if got is not None:
+                best = got[0] + 1, got[1] | 1 << u
+                cap = best[0] - 1
+                if cap < lower:
+                    break
+        self.memo[alive] = cap + 1 if best is None else best
+        return best
 
 
 def exact_iota(g: Graph, fam: FamilySpec, budget: Optional[int] = None) -> Optional[IsolationResult]:
@@ -278,17 +258,15 @@ def exact_iota(g: Graph, fam: FamilySpec, budget: Optional[int] = None) -> Optio
     vertices, returns None (a distinct "exceeds budget" outcome, not an
     error), so sweeps can skip expensive graphs gracefully.
     """
+    search = _Search(g, fam)
     value = 0
     mask = 0
     for comp in component_masks(g):
-        cap = None if budget is None else budget - value
-        if cap is not None and cap < 0:
-            return None
-        got = _solve_component(g, comp, fam, cap)
+        # taking every vertex always isolates
+        cap = comp.bit_count() if budget is None else budget - value
+        got = search.solve(comp, cap) if cap >= 0 else None
         if got is None:
             return None
         value += got[0]
         mask |= got[1]
-    if budget is not None and value > budget:
-        return None
     return IsolationResult(value, mask)

@@ -94,10 +94,6 @@ class Graph:
     def edge_count(self) -> int:
         return sum(m.bit_count() for m in self.adj) // 2
 
-    def degree_sequence(self) -> tuple[int, ...]:
-        """Degrees sorted descending (an isomorphism invariant)."""
-        return tuple(sorted((m.bit_count() for m in self.adj), reverse=True))
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Graph)
@@ -140,11 +136,6 @@ def induced_subgraph(g: Graph, keep: int) -> tuple[Graph, tuple[int, ...]]:
         for w in bits(g.adj[v] & keep):
             adj[i] |= 1 << index[w]
     return Graph.from_adj(len(old), tuple(adj)), old
-
-
-def delete_vertices(g: Graph, xs: int) -> tuple[Graph, tuple[int, ...]]:
-    """G - xs: induced subgraph on V(G) minus the bitmask ``xs``."""
-    return induced_subgraph(g, g.vertex_mask & ~xs)
 
 
 def component_masks(g: Graph, within: Optional[int] = None) -> list[int]:

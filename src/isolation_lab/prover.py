@@ -63,6 +63,15 @@ from .graphs import (
 _SMALL_EXACT = 7
 
 
+class NotCovered(ValueError):
+    """The bound does not cover the graph: it is disconnected (``tag`` is
+    None) or it is the exception graph named by ``tag``."""
+
+    def __init__(self, message: str, tag: Optional[str] = None):
+        super().__init__(message)
+        self.tag = tag
+
+
 class InternalConsistencyError(RuntimeError):
     """A proof case assembled a set that fails verification.
 
@@ -711,11 +720,11 @@ def _dispatch(prover: _Prover, g: Graph) -> int:
 
 def _certify(g: Graph, k: int) -> Certificate:
     if not is_connected(g):
-        raise ValueError("certification needs a connected graph")
+        raise NotCovered("certification needs a connected graph")
     prover = _Prover(k)
     tag = classify_exception(g, prover.rules.theorem)
     if tag is not None:
-        raise ValueError(f"the E_{k} bound does not hold for the exception graph {tag}")
+        raise NotCovered(f"the E_{k} bound does not hold for the exception graph {tag}", tag)
     d = _dispatch(prover, g)
     return Certificate(d, prover.bound(g), tuple(prover.trace))
 

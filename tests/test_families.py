@@ -2,14 +2,15 @@
 
 from __future__ import annotations
 
-from itertools import combinations
+import os
+import random
+import sys
 
 import pytest
 
 from isolation_lab.families import (
     CYCLES,
     FamilySpec,
-    clique_family,
     edge_family,
     exact_iota,
     is_isolating,
@@ -20,11 +21,18 @@ from isolation_lab.graphs import (
     closed_neighborhood,
     complete_graph,
     cycle_graph,
+    graph6_decode,
     mask_of,
     named_graph,
     path_graph,
     star_graph,
 )
+
+# The benchmark's checker and generator import nothing from the package, so
+# its E_2 solver is an independent reference for large graphs.
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
+import checker  # noqa: E402
+import graphgen  # noqa: E402
 
 E1, E2, E3 = edge_family(1), edge_family(2), edge_family(3)
 
@@ -61,11 +69,6 @@ def _oracle_clear(g: Graph, alive: int, fam: FamilySpec) -> bool:
             return False
         if fam.kind == "cycles" and edges >= comp.bit_count():
             return False
-        if fam.kind == "clique":
-            within = [v for v in bits(comp)]
-            for combo in combinations(within, fam.k):
-                if all(g.has_edge(u, v) for u, v in combinations(combo, 2)):
-                    return False
     return True
 
 
@@ -110,8 +113,6 @@ def test_contains_family_graph():
     assert is_isolating(Graph(5), 0, E1)
     assert not is_isolating(cycle_graph(4), 0, CYCLES)
     assert is_isolating(path_graph(9), 0, CYCLES)
-    assert not is_isolating(complete_graph(4), 0, clique_family(4))
-    assert is_isolating(cycle_graph(6), 0, clique_family(3))
 
 
 def test_is_isolating():
@@ -146,5 +147,33 @@ def test_family_spec_validation():
         edge_family(0)
     with pytest.raises(ValueError):
         edge_family(17)
-    with pytest.raises(ValueError):
-        clique_family(9)
+
+
+# A tree with n = 38 and iota_2 = 4.  Splitting the alive set of every
+# search node into its components and adding their optima gives 5 here: one
+# vertex outside the alive set can be adjacent to two of its components and
+# isolate both.
+SPLIT_TREE = ("e?G????C????????C?????????@?O???????_?CA?????????????g??C???A?A?C???GG"
+              "??A?K????????S@G?????G????@?G???`C???COAC???@C?P?")
+
+
+def test_exact_iota_does_not_split_search_nodes():
+    g = graph6_decode(SPLIT_TREE)
+    assert g.n == 38 and g.edge_count() == 37
+    got = exact_iota(g, E2)
+    assert got.value == 4
+    assert got.witness.bit_count() == 4 and is_isolating(g, got.witness, E2)
+    assert exact_iota(g, E2, budget=3) is None
+    assert exact_iota(g, E2, budget=4).value == 4
+
+
+def test_exact_iota_matches_checker_on_large_sparse_graphs():
+    rng = random.Random(2026)
+    for n in range(20, 49, 2):
+        for p in (0.0, 0.03):
+            adj = graphgen.random_connected(rng, n, p)
+            g = Graph.from_adj(n, adj)
+            got = exact_iota(g, E2)
+            assert got.value == checker.iota_e2(adj), (n, p, adj)
+            assert got.witness.bit_count() == got.value
+            assert is_isolating(g, got.witness, E2)
