@@ -37,18 +37,7 @@ from .families import (
     exact_iota,
     is_isolating,
 )
-from .bounds import (
-    Beta14,
-    VerificationRecord,
-    beta,
-    beta_relative,
-    bound_cycles,
-    bound_k1,
-    bound_k2,
-    bound_k3,
-    check_bound,
-    classify_exception,
-)
+from .bounds import VerificationRecord, check_bound, classify_exception
 from .constructions import (
     build_B,
     build_B_prime_P3,
@@ -66,6 +55,6 @@ from .prover import (
     isolate_k3,
     residual_set_for_bad,
 )
-from .enumeration import connected_graphs, count_connected, read_graph6_stream
+from .enumeration import connected_graphs, read_graph6_stream
 
 __all__ = [name for name in dir() if not name.startswith("_")]

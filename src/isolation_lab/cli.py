@@ -22,9 +22,9 @@ Per-graph rows carry the keys
 
 A ``--budget S`` caps the exact solver at sets of size S per graph; graphs
 whose optimum exceeds the cap become "skipped (budget)" rows instead of
-aborting the run.  ``--jobs N`` (default from ISOLATION_LAB_JOBS) fans
-per-graph work out to N processes; results are merged back in input order,
-so reports are deterministic for a fixed command line.
+aborting the run.  ``--jobs N`` (default 1) fans per-graph work out to N
+processes; results are merged back in input order, so reports are
+deterministic for a fixed command line.
 
 graph6 is the I/O format only: a line is decoded where it is read, a graph
 is encoded where its row (``_row``) or an error message is written, and
@@ -37,20 +37,15 @@ import argparse
 import csv
 import json
 import multiprocessing
-import os
 import sys
 import time
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, TextIO
 
-from .bounds import (
-    check_bound,
-    theorem_bound,
-    theorem_family,
-)
+from .bounds import THEOREMS, check_bound, theorem_bound
 from .constructions import build_B, build_B_prime_7r_C6, build_B_prime_P3
 from .enumeration import BUILTIN_MAX_N, connected_graphs, read_graph6_stream
-from .families import FamilySpec, edge_family, exact_iota
+from .families import CYCLES, edge_family, exact_iota
 from .graphs import (
     Graph,
     Graph6Error,
@@ -89,45 +84,39 @@ class UsageError(Exception):
 
 
 def parse_family(text: str):
-    """Map a --family value to (label, FamilySpec, theorem id or None, k).
+    """Map a --family value to (label, FamilySpec, theorem id or None).
 
-    ``e1``/``e2``/``e3`` and ``cycles`` carry a proven bound; ``k:K`` is the
-    generic edge family E_K, which only has one for K <= 3.
+    ``e1``/``e2``/``e3`` and ``cycles`` name the families of the proven
+    bounds; ``k:K`` is the generic edge family E_K.  The theorem is the
+    bound in ``THEOREMS`` on that family, so ``k:2`` gets the one of ``e2``.
     """
-    table = {
-        "e1": ("e1", edge_family(1), "k1", 1),
-        "e2": ("e2", edge_family(2), "k2", 2),
-        "e3": ("e3", edge_family(3), "k3", 3),
-        "cycles": ("cycles", theorem_family("cycles"), "cycles", None),
-    }
-    if text in table:
-        return table[text]
-    if text.startswith("k:"):
+    if text == "cycles":
+        fam = CYCLES
+    elif text in ("e1", "e2", "e3"):
+        fam = edge_family(int(text[1]))
+    elif text.startswith("k:"):
         try:
             k = int(text[2:])
         except ValueError:
             raise UsageError(f"bad family {text!r}: k:K needs an integer K")
         if k < 1:
             raise UsageError("k:K needs K >= 1")
-        theorem = {1: "k1", 2: "k2", 3: "k3"}.get(k)
-        return (text, edge_family(k), theorem, k)
-    raise UsageError(
-        f"unknown family {text!r} (choose e1, e2, e3, cycles, or k:K)"
-    )
-
-
-def _resolve_jobs(value: Optional[str]) -> int:
-    if value is None:
-        value = os.environ.get("ISOLATION_LAB_JOBS", "1")
-        where = "ISOLATION_LAB_JOBS"
+        fam = edge_family(k)
     else:
-        where = "--jobs"
+        raise UsageError(
+            f"unknown family {text!r} (choose e1, e2, e3, cycles, or k:K)"
+        )
+    theorem = next((t for t, th in THEOREMS.items() if th.family == fam), None)
+    return text, fam, theorem
+
+
+def _resolve_jobs(value: str) -> int:
     try:
         jobs = int(value)
     except ValueError:
-        raise UsageError(f"{where} must be an integer, got {value!r}")
+        raise UsageError(f"--jobs must be an integer, got {value!r}")
     if jobs < 1:
-        raise UsageError(f"{where} must be >= 1, got {jobs}")
+        raise UsageError(f"--jobs must be >= 1, got {jobs}")
     return jobs
 
 
@@ -136,12 +125,14 @@ def iter_source(
     n_min: int,
     n_max: int,
     strict: bool,
+    connected_only: bool = True,
 ) -> Iterator[Graph]:
-    """Connected graphs with n_min <= n <= n_max from a --source value.
+    """Graphs with n_min <= n <= n_max from a --source value.
 
-    ``builtin`` enumerates every isomorphism class up to n_max; ``file:PATH``
-    and ``-`` read graph6 lines (disconnected and out-of-range graphs are
-    dropped, since the bounds only speak about connected graphs).
+    ``builtin`` enumerates every isomorphism class of connected graphs up to
+    n_max; ``file:PATH`` and ``-`` read graph6 lines.  Out-of-range graphs
+    are dropped.  With ``connected_only`` a disconnected line is skipped
+    with a warning, since the bounds only speak about connected graphs.
     """
     if source == "builtin":
         if n_max > BUILTIN_MAX_N:
@@ -169,7 +160,7 @@ def iter_source(
     issues: list[tuple[int, str]] = []
     try:
         for g in read_graph6_stream(
-            lines, connected_only=True, strict=strict, issues=issues
+            lines, connected_only=connected_only, strict=strict, issues=issues
         ):
             if n_min <= g.n <= n_max:
                 yield g
@@ -279,7 +270,7 @@ def _fan_out(worker, tasks: list, jobs: int) -> Iterator:
 
 
 def cmd_sweep(args) -> int:
-    label, _fam, theorem, _k = parse_family(args.family)
+    label, _fam, theorem = parse_family(args.family)
     if theorem is None:
         raise UsageError(
             f"family {label!r} has no proven bound to sweep (only e1, e2, "
@@ -347,25 +338,27 @@ def _ckn_one(task: tuple[Graph, int]) -> int:
 
 
 def cmd_ckn(args) -> int:
-    label, _fam, _theorem, k = parse_family(args.family)
-    if k is None:
+    label, fam, _theorem = parse_family(args.family)
+    if fam.kind != "edges":
         raise UsageError(
             f"c_{{k,n}} is defined for the edge families only, not {label!r}"
         )
+    k = fam.k
     jobs = _resolve_jobs(args.jobs)
     writers = _Writers(args.json, args.csv, fields=("k", "n", "c", "witness"))
     try:
-        for n in range(args.n_min, args.n_max + 1):
-            tasks = [(g, k) for g in iter_source(args.source, n, n,
-                                                  args.strict_parse)]
+        # one pass over the source, so each skipped line is reported once
+        levels: dict[int, list[tuple[Graph, int]]] = {}
+        for g in iter_source(args.source, args.n_min, args.n_max,
+                             args.strict_parse):
+            levels.setdefault(g.n, []).append((g, k))
+        for n, tasks in sorted(levels.items()):
             best: Optional[Fraction] = None
             witness = None
             for (g, _), value in zip(tasks, _fan_out(_ckn_one, tasks, jobs)):
                 c = Fraction(value, n)
                 if best is None or c > best:
                     best, witness = c, g
-            if best is None:
-                continue  # source had no graphs of this order
             row = {"k": k, "n": n, "c": f"{best.numerator}/{best.denominator}",
                    "witness": graph6_encode(witness)}
             writers.write(row)
@@ -378,44 +371,43 @@ def cmd_ckn(args) -> int:
 # ===== extremal ==============================================================
 
 
-def _extremal_rows(label: str, n_min: int, n_max: int):
-    """(name, param, graph, family, expected) rows for one bound's families."""
-    if label == "e1":
-        for n in range(max(n_min, 3), n_max + 1):
-            yield (f"B({n},K2)", n, build_B(n, "K2"), edge_family(1), n // 3)
-    elif label == "e3":
-        for n in range(max(n_min, 4), n_max + 1):
-            yield (f"B({n},K3)", n, build_B(n, "K3"), edge_family(3), n // 4)
-    elif label == "cycles":
-        for n in range(max(n_min, 4), n_max + 1):
-            yield (f"B({n},K3)", n, build_B(n, "K3"),
-                   theorem_family("cycles"), n // 4)
-    elif label == "e2":
+def _extremal_rows(theorem: str, n_min: int, n_max: int):
+    """(name, param, graph, expected iota) rows for one bound's families.
+
+    Each construction meets its bound with equality, except B'(7, C6): that
+    graph is the exception C6P, with iota 2 above its bound 1.
+    """
+    if theorem == "k2":
         for n in range(max(n_min, 5), n_max + 1):
             g = build_B_prime_P3(n)
-            yield (f"B'({n},P3)", n, g, edge_family(2),
-                   theorem_bound(g, "k2"))
+            yield f"B'({n},P3)", n, g, theorem_bound(g, theorem)
         for r in range(1, n_max // 7 + 1):
             if n_min <= 7 * r <= n_max:
-                yield (f"B'(7r,C6) r={r}", 7 * r, build_B_prime_7r_C6(r),
-                       edge_family(2), 2 * r)
-    else:
+                g = build_B_prime_7r_C6(r)
+                expected = 2 if r == 1 else theorem_bound(g, theorem)
+                yield f"B'(7r,C6) r={r}", 7 * r, g, expected
+        return
+    f, n_low = ("K2", 3) if theorem == "k1" else ("K3", 4)
+    for n in range(max(n_min, n_low), n_max + 1):
+        g = build_B(n, f)
+        yield f"B({n},{f})", n, g, theorem_bound(g, theorem)
+
+
+def cmd_extremal(args) -> int:
+    label, fam, theorem = parse_family(args.family)
+    if theorem is None:
+        raise UsageError(f"family {label!r} has no extremal rows")
+    if label.startswith("k:"):
         raise UsageError(
             f"no extremal family rows for {label!r} (choose e1, e2, e3, "
             f"or cycles)"
         )
-
-
-def cmd_extremal(args) -> int:
-    label, _fam, theorem, _k = parse_family(args.family)
-    if theorem is None:
-        raise UsageError(f"family {label!r} has no extremal rows")
     writers = _Writers(args.json, args.csv,
                        fields=("construction", "n", "expected", "iota", "equal"))
     failures = 0
     try:
-        for name, n, g, fam, expected in _extremal_rows(label, args.n_min,
-                                                        args.n_max):
+        for name, n, g, expected in _extremal_rows(theorem, args.n_min,
+                                                   args.n_max):
             # A cap at the expected value decides equality exactly: the solver
             # returns None iff the optimum exceeds the cap.
             cap = expected if args.budget is None else min(expected, args.budget)
@@ -480,7 +472,8 @@ def _input_graphs(args) -> Iterator[Graph]:
         return
     if args.source is None:
         raise UsageError("need a graph6 argument or --source")
-    yield from iter_source(args.source, 1, 1 << 30, args.strict_parse)
+    yield from iter_source(args.source, 1, 1 << 30, args.strict_parse,
+                           connected_only=False)
 
 
 def _vertex_list(mask: int) -> str:
@@ -488,7 +481,7 @@ def _vertex_list(mask: int) -> str:
 
 
 def cmd_solve(args) -> int:
-    label, fam, theorem, _k = parse_family(args.family)
+    label, fam, theorem = parse_family(args.family)
     writers = _Writers(args.json, args.csv,
                        fields=ROW_FIELDS[:7] + ("witness",))
     try:
@@ -574,8 +567,8 @@ def _add_common(sub, *, n_defaults=(1, 8), source=True, budget=True,
         sub.add_argument("--budget", type=int, metavar="S",
                          help="cap the exact solver at sets of size S")
     if jobs:
-        sub.add_argument("--jobs", metavar="N",
-                         help="worker processes (default $ISOLATION_LAB_JOBS or 1)")
+        sub.add_argument("--jobs", metavar="N", default="1",
+                         help="worker processes (default 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:

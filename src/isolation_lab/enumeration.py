@@ -134,12 +134,6 @@ def connected_graphs(n: int) -> Iterator[Graph]:
     return iter(_builtin_classes(n))
 
 
-def count_connected(n: int) -> int:
-    if not 0 <= n <= BUILTIN_MAX_N:
-        raise ValueError(f"builtin enumeration capped at {BUILTIN_MAX_N} vertices")
-    return len(_builtin_classes(n))
-
-
 # ===== graph6 streams ========================================================
 
 
@@ -162,7 +156,9 @@ def read_graph6_stream(
 
     Empty lines are skipped.  A malformed line raises Graph6StreamError when
     ``strict`` and is otherwise recorded in ``issues`` (line number, message)
-    and skipped, so a long sweep survives a stray bad line.
+    and skipped, so a long sweep survives a stray bad line.  With
+    ``connected_only``, a disconnected graph is recorded in ``issues`` and
+    skipped as well.
     """
     for line_no, raw in enumerate(lines, start=1):
         s = raw.strip()
@@ -177,5 +173,8 @@ def read_graph6_stream(
                 issues.append((line_no, str(exc)))
             continue
         if connected_only and not is_connected(g):
+            if issues is not None:
+                issues.append((line_no, "disconnected graph; the bounds only "
+                                        "cover connected graphs"))
             continue
         yield g

@@ -61,9 +61,6 @@ class FamilySpec:
         else:
             raise ValueError(f"unknown family kind {self.kind!r}")
 
-    def label(self) -> str:
-        return f"e{self.k}" if self.kind == "edges" else "cycles"
-
 
 def edge_family(k: int) -> FamilySpec:
     """Connected graphs with at least ``k`` edges."""

@@ -82,9 +82,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] >> v & 1)
-
     def edges(self) -> Iterator[tuple[int, int]]:
         for u in range(self.n):
             rest = self.adj[u] >> (u + 1)

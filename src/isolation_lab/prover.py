@@ -41,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .bounds import classify_exception, theorem_bound, theorem_family
+from .bounds import THEOREMS, classify_exception
 from .constructions import pattern_isolating_set
 from .families import exact_iota, is_isolating
 from .graphs import (
@@ -252,11 +252,10 @@ class _Prover:
     def __init__(self, k: int):
         self.k = k
         self.rules = _RULES[k]
-        self.fam = theorem_family(self.rules.theorem)
+        theorem = THEOREMS[self.rules.theorem]
+        self.fam = theorem.family
+        self.bound = theorem.bound
         self.trace: list[TraceEntry] = []
-
-    def bound(self, g: Graph) -> int:
-        return theorem_bound(g, self.rules.theorem)
 
     def finish(self, g: Graph, d: int, case: str, v: int) -> int:
         """Verify-then-return: every case leaf funnels through here."""

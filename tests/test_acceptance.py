@@ -19,13 +19,7 @@ from typing import NamedTuple, Optional
 import pytest
 
 from conftest import record_result
-from isolation_lab.bounds import (
-    Beta14,
-    beta,
-    beta_relative,
-    classify_exception,
-    theorem_bound,
-)
+from isolation_lab.bounds import classify_exception, theorem_bound
 from isolation_lab.constructions import (
     build_B,
     build_B_prime_7r_C6,
@@ -42,6 +36,7 @@ from isolation_lab.graphs import (
     graph6_encode,
     induced_subgraph,
     is_connected,
+    leaves,
     named_graph,
     path_graph,
 )
@@ -141,27 +136,36 @@ def sweep(connected_upto) -> SweepData:
 # ===== criterion 1: the six exceptional graphs ===============================
 
 
+def _beta14(g: Graph, part: int) -> int:
+    """14 beta_G(H) for H = g[part]: 4 |V(H)| minus the leaves of g in H.
+
+    The E_2 potential beta_G(H) = (4 |V(H)| - ell_G(H))/14 is kept as this
+    integer numerator, so its arithmetic is exact.
+    """
+    return 4 * part.bit_count() - (leaves(g) & part).bit_count()
+
+
 def test_criterion_1_exceptional_values():
     t0 = time.perf_counter()
-    expected = {              # exact value and gap above the beta potential
-        "P3": (1, Beta14(4)),
-        "K3": (1, Beta14(2)),
-        "K13": (1, Beta14(1)),
-        "C6": (2, Beta14(4)),
-        "C6P": (2, Beta14(1)),
-        "C6PP": (2, Beta14(1)),
+    expected = {              # exact value and 14 x its gap above beta
+        "P3": (1, 4),
+        "K3": (1, 2),
+        "K13": (1, 1),
+        "C6": (2, 4),
+        "C6P": (2, 1),
+        "C6PP": (2, 1),
     }
     problems = []
     for tag, (value, gap) in expected.items():
         g = named_graph(tag)
         got = exact_iota(g, E2).value
-        b = beta(g)
+        b = _beta14(g, g.vertex_mask)
         if got != value:
             problems.append(f"{tag}: iota_2 = {got}, expected {value}")
-        if Beta14(14 * value) - b != gap:
-            problems.append(f"{tag}: gap {Beta14(14 * value) - b}, expected {gap}")
-        if b.floor() != value - 1:
-            problems.append(f"{tag}: floor(beta) = {b.floor()}, not iota - 1")
+        if 14 * value - b != gap:
+            problems.append(f"{tag}: gap {14 * value - b}/14, expected {gap}/14")
+        if b // 14 != value - 1:
+            problems.append(f"{tag}: floor(beta) = {b // 14}, not iota - 1")
     elapsed = time.perf_counter() - t0
     ok = not problems and elapsed < 1.0
     record_result("1", ok,
@@ -401,8 +405,8 @@ def test_criterion_8c_potential_partition_and_subgraph():
         blocks = [0] * rng.randint(1, 4)
         for v in range(g.n):
             blocks[rng.randrange(len(blocks))] |= 1 << v
-        total = sum((beta_relative(g, b) for b in blocks if b), Beta14(0))
-        assert total == beta(g), (graph6_encode(g), blocks)
+        total = sum(_beta14(g, b) for b in blocks if b)
+        assert total == _beta14(g, g.vertex_mask), (graph6_encode(g), blocks)
         # (b) a connected induced subgraph on >= 2 vertices is worth no more
         # than its share: leaves can only be gained by passing to it
         mask = 0
@@ -416,7 +420,7 @@ def test_criterion_8c_potential_partition_and_subgraph():
             comps = [(1 << u) | (1 << v)]
         piece = max(comps, key=int.bit_count)
         h, _ = induced_subgraph(g, piece)
-        assert beta(h) <= beta_relative(g, piece), (graph6_encode(g), piece)
+        assert _beta14(h, h.vertex_mask) <= _beta14(g, piece), (graph6_encode(g), piece)
     record_result("8c", True,
                   "potential partition additivity and subgraph inequality "
                   "on 1000 random graphs")

@@ -1,4 +1,4 @@
-"""Bound formulas, exact beta arithmetic, and exception recognition."""
+"""Bound formulas and exception recognition."""
 
 from __future__ import annotations
 
@@ -8,24 +8,16 @@ import pytest
 
 import oracles
 from isolation_lab.bounds import (
-    Beta14,
     THEOREMS,
-    beta,
-    beta_relative,
-    bound_cycles,
-    bound_k1,
-    bound_k2,
-    bound_k3,
     check_bound,
     classify_exception,
     theorem_bound,
-    theorem_family,
 )
 from isolation_lab.graphs import (
     Graph,
     complete_graph,
     cycle_graph,
-    mask_of,
+    leaf_count,
     named_graph,
     path_graph,
     star_graph,
@@ -35,43 +27,19 @@ from isolation_lab.graphs import (
 S_TAGS = ("P3", "K3", "K13", "C6", "C6P", "C6PP")
 
 
-def test_beta14_arithmetic():
-    x = Beta14(10)
-    assert x + Beta14(4) == Beta14(14) == 1
-    assert x + 1 == Beta14(24)
-    assert 2 - x == Beta14(18)
-    assert x - Beta14(3) == Beta14(7)
-    assert x < 1 and x > 0 and Beta14(28) == 2
-    assert Beta14(27).floor() == 1
-    assert Beta14(28).floor() == 2
-    assert repr(Beta14(5)) == "5/14"
-    assert hash(Beta14(14)) != hash(1)  # distinct types, no mixed-dict use
-
-
-def test_beta_values():
-    assert beta(path_graph(3)) == Beta14(10)
-    assert beta(complete_graph(3)) == Beta14(12)
-    assert beta(star_graph(3)) == Beta14(13)
-    assert beta(cycle_graph(6)) == Beta14(24)
-    assert beta(named_graph("C6P")) == Beta14(27)
-    assert beta(named_graph("C6PP")) == Beta14(27)
-
-
-def test_beta_relative_partition_additivity():
-    g = named_graph("C6P")
-    parts = [mask_of([0, 1, 2]), mask_of([3, 4]), mask_of([5, 6])]
-    assert sum((beta_relative(g, p) for p in parts), Beta14(0)) == beta(g)
-    with pytest.raises(ValueError):
-        beta_relative(g, 1 << g.n)
-
-
 def test_bound_formulas():
-    assert [bound_k1(n) for n in (1, 3, 8, 15)] == [0, 1, 2, 5]
-    assert bound_k2(6, 0) == 1
-    assert bound_k2(14, 0) == 4
-    assert bound_k2(14, 6) == 3  # leaves lower the k=2 bound
-    assert [bound_k3(n) for n in (4, 7, 16)] == [1, 1, 4]
-    assert [bound_cycles(n) for n in (3, 4, 16)] == [0, 1, 4]
+    def bounds(theorem, graphs):
+        return [theorem_bound(g, theorem) for g in graphs]
+
+    assert bounds("k1", map(path_graph, (1, 3, 8, 15))) == [0, 1, 2, 5]
+    assert bounds("k2", (cycle_graph(6), cycle_graph(14))) == [1, 4]
+    # a 10-vertex path with a pendant at each of vertices 1..4
+    leafy = Graph(14, [(i, i + 1) for i in range(9)]
+                  + [(i, i + 9) for i in range(1, 5)])
+    assert leaf_count(leafy) == 6
+    assert theorem_bound(leafy, "k2") == 3  # leaves lower the k=2 bound
+    assert bounds("k3", map(path_graph, (4, 7, 16))) == [1, 1, 4]
+    assert bounds("cycles", map(cycle_graph, (3, 4, 16))) == [0, 1, 4]
 
 
 def test_theorem_bound_dispatch():
@@ -80,7 +48,7 @@ def test_theorem_bound_dispatch():
     assert theorem_bound(g, "k2") == (4 * 5 - 4) // 14
     assert theorem_bound(g, "k3") == 1
     assert theorem_bound(g, "cycles") == 1
-    assert theorem_family("k2").k == 2
+    assert THEOREMS["k2"].family.k == 2
 
 
 def test_classify_exception_recognizes_relabelings():

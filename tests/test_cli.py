@@ -22,11 +22,6 @@ def run(argv, capsys):
     return code, captured.out, captured.err
 
 
-@pytest.fixture(autouse=True)
-def _no_jobs_env(monkeypatch):
-    monkeypatch.delenv("ISOLATION_LAB_JOBS", raising=False)
-
-
 # ===== sweep =================================================================
 
 
@@ -138,6 +133,30 @@ def test_file_source_lenient_warns(tmp_path, capsys):
     assert "2 graphs" in out.replace("  ", " ")
 
 
+def test_file_source_disconnected_line(tmp_path, capsys):
+    # line 3 is a disconnected 7-vertex graph: the bound sweeps skip it with
+    # a warning, solve and certify take it as if it were given positionally
+    path = tmp_path / "graphs.g6"
+    path.write_text("GqGOOK\nBW\nFgCGG\n")
+    source = f"file:{path}"
+    for command in ("sweep", "ckn"):
+        code, _, err = run([command, "--family", "e2", "--n-max", "8",
+                            "--source", source], capsys)
+        assert code == 0
+        assert err.startswith("warning: skipped line 3: disconnected")
+        assert err.count("\n") == 1, err  # once, not once per n
+    jpath = tmp_path / "solve.json"
+    code, _, err = run(["solve", "--family", "e2", "--source", source,
+                        "--json", str(jpath)], capsys)
+    rows = [json.loads(line) for line in jpath.read_text().splitlines()]
+    assert code == 0 and err == "" and len(rows) == 3
+    assert rows[2]["graph6"] == "FgCGG" and rows[2]["bound"] is None
+    code, out, err = run(["certify", "--k", "2", "--source", source], capsys)
+    assert code == 2 and out.startswith("graph: GqGOOK")
+    assert "3-vertex-path exception" in err
+    assert "usage error: FgCGG is disconnected" in err
+
+
 def test_file_source_strict_fails(tmp_path, capsys):
     path = tmp_path / "graphs.g6"
     path.write_text("Bw\nnot-a-graph\n")
@@ -156,18 +175,6 @@ def test_unknown_source(capsys):
     code, _, err = run(["sweep", "--family", "e1", "--source", "elsewhere"],
                        capsys)
     assert code == 2 and "unknown source" in err
-
-
-def test_jobs_from_environment(monkeypatch, capsys):
-    monkeypatch.setenv("ISOLATION_LAB_JOBS", "2")
-    code, out, _ = run(["sweep", "--family", "e1", "--n-max", "5"], capsys)
-    assert code == 0 and "jobs=2" in out
-
-
-def test_bad_jobs_env_rejected(monkeypatch, capsys):
-    monkeypatch.setenv("ISOLATION_LAB_JOBS", "many")
-    code, _, err = run(["sweep", "--family", "e1", "--n-max", "4"], capsys)
-    assert code == 2 and "ISOLATION_LAB_JOBS" in err
 
 
 def test_bad_jobs_flag_rejected(capsys):

@@ -11,7 +11,6 @@ from isolation_lab.enumeration import (
     Graph6StreamError,
     canonical_form,
     connected_graphs,
-    count_connected,
     read_graph6_stream,
 )
 from isolation_lab.graphs import (
@@ -25,7 +24,7 @@ from isolation_lab.graphs import (
 
 def test_counts_against_labeled_brute_force():
     for n in range(1, 7):
-        assert count_connected(n) == oracles.connected_class_count(n)
+        assert len(tuple(connected_graphs(n))) == oracles.connected_class_count(n)
         # the oracle's own connectivity filter, cross-checked by recurrence
         assert (oracles.labeled_connected_count(n)
                 == oracles.labeled_connected_count_recurrence(n))
@@ -33,7 +32,7 @@ def test_counts_against_labeled_brute_force():
 
 def test_counts_known_values(connected_upto):
     for n in range(1, 9):
-        assert count_connected(n) == KNOWN_CONNECTED_COUNTS[n]
+        assert len(tuple(connected_graphs(n))) == KNOWN_CONNECTED_COUNTS[n]
     assert len(connected_upto(1, 8)) == sum(KNOWN_CONNECTED_COUNTS[1:9])
 
 
@@ -85,8 +84,10 @@ def test_stream_reads_and_filters():
         graph6_encode(Graph(3, [(0, 1)])),  # disconnected
         graph6_encode(path_graph(2)),
     ]
-    got = list(read_graph6_stream(lines, connected_only=True))
+    issues = []
+    got = list(read_graph6_stream(lines, connected_only=True, issues=issues))
     assert [g.n for g in got] == [5, 2]
+    assert [line_no for line_no, _ in issues] == [4]
     got_all = list(read_graph6_stream(lines))
     assert len(got_all) == 3
 

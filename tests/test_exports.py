@@ -1,0 +1,50 @@
+"""Every public name of the package has a caller inside the package.
+
+A name in ``isolation_lab.__all__`` that only the tests use is a helper the
+package does not need; the scan below finds one.
+"""
+
+from __future__ import annotations
+
+import ast
+import pathlib
+
+import isolation_lab
+
+PACKAGE = pathlib.Path(isolation_lab.__file__).parent
+
+
+def _defined_by(stmt: ast.stmt) -> set[str]:
+    """Names a top-level statement binds: a def, a class or an assignment."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        return {node.id for t in targets for node in ast.walk(t)
+                if isinstance(node, ast.Name)}
+    return set()
+
+
+def _referenced(stmt: ast.stmt) -> set[str]:
+    """Names a statement reads: loaded names, attributes, imported modules."""
+    out = set()
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            out.add(node.module)
+    return out
+
+
+def test_every_export_has_a_package_caller():
+    used: set[str] = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":  # re-exports are not uses
+            continue
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+            # a name used only inside its own definition has no caller
+            used |= _referenced(stmt) - _defined_by(stmt)
+    unused = sorted(set(isolation_lab.__all__) - used)
+    assert not unused, f"exported but never used by the package: {unused}"

@@ -34,7 +34,7 @@ def test_graph_construction_and_queries():
     g = Graph(4, [(0, 1), (1, 2), (2, 3)])
     assert g.n == 4
     assert g.degree(0) == 1 and g.degree(1) == 2
-    assert g.has_edge(1, 2) and not g.has_edge(0, 3)
+    assert g.adj[1] >> 2 & 1 and not g.adj[0] >> 3 & 1
     assert sorted(g.edges()) == [(0, 1), (1, 2), (2, 3)]
     assert g.edge_count() == 3
     assert sorted(map(g.degree, range(g.n)), reverse=True) == [2, 2, 1, 1]
