@@ -45,7 +45,7 @@ from typing import Iterable, Iterator, Optional, TextIO
 from .bounds import THEOREMS, check_bound, theorem_bound
 from .constructions import build_B, build_B_prime_7r_C6, build_B_prime_P3
 from .enumeration import BUILTIN_MAX_N, connected_graphs, read_graph6_stream
-from .families import CYCLES, edge_family, exact_iota
+from .families import CYCLES, EDGE_FAMILY_MAX_K, edge_family, exact_iota
 from .graphs import (
     Graph,
     Graph6Error,
@@ -99,8 +99,8 @@ def parse_family(text: str):
             k = int(text[2:])
         except ValueError:
             raise UsageError(f"bad family {text!r}: k:K needs an integer K")
-        if k < 1:
-            raise UsageError("k:K needs K >= 1")
+        if not 1 <= k <= EDGE_FAMILY_MAX_K:
+            raise UsageError(f"k:K needs 1 <= K <= {EDGE_FAMILY_MAX_K}")
         fam = edge_family(k)
     else:
         raise UsageError(

@@ -1,12 +1,26 @@
 """Connected-graph enumeration (small n) and graph6 stream ingestion.
 
 The builtin enumerator produces exactly one representative per isomorphism
-class of connected n-vertex graphs for n <= 9, by vertex augmentation: every
-connected graph on n >= 2 vertices arises from a connected graph on n - 1
-vertices by adding one vertex with a nonempty neighbourhood (remove a leaf of
-a spanning tree), so extending every (n-1)-class by every nonempty
-neighbourhood mask reaches every class at least once, and duplicates are
-discarded by canonical form.
+class of connected n-vertex graphs for n <= 9, by vertex augmentation: each
+(n-1)-class P is extended by a new vertex n-1 joined to a nonempty mask of
+P's vertices.  A child is kept only when its new vertex passes a
+canonical-deletion test, checked before any canonical form is computed:
+among the child's non-cut vertices it has minimum degree, and among the
+non-cut vertices of that degree it has the largest refined colour.  The
+survivors are deduplicated by canonical form.
+
+The test loses no class.  Every connected graph X has a vertex x that passes
+it (non-cut vertices exist, and the rule picks some of them).  X - x is
+connected, so it is isomorphic to some parent P under a map phi, and the
+child of P with mask phi(N(x)) is isomorphic to X with x as its new vertex.
+Degree, being a cut vertex and the refined colour are isomorphism
+invariants, so that child passes the test too.
+
+The test is cheap.  Per parent, the components of P - u are computed once
+for every u; u is then a non-cut vertex of the child iff the mask meets
+every component of P - u.  The refinement runs only when another non-cut
+vertex ties with the new one on degree, and its colours are handed on to
+``canonical_form``.
 
 The canonical form is the lexicographically smallest adjacency bit string
 (upper triangle, column by column) over vertex orderings, restricted to
@@ -26,7 +40,8 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional
 
-from .graphs import Graph, Graph6Error, bits, graph6_decode, is_connected
+from .graphs import (Graph, Graph6Error, bits, component_masks, graph6_decode,
+                     is_connected)
 
 BUILTIN_MAX_N = 9
 
@@ -40,12 +55,11 @@ KNOWN_CONNECTED_COUNTS = (0, 1, 1, 2, 6, 21, 112, 853, 11117, 261080)
 
 def _refined_colors(g: Graph) -> list[int]:
     """Stable vertex colouring: degree, iteratively refined by neighbours."""
-    colors = [g.adj[v].bit_count() for v in range(g.n)]
+    nbrs = [list(bits(a)) for a in g.adj]
+    colors = [len(ns) for ns in nbrs]
     for _ in range(g.n):
-        sigs = [
-            (colors[v], tuple(sorted(colors[w] for w in bits(g.adj[v]))))
-            for v in range(g.n)
-        ]
+        sigs = [(c, tuple(sorted([colors[w] for w in ns])))
+                for c, ns in zip(colors, nbrs)]
         palette = {key: i for i, key in enumerate(sorted(set(sigs)))}
         new = [palette[s] for s in sigs]
         if new == colors:
@@ -54,16 +68,18 @@ def _refined_colors(g: Graph) -> list[int]:
     return colors
 
 
-def canonical_form(g: Graph) -> tuple:
+def canonical_form(g: Graph, colors: Optional[list[int]] = None) -> tuple:
     """A canonical key: equal keys iff isomorphic graphs.
 
     The key is (n, columns...) where columns is the minimal upper-triangle
-    encoding over colour-compatible vertex orderings.
+    encoding over colour-compatible vertex orderings.  ``colors``, when
+    given, must be ``_refined_colors(g)``, already computed by the caller.
     """
     n = g.n
     if n <= 1:
         return (n,)
-    colors = _refined_colors(g)
+    if colors is None:
+        colors = _refined_colors(g)
     classes: dict[int, list[int]] = {}
     for v in range(n):
         classes.setdefault(colors[v], []).append(v)
@@ -113,17 +129,41 @@ def _builtin_classes(n: int) -> tuple[Graph, ...]:
         return ()
     if n == 1:
         return (Graph(1),)
+    new = n - 1
     out = []
     seen = set()
-    for parent in _builtin_classes(n - 1):
-        for mask in range(1, 1 << (n - 1)):
-            adj = [parent.adj[v] | ((mask >> v & 1) << (n - 1)) for v in range(n - 1)]
-            adj.append(mask)
-            child = Graph.from_adj(n, tuple(adj))
-            key = canonical_form(child)
-            if key not in seen:
-                seen.add(key)
-                out.append(child)
+    for parent in _builtin_classes(new):
+        degree = [a.bit_count() for a in parent.adj]
+        # low degrees first: a rejecting vertex is found sooner
+        order = sorted(range(new), key=degree.__getitem__)
+        # u is a non-cut vertex of the child iff the mask meets every
+        # component of parent - u
+        splits = [component_masks(parent, parent.vertex_mask & ~(1 << u))
+                  for u in range(new)]
+        for mask in range(1, 1 << new):
+            d = mask.bit_count()
+            ties = []  # the other non-cut vertices of the new vertex's degree
+            for u in order:
+                du = degree[u] + (mask >> u & 1)
+                if du > d:
+                    continue
+                if all(mask & c for c in splits[u]):
+                    if du < d:
+                        break  # a non-cut vertex of smaller degree: reject
+                    ties.append(u)
+            else:
+                adj = [parent.adj[v] | ((mask >> v & 1) << new) for v in range(new)]
+                adj.append(mask)
+                child = Graph.from_adj(n, tuple(adj))
+                colors = None
+                if ties:
+                    colors = _refined_colors(child)
+                    if any(colors[u] > colors[new] for u in ties):
+                        continue
+                key = canonical_form(child, colors)
+                if key not in seen:
+                    seen.add(key)
+                    out.append(child)
     return tuple(out)
 
 

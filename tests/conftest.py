@@ -1,7 +1,8 @@
 """Shared fixtures and the acceptance-summary reporting hook.
 
-The builtin enumeration is cached per session because several test modules
-sweep the same ranges; ``connected_upto`` hands out the cached classes.
+Several test modules sweep the same ranges of builtin classes;
+``connected_upto`` concatenates them, and the enumerator's own per-level
+cache makes every level after the first request free.
 
 Acceptance tests register one line per criterion through ``record_result``;
 the lines are printed in a summary block at the end of the run so the
@@ -10,26 +11,19 @@ pass/fail status of every criterion is visible even when the tests pass.
 
 from __future__ import annotations
 
-import functools
-
 import pytest
 
 from isolation_lab.enumeration import connected_graphs
 
 
-@functools.lru_cache(maxsize=None)
-def _classes(n: int):
-    return tuple(connected_graphs(n))
-
-
 @pytest.fixture(scope="session")
 def connected_upto():
-    """Callable (lo, hi) -> cached tuple of all builtin classes in range."""
+    """Callable (lo, hi) -> list of all builtin classes with lo <= n <= hi."""
 
     def run(lo: int, hi: int):
         out = []
         for n in range(lo, hi + 1):
-            out.extend(_classes(n))
+            out.extend(connected_graphs(n))
         return out
 
     return run

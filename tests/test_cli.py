@@ -115,6 +115,13 @@ def test_sweep_rejects_unknown_family(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("family", ["k:0", "k:17"])
+def test_family_k_out_of_range_is_usage_error(family, capsys):
+    code, out, err = run(["solve", "BW", "--family", family], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("usage error:") and "1 <= K <= 16" in err
+
+
 def test_sweep_builtin_range_cap(capsys):
     code, _, err = run(["sweep", "--family", "e2", "--n-max", "12"], capsys)
     assert code == 2 and "builtin enumeration stops" in err

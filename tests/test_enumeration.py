@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 import oracles
+from isolation_lab import enumeration
 from isolation_lab.enumeration import (
     BUILTIN_MAX_N,
     KNOWN_CONNECTED_COUNTS,
@@ -71,6 +74,40 @@ def test_canonical_form_is_label_invariant():
     b = Graph(6, [(perm[u], perm[v]) for u, v in a.edges()])
     assert canonical_form(a) == canonical_form(b)
     assert canonical_form(path_graph(4)) != canonical_form(cycle_graph(4))
+
+
+def test_refined_colors_follow_relabelling(connected_upto):
+    # the canonical-deletion test is exact only because the colours are an
+    # isomorphism invariant: relabelling a graph permutes its colours
+    rng = random.Random(8)
+    classes = connected_upto(1, 7)
+    assert len(classes) == sum(KNOWN_CONNECTED_COUNTS[1:8])
+    for g in classes:
+        colors = enumeration._refined_colors(g)
+        for _ in range(3):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            h = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+            moved = enumeration._refined_colors(h)
+            assert [moved[perm[v]] for v in range(g.n)] == colors
+
+
+def test_children_rejected_before_canonical_form(monkeypatch):
+    parents = enumeration._builtin_classes(6)
+    children = len(parents) * (2 ** 6 - 1)  # every parent by every mask
+    real = enumeration.canonical_form
+    calls = 0
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(enumeration, "canonical_form", counted)
+    level = enumeration._builtin_classes.__wrapped__(7)
+    assert len(level) == KNOWN_CONNECTED_COUNTS[7]
+    assert {real(g) for g in level} == {real(g) for g in connected_graphs(7)}
+    assert children == 7056 and calls <= children // 3
 
 
 # ===== graph6 streams ========================================================
