@@ -22,9 +22,10 @@ Per-graph rows carry the keys
 
 A ``--budget S`` caps the exact solver at sets of size S per graph; graphs
 whose optimum exceeds the cap become "skipped (budget)" rows instead of
-aborting the run.  ``--jobs N`` (default 1) fans per-graph work out to N
-processes; results are merged back in input order, so reports are
-deterministic for a fixed command line.
+aborting the run.  ``--jobs N`` (default 1) starts one pool of
+min(N, cores) processes for the command; it generates the builtin levels
+not built yet and then does the per-graph work.  Results are merged back
+in input order, so reports are the same for every N.
 
 graph6 is the I/O format only: a line is decoded where it is read, a graph
 is encoded where its row (``_row``) or an error message is written, and
@@ -34,13 +35,15 @@ workers receive ``Graph`` objects.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import multiprocessing
+import os
 import sys
 import time
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, TextIO
+from typing import Iterable, Iterator, Optional, Sequence, TextIO
 
 from .bounds import THEOREMS, check_bound, theorem_bound
 from .constructions import build_B, build_B_prime_7r_C6, build_B_prime_P3
@@ -126,11 +129,13 @@ def iter_source(
     n_max: int,
     strict: bool,
     connected_only: bool = True,
+    imap=map,
 ) -> Iterator[Graph]:
     """Graphs with n_min <= n <= n_max from a --source value.
 
     ``builtin`` enumerates every isomorphism class of connected graphs up to
-    n_max; ``file:PATH`` and ``-`` read graph6 lines.  Out-of-range graphs
+    n_max, generating the levels not built yet through ``imap``;
+    ``file:PATH`` and ``-`` read graph6 lines.  Out-of-range graphs
     are dropped.  With ``connected_only`` a disconnected line is skipped
     with a warning, since the bounds only speak about connected graphs.
     """
@@ -141,7 +146,7 @@ def iter_source(
                 f"use --source file:PATH for larger sweeps"
             )
         for n in range(n_min, n_max + 1):
-            yield from connected_graphs(n)
+            yield from connected_graphs(n, imap)
         return
 
     if source == "-":
@@ -258,15 +263,23 @@ def _sweep_one(task: tuple[Graph, str, Optional[int]]) -> tuple[dict, list[str]]
     return row, problems
 
 
-def _fan_out(worker, tasks: list, jobs: int) -> Iterator:
-    """Apply a worker over tasks, in order, optionally across processes."""
-    if jobs <= 1 or len(tasks) <= 1:
-        for task in tasks:
-            yield worker(task)
+@contextlib.contextmanager
+def _ordered_map(jobs: int):
+    """The map one command uses for generation and per-graph work.
+
+    With ``jobs`` 1 it is the builtin ``map``; otherwise it is the ordered
+    ``imap`` of one pool, started for the whole command with at most one
+    process per core, so results still come back in input order.
+    """
+    if jobs == 1:
+        yield map
         return
-    with multiprocessing.Pool(processes=jobs) as pool:
-        chunk = max(1, min(256, len(tasks) // (jobs * 4) or 1))
-        yield from pool.imap(worker, tasks, chunksize=chunk)
+    processes = min(jobs, os.cpu_count() or 1)
+    with multiprocessing.Pool(processes=processes) as pool:
+        def imap(worker, tasks: Sequence) -> Iterator:
+            chunk = max(1, min(256, len(tasks) // (processes * 4)))
+            return pool.imap(worker, tasks, chunksize=chunk)
+        yield imap
 
 
 def cmd_sweep(args) -> int:
@@ -278,40 +291,41 @@ def cmd_sweep(args) -> int:
         )
     jobs = _resolve_jobs(args.jobs)
     start = time.monotonic()
-    tasks = [
-        (g, theorem, args.budget)
-        for g in iter_source(args.source, args.n_min, args.n_max,
-                             args.strict_parse)
-    ]
-    writers = _Writers(args.json, args.csv)
     checked = 0
     tight = 0
     skipped = 0
     exceptions: dict[str, int] = {}
     per_n: dict[int, list[int]] = {}
     all_problems: list[str] = []
-    try:
-        for row, problems in _fan_out(_sweep_one, tasks, jobs):
-            writers.write(row)
-            checked += 1
-            stats = per_n.setdefault(row["n"], [0, 0, 0, 0])  # graphs/viol/tight/skip
-            stats[0] += 1
-            if row["exception"] is not None:
-                exceptions[row["exception"]] = exceptions.get(row["exception"], 0) + 1
-            if row["iota"] is None:
-                skipped += 1
-                stats[3] += 1
-                print(f"skipped (budget): {row['graph6']}")
-            if row["tight"]:
-                tight += 1
-                stats[2] += 1
-            if problems:
-                stats[1] += len(problems)
-                all_problems.extend(problems)
-                for message in problems:
-                    print(f"VIOLATION {message}")
-    finally:
-        writers.close()
+    with _ordered_map(jobs) as imap:
+        tasks = [
+            (g, theorem, args.budget)
+            for g in iter_source(args.source, args.n_min, args.n_max,
+                                 args.strict_parse, imap=imap)
+        ]
+        writers = _Writers(args.json, args.csv)
+        try:
+            for row, problems in imap(_sweep_one, tasks):
+                writers.write(row)
+                checked += 1
+                stats = per_n.setdefault(row["n"], [0, 0, 0, 0])  # graphs/viol/tight/skip
+                stats[0] += 1
+                if row["exception"] is not None:
+                    exceptions[row["exception"]] = exceptions.get(row["exception"], 0) + 1
+                if row["iota"] is None:
+                    skipped += 1
+                    stats[3] += 1
+                    print(f"skipped (budget): {row['graph6']}")
+                if row["tight"]:
+                    tight += 1
+                    stats[2] += 1
+                if problems:
+                    stats[1] += len(problems)
+                    all_problems.extend(problems)
+                    for message in problems:
+                        print(f"VIOLATION {message}")
+        finally:
+            writers.close()
     elapsed = time.monotonic() - start
     print(f"sweep {label} (bound {theorem}) n={args.n_min}..{args.n_max} "
           f"source={args.source} jobs={jobs}")
@@ -347,22 +361,24 @@ def cmd_ckn(args) -> int:
     jobs = _resolve_jobs(args.jobs)
     writers = _Writers(args.json, args.csv, fields=("k", "n", "c", "witness"))
     try:
-        # one pass over the source, so each skipped line is reported once
-        levels: dict[int, list[tuple[Graph, int]]] = {}
-        for g in iter_source(args.source, args.n_min, args.n_max,
-                             args.strict_parse):
-            levels.setdefault(g.n, []).append((g, k))
-        for n, tasks in sorted(levels.items()):
-            best: Optional[Fraction] = None
-            witness = None
-            for (g, _), value in zip(tasks, _fan_out(_ckn_one, tasks, jobs)):
-                c = Fraction(value, n)
-                if best is None or c > best:
-                    best, witness = c, g
-            row = {"k": k, "n": n, "c": f"{best.numerator}/{best.denominator}",
-                   "witness": graph6_encode(witness)}
-            writers.write(row)
-            print(f"c_{{{k},{n}}} = {row['c']:<6} witness {row['witness']}")
+        with _ordered_map(jobs) as imap:
+            # one pass over the source, so each skipped line is reported once
+            levels: dict[int, list[tuple[Graph, int]]] = {}
+            for g in iter_source(args.source, args.n_min, args.n_max,
+                                 args.strict_parse, imap=imap):
+                levels.setdefault(g.n, []).append((g, k))
+            for n, tasks in sorted(levels.items()):
+                best: Optional[Fraction] = None
+                witness = None
+                for (g, _), value in zip(tasks, imap(_ckn_one, tasks)):
+                    c = Fraction(value, n)
+                    if best is None or c > best:
+                        best, witness = c, g
+                row = {"k": k, "n": n,
+                       "c": f"{best.numerator}/{best.denominator}",
+                       "witness": graph6_encode(witness)}
+                writers.write(row)
+                print(f"c_{{{k},{n}}} = {row['c']:<6} witness {row['witness']}")
     finally:
         writers.close()
     return 0

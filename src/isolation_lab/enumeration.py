@@ -22,13 +22,30 @@ every component of P - u.  The refinement runs only when another non-cut
 vertex ties with the new one on degree, and its colours are handed on to
 ``canonical_form``.
 
+A level is generated per parent: ``_children`` tests and keys the children
+of one parent, and is mapped over the parents by a caller-supplied ordered
+map (the builtin ``map``, or a pool's ``imap``).  The survivors are merged
+in parent order, then mask order, through one ``seen`` set in the calling
+process, keeping the first child of each canonical key.  So the classes,
+their representatives and their order do not depend on the map.
+
 The canonical form is the lexicographically smallest adjacency bit string
 (upper triangle, column by column) over vertex orderings, restricted to
 orderings compatible with an iterated degree-refinement partition: vertices
 are first bucketed by degree, then repeatedly by the multiset of neighbour
 buckets until stable.  The refinement is isomorphism-invariant, so the
-restricted minimum still is a canonical form, and the restriction plus
-prefix pruning keeps the search tiny for every graph this cap allows.
+restricted minimum still is a canonical form.
+
+A refinement round packs each vertex's colour and its neighbour counts per
+colour class into one int, complemented so that the ints sort like
+(colour, sorted neighbour colours) tuples: the colour values are those the
+tuples give, which matters because the canonical-deletion test compares
+them.  The search for the minimum compares each new column with the best one at the
+same position, keeping a flag per level for "prefix equal to the best so
+far", and tries only the lowest unused vertex of a set of twins (u, v with
+N(u) - v = N(v) - u): swapping two twins is an automorphism that fixes
+every chosen vertex, so the minimum is unchanged.  That keeps complete
+graphs, complete bipartite graphs and stars linear instead of factorial.
 
 External streams: one graph6 line per graph, optional ">>graph6<<" header,
 malformed lines reported with their line number and either skipped or fatal
@@ -37,7 +54,6 @@ depending on strictness.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Iterable, Iterator, Optional
 
 from .graphs import (Graph, Graph6Error, bits, component_masks, graph6_decode,
@@ -54,17 +70,35 @@ KNOWN_CONNECTED_COUNTS = (0, 1, 1, 2, 6, 21, 112, 853, 11117, 261080)
 
 
 def _refined_colors(g: Graph) -> list[int]:
-    """Stable vertex colouring: degree, iteratively refined by neighbours."""
-    nbrs = [list(bits(a)) for a in g.adj]
-    colors = [len(ns) for ns in nbrs]
-    for _ in range(g.n):
-        sigs = [(c, tuple(sorted([colors[w] for w in ns])))
-                for c, ns in zip(colors, nbrs)]
+    """Stable vertex colouring: degree, iteratively refined by neighbours.
+
+    A round ranks each vertex by (its colour, the sorted colours of its
+    neighbours).  That tuple is packed into one int: the colour, then per
+    colour class, in increasing colour order, n minus the vertex's number
+    of neighbours in the class.  Vertices of one colour have one degree, and
+    two sorted multisets of one size compare like their negated count
+    vectors, so the ranks are those of the tuples.
+    """
+    n = g.n
+    adj = g.adj
+    width = n.bit_length()  # one digit holds 0..n
+    colors = [a.bit_count() for a in adj]
+    for _ in range(n):
+        members: dict[int, int] = {}
+        for v, c in enumerate(colors):
+            members[c] = members.get(c, 0) | 1 << v
+        masks = [members[c] for c in sorted(members)]
+        sigs = []
+        for c, a in zip(colors, adj):
+            for m in masks:
+                c = c << width | n - (a & m).bit_count()
+            sigs.append(c)
         palette = {key: i for i, key in enumerate(sorted(set(sigs)))}
-        new = [palette[s] for s in sigs]
-        if new == colors:
+        colors = [palette[s] for s in sigs]
+        # no class split (or none can split any more): further rounds
+        # would return these values unchanged
+        if len(palette) == len(masks) or len(palette) == n:
             break
-        colors = new
     return colors
 
 
@@ -80,98 +114,137 @@ def canonical_form(g: Graph, colors: Optional[list[int]] = None) -> tuple:
         return (n,)
     if colors is None:
         colors = _refined_colors(g)
-    classes: dict[int, list[int]] = {}
-    for v in range(n):
-        classes.setdefault(colors[v], []).append(v)
-    slot_class = []
-    for c in sorted(classes):
-        slot_class += [c] * len(classes[c])
-
     adj = g.adj
-    best: Optional[list[int]] = None
+    members: dict[int, int] = {}
+    for v, c in enumerate(colors):
+        members[c] = members.get(c, 0) | 1 << v
+    slots: list[int] = []  # per position, the mask of the class it takes
+    # twins (N(u) - v == N(v) - u) are swapped by an automorphism that fixes
+    # every other vertex, so only the lowest unused one of them is tried
+    lower_twins = [0] * n
+    for c in sorted(members):
+        m = members[c]
+        slots += [m] * m.bit_count()
+        row = list(bits(m))
+        for j, v in enumerate(row):
+            for u in row[:j]:
+                if adj[u] & ~(1 << v) == adj[v] & ~(1 << u):
+                    lower_twins[v] |= 1 << u
 
-    def rec(chosen: list[int], used: int, cols: list[int]):
+    chosen = [0] * n
+    cols = [0] * n  # cols[pos]: the adjacency of chosen[pos] to chosen[:pos]
+    best: list[int] = []
+
+    def rec(pos: int, used: int, tied: bool) -> None:
+        # tied: cols[1:pos] equals best[:pos - 1]; otherwise it is smaller,
+        # and the first leaf below becomes the new best
         nonlocal best
-        pos = len(chosen)
         if pos == n:
-            if best is None or cols < best:
-                best = cols[:]
+            if not tied:
+                best = cols[1:]
             return
-        for v in classes[slot_class[pos]]:
-            if used >> v & 1:
+        free = slots[pos] & ~used
+        for v in bits(free):
+            if lower_twins[v] & free:
                 continue
-            if pos == 0:
-                rec([v], 1 << v, cols)
-                continue
-            col = 0
             av = adj[v]
-            for i, u in enumerate(chosen):
-                col |= (av >> u & 1) << (pos - 1 - i)
-            cols.append(col)
-            # prefix pruning: abandon orderings already worse than best
-            if best is None or cols <= best[:pos]:
-                chosen.append(v)
-                rec(chosen, used | (1 << v), cols)
-                chosen.pop()
-            cols.pop()
+            col = 0
+            for u in chosen[:pos]:
+                col = col << 1 | (av >> u & 1)
+            if tied:
+                top = best[pos - 1]
+                if col > top:
+                    continue  # prefix pruning
+                below = col == top
+            else:
+                below = False
+            cols[pos] = col
+            chosen[pos] = v
+            rec(pos + 1, used | 1 << v, below)
+            tied = True  # best now extends this prefix
 
-    rec([], 0, [])
-    assert best is not None
+    first = slots[0]
+    for v in bits(first):
+        if not lower_twins[v] & first:
+            chosen[0] = v
+            rec(1, 1 << v, bool(best))
     return (n, *best)
 
 
 # ===== Builtin enumeration ===================================================
 
 
-@lru_cache(maxsize=None)
-def _builtin_classes(n: int) -> tuple[Graph, ...]:
-    if n == 0:
-        return ()
-    if n == 1:
-        return (Graph(1),)
-    new = n - 1
+def _child(parent: Graph, mask: int) -> Graph:
+    """``parent`` plus a new last vertex joined to the vertices of ``mask``."""
+    new = parent.n
+    adj = [a | (mask >> v & 1) << new for v, a in enumerate(parent.adj)]
+    adj.append(mask)
+    return Graph.from_adj(new + 1, tuple(adj))
+
+
+def _children(parent: Graph) -> list[tuple[int, tuple]]:
+    """(mask, canonical key) of each child of ``parent`` that passes the
+    canonical-deletion test, in mask order; runs inside worker processes."""
+    new = parent.n
+    degree = [a.bit_count() for a in parent.adj]
+    # low degrees first: a rejecting vertex is found sooner
+    order = sorted(range(new), key=degree.__getitem__)
+    # u is a non-cut vertex of the child iff the mask meets every
+    # component of parent - u
+    splits = [component_masks(parent, parent.vertex_mask & ~(1 << u))
+              for u in range(new)]
+    out = []
+    for mask in range(1, 1 << new):
+        d = mask.bit_count()
+        ties = []  # the other non-cut vertices of the new vertex's degree
+        for u in order:
+            du = degree[u] + (mask >> u & 1)
+            if du > d:
+                continue
+            if all(mask & c for c in splits[u]):
+                if du < d:
+                    break  # a non-cut vertex of smaller degree: reject
+                ties.append(u)
+        else:
+            child = _child(parent, mask)
+            colors = None
+            if ties:
+                colors = _refined_colors(child)
+                if any(colors[u] > colors[new] for u in ties):
+                    continue
+            out.append((mask, canonical_form(child, colors)))
+    return out
+
+
+def _next_level(parents: tuple[Graph, ...], imap) -> tuple[Graph, ...]:
+    """The classes one vertex above ``parents``, from ``_children`` mapped
+    over them by ``imap`` (an ordered map, such as a pool's); the survivors
+    are merged in parent order, the first of each canonical key kept."""
     out = []
     seen = set()
-    for parent in _builtin_classes(new):
-        degree = [a.bit_count() for a in parent.adj]
-        # low degrees first: a rejecting vertex is found sooner
-        order = sorted(range(new), key=degree.__getitem__)
-        # u is a non-cut vertex of the child iff the mask meets every
-        # component of parent - u
-        splits = [component_masks(parent, parent.vertex_mask & ~(1 << u))
-                  for u in range(new)]
-        for mask in range(1, 1 << new):
-            d = mask.bit_count()
-            ties = []  # the other non-cut vertices of the new vertex's degree
-            for u in order:
-                du = degree[u] + (mask >> u & 1)
-                if du > d:
-                    continue
-                if all(mask & c for c in splits[u]):
-                    if du < d:
-                        break  # a non-cut vertex of smaller degree: reject
-                    ties.append(u)
-            else:
-                adj = [parent.adj[v] | ((mask >> v & 1) << new) for v in range(new)]
-                adj.append(mask)
-                child = Graph.from_adj(n, tuple(adj))
-                colors = None
-                if ties:
-                    colors = _refined_colors(child)
-                    if any(colors[u] > colors[new] for u in ties):
-                        continue
-                key = canonical_form(child, colors)
-                if key not in seen:
-                    seen.add(key)
-                    out.append(child)
+    for parent, kids in zip(parents, imap(_children, parents)):
+        for mask, key in kids:
+            if key not in seen:
+                seen.add(key)
+                out.append(_child(parent, mask))
     return tuple(out)
 
 
-def connected_graphs(n: int) -> Iterator[Graph]:
-    """All connected n-vertex graphs, one per isomorphism class (n <= 9)."""
+# _LEVELS[n] holds the classes on n vertices; levels are added on demand
+_LEVELS: list[tuple[Graph, ...]] = [(), (Graph(1),)]
+
+
+def connected_graphs(n: int, imap=map) -> Iterator[Graph]:
+    """All connected n-vertex graphs, one per isomorphism class (n <= 9).
+
+    Levels not yet built are generated through ``imap``; the classes and
+    their order do not depend on it.
+    """
     if not 0 <= n <= BUILTIN_MAX_N:
         raise ValueError(f"builtin enumeration capped at {BUILTIN_MAX_N} vertices")
-    return iter(_builtin_classes(n))
+    while len(_LEVELS) <= n:
+        _LEVELS.append(_next_level(_LEVELS[-1], imap))
+    return iter(_LEVELS[n])
 
 
 # ===== graph6 streams ========================================================

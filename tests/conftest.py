@@ -1,8 +1,9 @@
 """Shared fixtures and the acceptance-summary reporting hook.
 
 Several test modules sweep the same ranges of builtin classes;
-``connected_upto`` concatenates them, and the enumerator's own per-level
-cache makes every level after the first request free.
+``connected_upto`` concatenates them, and the enumerator keeps each level
+it has built for the life of the process, so every level after the first
+request is free.
 
 Acceptance tests register one line per criterion through ``record_result``;
 the lines are printed in a summary block at the end of the run so the

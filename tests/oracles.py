@@ -1,17 +1,23 @@
 """Independent brute-force oracles used by the enumeration and acceptance tests.
 
-Nothing here goes through the package's canonical form, isomorphism test, or
-connectivity helper: labeled graphs are edge-pair bitmasks, connectivity is a
+The brute-force oracles do not go through the package's canonical form,
+isomorphism test, or connectivity helper: labeled graphs are edge-pair bitmasks, connectivity is a
 fresh BFS, and isomorphism classes are collapsed by a minimum-over-relabelings
 canonical key restricted to invariant-preserving permutations (vertex degree
 and neighbour-degree multiset are isomorphism invariants, so the restriction
 loses nothing).
+
+``refined_colors`` and ``canonical_form`` at the end are the enumerator's
+kernel in its plain form (sorted neighbour-colour tuples, a full prefix
+comparison at every search node, no twin pruning).  The package's faster
+kernel must return the same colour values and the same keys.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, permutations
 from math import comb
+from typing import Optional
 
 
 def _labeled_connected_edge_sets(n: int):
@@ -127,3 +133,62 @@ def connected_class_count(n: int) -> int:
     keys = {canonical_edge_key(n, edges)
             for edges in _labeled_connected_edge_sets(n)}
     return len(keys)
+
+
+# ===== the enumerator's kernel, plain form ===================================
+
+
+def refined_colors(n: int, adj) -> list[int]:
+    """Degree colouring refined by sorted neighbour-colour tuples."""
+    nbrs = [[w for w in range(n) if adj[v] >> w & 1] for v in range(n)]
+    colors = [len(ns) for ns in nbrs]
+    for _ in range(n):
+        sigs = [(c, tuple(sorted([colors[w] for w in ns])))
+                for c, ns in zip(colors, nbrs)]
+        palette = {key: i for i, key in enumerate(sorted(set(sigs)))}
+        new = [palette[s] for s in sigs]
+        if new == colors:
+            break
+        colors = new
+    return colors
+
+
+def canonical_form(n: int, adj) -> tuple:
+    """Minimal upper-triangle column encoding over colour-compatible orders."""
+    if n <= 1:
+        return (n,)
+    colors = refined_colors(n, adj)
+    classes: dict[int, list[int]] = {}
+    for v in range(n):
+        classes.setdefault(colors[v], []).append(v)
+    slot_class = []
+    for c in sorted(classes):
+        slot_class += [c] * len(classes[c])
+    best: Optional[list[int]] = None
+
+    def rec(chosen: list[int], used: int, cols: list[int]):
+        nonlocal best
+        pos = len(chosen)
+        if pos == n:
+            if best is None or cols < best:
+                best = cols[:]
+            return
+        for v in classes[slot_class[pos]]:
+            if used >> v & 1:
+                continue
+            if pos == 0:
+                rec([v], 1 << v, cols)
+                continue
+            col = 0
+            for i, u in enumerate(chosen):
+                col |= (adj[v] >> u & 1) << (pos - 1 - i)
+            cols.append(col)
+            if best is None or cols <= best[:pos]:
+                chosen.append(v)
+                rec(chosen, used | (1 << v), cols)
+                chosen.pop()
+            cols.pop()
+
+    rec([], 0, [])
+    assert best is not None
+    return (n, *best)

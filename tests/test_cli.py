@@ -189,6 +189,34 @@ def test_bad_jobs_flag_rejected(capsys):
     assert code == 2 and "--jobs" in err
 
 
+@pytest.mark.parametrize("command", ["sweep", "ckn"])
+def test_jobs_capped_at_core_count(command, monkeypatch, capsys):
+    # one pool per command, never more processes than cores; the stand-in
+    # pool maps in this process, so the test starts no process at all
+    started = []
+
+    class InlinePool:
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, worker, tasks, chunksize=1):
+            return map(worker, tasks)
+
+    monkeypatch.setattr(cli.multiprocessing, "Pool", InlinePool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    code, out, _ = run([command, "--family", "e2", "--n-max", "5",
+                        "--jobs", "100000"], capsys)
+    assert code == 0 and started == [2]
+    if command == "sweep":
+        assert "jobs=100000" in out
+
+
 # ===== ckn ===================================================================
 
 

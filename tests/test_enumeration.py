@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import multiprocessing
 import random
 
 import pytest
@@ -18,10 +19,12 @@ from isolation_lab.enumeration import (
 )
 from isolation_lab.graphs import (
     Graph,
+    complete_graph,
     cycle_graph,
     graph6_encode,
     is_connected,
     path_graph,
+    star_graph,
 )
 
 
@@ -93,7 +96,7 @@ def test_refined_colors_follow_relabelling(connected_upto):
 
 
 def test_children_rejected_before_canonical_form(monkeypatch):
-    parents = enumeration._builtin_classes(6)
+    parents = tuple(connected_graphs(6))
     children = len(parents) * (2 ** 6 - 1)  # every parent by every mask
     real = enumeration.canonical_form
     calls = 0
@@ -104,10 +107,52 @@ def test_children_rejected_before_canonical_form(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(enumeration, "canonical_form", counted)
-    level = enumeration._builtin_classes.__wrapped__(7)
+    level = enumeration._next_level(parents, map)
     assert len(level) == KNOWN_CONNECTED_COUNTS[7]
     assert {real(g) for g in level} == {real(g) for g in connected_graphs(7)}
     assert children == 7056 and calls <= children // 3
+
+
+def test_pooled_level_matches_serial():
+    # the process-wide levels are built before any CLI test reaches a
+    # pool, so build level 7 here both ways from the same parents
+    parents = tuple(connected_graphs(6))
+    serial = enumeration._next_level(parents, map)
+    with multiprocessing.Pool(processes=2) as pool:
+        pooled = enumeration._next_level(parents, pool.imap)
+    assert len(serial) == KNOWN_CONNECTED_COUNTS[7]
+    assert [g.adj for g in pooled] == [g.adj for g in serial]
+
+
+def _relabelled(g: Graph, rng: random.Random) -> Graph:
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def _complete_bipartite(a: int, b: int) -> Graph:
+    return Graph(a + b, [(u, a + w) for u in range(a) for w in range(b)])
+
+
+def test_kernel_matches_plain_oracle(connected_upto):
+    # the count signatures and the twin pruning must not change a single
+    # colour value or key: the rejection rule compares colour values, and
+    # the keys pick each class's representative
+    rng = random.Random(9)
+    graphs = []
+    for g in connected_upto(1, 7):
+        graphs += [g, _relabelled(g, rng), _relabelled(g, rng)]
+    for n in range(1, 9):  # the graphs twin pruning cuts down most
+        graphs += [complete_graph(n), star_graph(n - 1)]
+        graphs += [_complete_bipartite(a, n - a) for a in range(1, n)]
+        if n >= 3:
+            graphs.append(cycle_graph(n))
+    assert len(graphs) == 3 * sum(KNOWN_CONNECTED_COUNTS[1:8]) + 50
+    for g in graphs:
+        assert (enumeration._refined_colors(g)
+                == oracles.refined_colors(g.n, g.adj)), graph6_encode(g)
+        assert (canonical_form(g)
+                == oracles.canonical_form(g.n, g.adj)), graph6_encode(g)
 
 
 # ===== graph6 streams ========================================================
