@@ -37,7 +37,7 @@ from .families import (
     exact_iota,
     is_isolating,
 )
-from .bounds import VerificationRecord, check_bound, classify_exception
+from .bounds import VerificationRecord, bad_piece, check_bound, classify_exception
 from .constructions import (
     build_B,
     build_B_prime_P3,
@@ -49,8 +49,6 @@ from .prover import (
     InductionContext,
     InternalConsistencyError,
     TraceEntry,
-    classify_bad_component_k2,
-    classify_bad_component_k3,
     isolate_k2,
     isolate_k3,
     residual_set_for_bad,

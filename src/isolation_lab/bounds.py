@@ -11,9 +11,16 @@ With n vertices and r leaves the four bounds are
 
 The six exceptions for the E_2 bound are P_3, K_3, K_{1,3}, C_6, the 6-cycle
 with a pendant vertex (here ``C6P``), and that graph with one extra chord
-(``C6PP``).  The E_2 bound is the floor of the potential
-(4|V(H)| - ell_G(H))/14 at H = G, where ell_G(H) counts the leaves of G
-that lie in H; its numerator is an integer, so no bound touches floats.
+(``C6PP``).
+
+The proofs charge each induced piece H of G a potential beta_G(H) =
+(per_vertex |V(H)| - per_leaf ell_G(H)) / denominator, where ell_G(H)
+counts the leaves of G in H; the bound is its floor at H = G, and only the
+integer numerator is computed.  H is *bad* when iota(H) > beta_G(H), and
+only an exception can be: a single vertex needs no isolating vertex, and
+for |V(H)| >= 2 a leaf of G in H is a leaf of H, so beta_G(H) >= beta_H(H)
+>= iota(H) for any other H.  Every exception exceeds its own potential, so
+``classify_exception`` is ``bad_piece`` on the whole graph.
 """
 
 from __future__ import annotations
@@ -24,25 +31,38 @@ from typing import Callable, Optional
 
 from .enumeration import canonical_form
 from .families import CYCLES, FamilySpec, edge_family, exact_iota
-from .graphs import Graph, leaf_count, named_graph
+from .graphs import Graph, bits, induced_subgraph, leaves, named_graph
 
 
 @dataclass(frozen=True)
 class Theorem:
     """iota(G, family) <= bound(G) for every connected G that is not one of
-    the graphs tagged in ``exceptions`` (tags as in ``named_graph``)."""
+    the graphs tagged in ``exceptions`` (tags as in ``named_graph``), with
+    bound(G) the floor of the potential at H = G.
+    """
 
     family: FamilySpec
-    bound: Callable[[Graph], int]
+    per_vertex: int
+    per_leaf: int
+    denominator: int
     exceptions: tuple[str, ...]
+
+    def potential(self, g: Graph, piece: int) -> int:
+        """The numerator of beta_G(H) for the piece H given as a mask of g."""
+        value = self.per_vertex * piece.bit_count()
+        if self.per_leaf:
+            value -= self.per_leaf * (leaves(g) & piece).bit_count()
+        return value
+
+    def bound(self, g: Graph) -> int:
+        return self.potential(g, g.vertex_mask) // self.denominator
 
 
 THEOREMS: dict[str, Theorem] = {
-    "k1": Theorem(edge_family(1), lambda g: g.n // 3, ("K2", "C5")),
-    "k2": Theorem(edge_family(2), lambda g: (4 * g.n - leaf_count(g)) // 14,
-                  ("P3", "K3", "K13", "C6", "C6P", "C6PP")),
-    "k3": Theorem(edge_family(3), lambda g: g.n // 4, ("K3", "C7")),
-    "cycles": Theorem(CYCLES, lambda g: g.n // 4, ("K3",)),
+    "k1": Theorem(edge_family(1), 1, 0, 3, ("K2", "C5")),
+    "k2": Theorem(edge_family(2), 4, 1, 14, ("P3", "K3", "K13", "C6", "C6P", "C6PP")),
+    "k3": Theorem(edge_family(3), 1, 0, 4, ("K3", "C7")),
+    "cycles": Theorem(CYCLES, 1, 0, 4, ("K3",)),
 }
 
 
@@ -54,26 +74,54 @@ def theorem_bound(g: Graph, theorem: str) -> int:
 
 
 @lru_cache(maxsize=None)
-def _exception_keys(theorem: str) -> dict[tuple[int, int], dict[tuple, str]]:
-    """(n, edge count) -> canonical form -> tag, for the bound's exceptions."""
-    keys: dict[tuple[int, int], dict[tuple, str]] = {}
-    for tag in THEOREMS[theorem].exceptions:
+def _exception_keys(theorem: str) -> dict[int, dict[int, dict[tuple, tuple[str, int]]]]:
+    """n -> edge count -> canonical form -> (tag, denominator * iota) for the
+    bound's exceptions."""
+    if theorem not in THEOREMS:
+        raise ValueError(f"unknown theorem id {theorem!r}")
+    th = THEOREMS[theorem]
+    keys: dict[int, dict[int, dict[tuple, tuple[str, int]]]] = {}
+    for tag in th.exceptions:
         model = named_graph(tag)
-        keys.setdefault((model.n, model.edge_count()), {})[canonical_form(model)] = tag
+        need = th.denominator * exact_iota(model, th.family).value
+        by_edges = keys.setdefault(model.n, {}).setdefault(model.edge_count(), {})
+        by_edges[canonical_form(model)] = (tag, need)
     return keys
+
+
+def _exceeding(g: Graph, piece: int, theorem: str, edge_count: Callable[[], int]) -> Optional[str]:
+    """The exception tag of g[piece] if it exceeds its potential in g.
+
+    Only a piece with the vertex count and then the edge count of some
+    exception gets an induced subgraph and a canonical form.
+    """
+    by_edges = _exception_keys(theorem).get(piece.bit_count())
+    candidates = by_edges and by_edges.get(edge_count())
+    if not candidates:
+        return None
+    h = g if piece == g.vertex_mask else induced_subgraph(g, piece)[0]
+    hit = candidates.get(canonical_form(h))
+    if hit is None:
+        return None
+    tag, need = hit
+    return tag if need > THEOREMS[theorem].potential(g, piece) else None
+
+
+def bad_piece(g: Graph, piece: int, theorem: str) -> Optional[str]:
+    """The exception tag of the connected piece H = g[piece] if
+    denominator * iota(H) exceeds its potential in g, else None."""
+    return _exceeding(g, piece, theorem,
+                      lambda: sum((g.adj[u] & piece).bit_count() for u in bits(piece)) // 2)
 
 
 def classify_exception(g: Graph, theorem: str) -> Optional[str]:
     """The exception tag of g for the given bound, or None.
 
     The exception sets differ per bound (C6 is exceptional for the E_2 bound
-    but not for E_3), hence the explicit theorem context.  Only a graph with
-    the vertex and edge count of some exception gets a canonical form.
+    but not for E_3), hence the explicit theorem context.  This is
+    ``bad_piece`` on all of g, with the edge count read off g as a whole.
     """
-    if theorem not in THEOREMS:
-        raise ValueError(f"unknown theorem id {theorem!r}")
-    candidates = _exception_keys(theorem).get((g.n, g.edge_count()))
-    return None if candidates is None else candidates.get(canonical_form(g))
+    return _exceeding(g, g.vertex_mask, theorem, g.edge_count)
 
 
 # ===== Bound checking ========================================================

@@ -65,7 +65,7 @@ ROW_FIELDS = (
     "cert_size", "case_trace",
 )
 
-# How the certify refusals name the exception graphs.
+# How the certify refusals name the exception graphs of the E_2 and E_3 bounds.
 EXCEPTION_NAMES = {
     "P3": "3-vertex-path exception",
     "K3": "triangle exception",
@@ -74,8 +74,6 @@ EXCEPTION_NAMES = {
     "C6P": "pendant-6-cycle exception",
     "C6PP": "chorded-pendant-6-cycle exception",
     "C7": "7-cycle exception",
-    "K2": "single-edge exception",
-    "C5": "5-cycle exception",
 }
 
 

@@ -16,7 +16,7 @@ Conventions used throughout the package:
 
 Isomorphism is not decided here.  Two graphs are isomorphic exactly when
 their ``enumeration.canonical_form`` keys are equal, and
-``bounds.classify_exception`` recognises the exceptional graphs that way.
+``bounds.bad_piece`` recognises the exceptional graphs that way.
 """
 
 from __future__ import annotations
@@ -309,16 +309,9 @@ def _c6_pendant_chord() -> Graph:
 
 
 _NAMED_BUILDERS = {
-    "K1": lambda: complete_graph(1),
-    "K2": lambda: complete_graph(2),
-    "P3": lambda: path_graph(3),
-    "K3": lambda: complete_graph(3),
     "K13": lambda: star_graph(3),
-    "C5": lambda: cycle_graph(5),
-    "C6": lambda: cycle_graph(6),
     "C6P": _c6_pendant,
     "C6PP": _c6_pendant_chord,
-    "C7": lambda: cycle_graph(7),
 }
 
 

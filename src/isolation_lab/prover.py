@@ -10,11 +10,13 @@ The construction mirrors the inductive argument that proves the bounds:
 * graphs on at most 7 vertices are solved exactly (the bound is known to
   hold for them outright);
 * paths and cycles get the periodic pattern sets;
-* otherwise pick a maximum-degree vertex v and remove N[v].  Components of
-  the remainder whose isolation number exceeds their share of the bound
-  ("bad" components) are always small exceptional pieces; every other
-  component can be solved recursively within its share.  The cases then
-  differ in how the bad components hang off N(v):
+* otherwise pick a maximum-degree vertex v and remove N[v].  A component
+  H of the remainder is "bad" when its isolation number exceeds its share
+  of the bound, the potential beta_G(H) of ``bounds.Theorem``.  Only the
+  bound's exception graphs can be bad, and ``bounds.bad_piece`` names them
+  with their ``named_graph`` tags (``P3``, ``K13``, ``C6P``, ...); every
+  other component can be solved recursively within its share.  The cases
+  then differ in how the bad components hang off N(v):
 
   - no bad components: take v and recurse on everything else;
   - two bad components share an anchor x in N(v): take v, x, the other bad
@@ -41,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .bounds import THEOREMS, classify_exception
+from .bounds import THEOREMS, bad_piece, classify_exception
 from .constructions import pattern_isolating_set
 from .families import exact_iota, is_isolating
 from .graphs import (
@@ -112,54 +114,14 @@ class Certificate:
 class InductionContext:
     """The decomposition around the chosen max-degree vertex."""
 
-    g: Graph
     v: int
     nv: int  # N[v]
     comps: list[int]  # components of G - N[v], as masks
-    bad: dict[int, str]  # comp mask -> bad-class tag
+    bad: dict[int, str]  # comp mask -> exception tag, as in ``bounds.bad_piece``
     links: dict[int, int]  # comp mask -> mask of neighbours of v it touches
 
 
-# ===== Bad-component recognition =============================================
-
-
-def _degrees_within(g: Graph, comp: int) -> list[int]:
-    return sorted((g.adj[u] & comp).bit_count() for u in bits(comp))
-
-
-def classify_bad_component_k2(g: Graph, comp: int) -> Optional[str]:
-    """Tag of a component of G - N[v] whose iota_2 exceeds its beta share.
-
-    Bad components are exactly: any 3-vertex component (a path or triangle),
-    a 6-cycle, a 3-leaf star all of whose outer vertices are leaves of G, and
-    a pendant 6-cycle (with or without the extra chord) whose pendant vertex
-    is a leaf of G.  A star or pendant cycle whose would-be leaf has an edge
-    up to N(v) is cheap enough to be good.
-    """
-    size = comp.bit_count()
-    if size == 3:
-        return "k3" if _degrees_within(g, comp) == [2, 2, 2] else "p3"
-    if size == 4:
-        if _degrees_within(g, comp) == [1, 1, 1, 3] and (leaves(g) & comp).bit_count() == 3:
-            return "k13"
-        return None
-    if size == 6:
-        return "c6" if _degrees_within(g, comp) == [2] * 6 else None
-    if size == 7 and (leaves(g) & comp).bit_count() == 1:
-        # the only 7-vertex E_2 exceptions are C6P and C6PP
-        tag = classify_exception(induced_subgraph(g, comp)[0], "k2")
-        return None if tag is None else tag.lower()
-    return None
-
-
-def classify_bad_component_k3(g: Graph, comp: int) -> Optional[str]:
-    """Bad components for the E_3 bound: triangles and 7-cycles, nothing else."""
-    size = comp.bit_count()
-    if size == 3 and _degrees_within(g, comp) == [2, 2, 2]:
-        return "k3"
-    if size == 7 and _degrees_within(g, comp) == [2] * 7:
-        return "c7"
-    return None
+# ===== Bad-component geometry ===============================================
 
 
 def _cycle_through(g: Graph, within: int, start: int, length: int) -> list[int]:
@@ -198,17 +160,17 @@ def residual_set_for_bad(g: Graph, comp: int, tag: str, y_attach: int) -> int:
     classes, the vertex at cycle-distance 3 from the attachment point mops up
     the rest of the cycle.
     """
-    if tag in ("k13", "c6p", "c6pp") and leaves(g) >> y_attach & 1:
+    if tag in ("K13", "C6P", "C6PP") and leaves(g) >> y_attach & 1:
         raise ValueError("attachment vertex of a leafy bad component must not be its leaf")
-    if tag in ("p3", "k3", "k13"):
+    if tag in ("P3", "K3", "K13"):
         return 0
-    return _far_vertex(g, comp, y_attach, 7 if tag == "c7" else 6)
+    return _far_vertex(g, comp, y_attach, 7 if tag == "C7" else 6)
 
 
 # ===== Shared machinery ======================================================
 
 
-def _build_context(g: Graph, v: int, classify: Callable) -> InductionContext:
+def _build_context(g: Graph, v: int, theorem: str) -> InductionContext:
     nv = closed_neighborhood(g, 1 << v)
     comps = component_masks(g, g.vertex_mask & ~nv)
     links: dict[int, int] = {}
@@ -221,10 +183,10 @@ def _build_context(g: Graph, v: int, classify: Callable) -> InductionContext:
         if not lk:
             raise InternalConsistencyError("component with no link to N(v) in a connected graph")
         links[comp] = lk
-        tag = classify(g, comp)
+        tag = bad_piece(g, comp, theorem)
         if tag is not None:
             bad[comp] = tag
-    return InductionContext(g, v, nv, comps, bad, links)
+    return InductionContext(v, nv, comps, bad, links)
 
 
 def _attach(g: Graph, x: int, comp: int) -> int:
@@ -426,8 +388,8 @@ def _case_single(prover: _Prover, g: Graph, ctx: InductionContext, comp: int) ->
     w = _anchor(g.adj[ctx.v] & ~(1 << x1) & ~(1 << x1p))
     y_top = ctx.nv | comp  # N[v] plus the bad component
     tag = ctx.bad[comp]
-    if tag in ("c6", "c7"):
-        length = 7 if tag == "c7" else 6
+    if tag in ("C6", "C7"):
+        length = 7 if tag == "C7" else 6
         return _single_cycle(prover, g, ctx, comp, x1, x1p, w, y_top, length)
     return prover.rules.single(prover, g, ctx, comp, x1, x1p, w, y_top)
 
@@ -506,9 +468,9 @@ def _p3_parts(g: Graph, comp: int) -> tuple[int, int, int]:
     return mid, ends[0], ends[1]
 
 
-def _centre_parts(g: Graph, comp: int) -> tuple[int, int, int]:
+def _centre_parts(g: Graph, comp: int, tag: str) -> tuple[int, int, int]:
     """A dominating vertex of a 3-vertex component, plus the other two."""
-    if _degrees_within(g, comp) == [2, 2, 2]:
+    if tag == "K3":
         verts = list(bits(comp))
         return verts[0], verts[1], verts[2]
     return _p3_parts(g, comp)
@@ -527,16 +489,16 @@ def _k2_pair_carve(prover: _Prover, g: Graph, ctx: InductionContext, comp: int, 
 def _k2_pair(prover: _Prover, g: Graph, ctx: InductionContext, badlist: list[int]) -> int:
     h1, h2 = badlist
     tags = (ctx.bad[h1], ctx.bad[h2])
-    carveable = ("k3", "k13", "c6p", "c6pp")
+    carveable = ("K3", "K13", "C6P", "C6PP")
     if tags[0] in carveable:
         return _k2_pair_carve(prover, g, ctx, h1, "pair-carve")
     if tags[1] in carveable:
         return _k2_pair_carve(prover, g, ctx, h2, "pair-carve")
     # both components are 3-paths or 6-cycles now
-    if tags == ("c6", "c6"):
+    if tags == ("C6", "C6"):
         return _k2_pair_carve(prover, g, ctx, h1, "pair-carve")
-    if "c6" in tags:
-        hp = h1 if tags[0] == "p3" else h2
+    if "C6" in tags:
+        hp = h1 if tags[0] == "P3" else h2
         hc = h2 if hp is h1 else h1
         _, e1, e2 = _p3_parts(g, hp)
         lg = leaves(g)
@@ -548,7 +510,7 @@ def _k2_pair(prover: _Prover, g: Graph, ctx: InductionContext, badlist: list[int
         if n_leaf == 0:
             xc = _anchor(ctx.links[hc])
             d = (1 << ctx.v) | (1 << _anchor(ctx.links[hp])) | (1 << xc)
-            d |= residual_set_for_bad(g, hc, "c6", _attach(g, xc, hc))
+            d |= residual_set_for_bad(g, hc, "C6", _attach(g, xc, hc))
             d |= prover.solve_comps(g, (c for c in ctx.comps if c not in ctx.bad))
             return prover.finish(g, d, "pair-p3-unleafed", ctx.v)
         # exactly one end is a true leaf: shed the component through the
@@ -585,13 +547,13 @@ def _k2_single(
     """The lone bad component is a star, a pendant 6-cycle, or 3 vertices."""
     v = ctx.v
     tag = ctx.bad[comp]
-    if tag in ("k13", "c6p", "c6pp"):
+    if tag in ("K13", "C6P", "C6PP"):
         y1 = _attach(g, x1, comp)
         d = (1 << v) | (1 << y1) | residual_set_for_bad(g, comp, tag, y1)
         d |= prover.solve_comps(g, (c for c in ctx.comps if c not in ctx.bad))
         return prover.finish(g, d, "single-attached", v)
 
-    mid, e1, e2 = _centre_parts(g, comp)
+    mid, e1, e2 = _centre_parts(g, comp, tag)
     lg = leaves(g)
 
     if lg & y_top == 0:
@@ -611,7 +573,7 @@ def _k2_single(
         return prover.finish(g, d, "single-small-wleaf", v)
 
     # some end of the 3-path is a true leaf (triangles cannot reach here)
-    if tag != "p3" or not (lg >> e1 & 1 or lg >> e2 & 1):
+    if tag != "P3" or not (lg >> e1 & 1 or lg >> e2 & 1):
         raise InternalConsistencyError("leafy single-component case without a leafy path end")
     ystar = _attach(g, c, comp)
     if ystar != _attach(g, cp, comp):
@@ -650,7 +612,7 @@ def _k3_single(
     c, cp = _carve_anchor(g, y_top, x1, x1p, w)
     y1 = _attach(g, c, comp)
     home, strays, _ = prover.carve(g, ctx, (1 << c) | comp, v)
-    if classify_exception(induced_subgraph(g, home)[0], "k3") == "C7":
+    if classify_exception(induced_subgraph(g, home)[0], prover.rules.theorem) == "C7":
         # the remainder closed into a 7-cycle: v with the other anchor
         # breaks it and reaches the triangle through that anchor's link
         d = (1 << v) | (1 << cp) | strays
@@ -666,15 +628,14 @@ def _k3_single(
 class _Rules:
     """What the induction does differently for E_2 and E_3."""
 
-    theorem: str  # "k2" or "k3": picks the family, the bound and the exceptions
-    classify: Callable[[Graph, int], Optional[str]]
+    theorem: str  # "k2" or "k3": picks the family, the bound and the bad pieces
     pair: Callable  # two doubly-linked bad components
     single: Callable  # one doubly-linked bad component that is not a cycle
 
 
 _RULES = {
-    2: _Rules("k2", classify_bad_component_k2, _k2_pair, _k2_single),
-    3: _Rules("k3", classify_bad_component_k3, _k3_pair, _k3_single),
+    2: _Rules("k2", _k2_pair, _k2_single),
+    3: _Rules("k3", _k3_pair, _k3_single),
 }
 
 
@@ -686,7 +647,7 @@ def _dispatch(prover: _Prover, g: Graph) -> int:
     v = max_degree_vertex(g)
     if closed_neighborhood(g, 1 << v) == g.vertex_mask:
         return prover.finish(g, 1 << v, "dominated", v)
-    ctx = _build_context(g, v, prover.rules.classify)
+    ctx = _build_context(g, v, prover.rules.theorem)
 
     if not ctx.bad:
         d = (1 << v) | prover.solve_comps(g, ctx.comps)

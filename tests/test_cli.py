@@ -12,7 +12,7 @@ import json
 import pytest
 
 from isolation_lab import cli
-from isolation_lab.bounds import check_bound
+from isolation_lab.bounds import THEOREMS, check_bound
 from isolation_lab.graphs import Graph, graph6_decode, graph6_encode, named_graph
 
 
@@ -390,6 +390,13 @@ def test_certify_refuses_exception(capsys):
     code, out, err = run(["certify", c7, "--k", "3"], capsys)
     assert code == 1
     assert "certify refused" in err and "7-cycle exception" in err
+
+
+def test_exception_names_match_certified_bounds():
+    # certify refuses exactly the exceptions of the E_2 and E_3 bounds, and
+    # names each one through this table; a missing key would crash a refusal
+    assert set(cli.EXCEPTION_NAMES) == (set(THEOREMS["k2"].exceptions)
+                                        | set(THEOREMS["k3"].exceptions))
 
 
 def test_certify_refuses_disconnected(capsys):

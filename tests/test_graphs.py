@@ -124,6 +124,12 @@ def test_named_graphs():
     assert c6pp.n == 7 and c6pp.edge_count() == 8
     assert named_graph("K5").edge_count() == 10
     assert named_graph("P10").n == 10
+    # the exception tags that the P<n>/C<n>/K<n> rule builds
+    for tag, model in (("K1", complete_graph(1)), ("K2", complete_graph(2)),
+                       ("P3", path_graph(3)), ("K3", complete_graph(3)),
+                       ("C5", cycle_graph(5)), ("C6", cycle_graph(6)),
+                       ("C7", cycle_graph(7))):
+        assert named_graph(tag).adj == model.adj
     with pytest.raises(ValueError):
         named_graph("X9")
 

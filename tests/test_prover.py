@@ -11,15 +11,13 @@ from __future__ import annotations
 
 import pytest
 
-from isolation_lab.bounds import theorem_bound
+from isolation_lab.bounds import THEOREMS, bad_piece, theorem_bound
 from isolation_lab.families import edge_family, exact_iota, is_isolating
-from isolation_lab.graphs import Graph, graph6_decode, mask_of, named_graph
+from isolation_lab.graphs import Graph, graph6_decode, named_graph
 from isolation_lab.prover import (
     Certificate,
     InternalConsistencyError,
     TraceEntry,
-    classify_bad_component_k2,
-    classify_bad_component_k3,
     isolate_k2,
     isolate_k3,
     residual_set_for_bad,
@@ -262,16 +260,15 @@ def test_internal_consistency_error_type():
 
 
 def test_classify_bad_components_standalone():
-    for tag, expect in (("P3", "p3"), ("K3", "k3"), ("K13", "k13"),
-                        ("C6", "c6"), ("C6P", "c6p"), ("C6PP", "c6pp")):
+    for tag in ("P3", "K3", "K13", "C6", "C6P", "C6PP"):
         g = named_graph(tag)
-        assert classify_bad_component_k2(g, g.vertex_mask) == expect
-    assert classify_bad_component_k3(named_graph("K3"), 0b111) == "k3"
+        assert bad_piece(g, g.vertex_mask, "k2") == tag
+    assert bad_piece(named_graph("K3"), 0b111, "k3") == "K3"
     c7 = named_graph("C7")
-    assert classify_bad_component_k3(c7, c7.vertex_mask) == "c7"
+    assert bad_piece(c7, c7.vertex_mask, "k3") == "C7"
     for tag in ("P3", "C6", "C6P"):
         g = named_graph(tag)
-        assert classify_bad_component_k3(g, g.vertex_mask) is None
+        assert bad_piece(g, g.vertex_mask, "k3") is None
 
 
 def test_classification_matches_its_meaning(connected_upto):
@@ -282,28 +279,52 @@ def test_classification_matches_its_meaning(connected_upto):
         i2 = exact_iota(h, E2).value
         i3 = exact_iota(h, E3).value
         leaf = sum(1 for v in range(h.n) if h.degree(v) == 1)
-        assert (classify_bad_component_k2(h, full) is not None) == \
+        assert (bad_piece(h, full, "k2") is not None) == \
             (14 * i2 > 4 * h.n - leaf)
-        assert (classify_bad_component_k3(h, full) is not None) == \
+        assert (bad_piece(h, full, "k3") is not None) == \
             (4 * i3 > h.n)
 
 
 def test_pendant_attachment_classification():
-    # a 7-vertex pendant 6-cycle whose pendant vertex is linked onward is not
-    # counted bad: the link robs it of its leaf, and with no leaf its share
-    # 28/14 covers the 2 isolating vertices it needs
-    g = Graph(9, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 1),
-                  (0, 7), (7, 8)])
-    assert classify_bad_component_k2(g, mask_of(range(7))) is None
+    # every exception H as a piece of a larger G, with every subset of H's
+    # leaves linked to a vertex outside the piece.  A linked leaf is no leaf
+    # of G, which raises the piece's share: a pendant 6-cycle whose pendant
+    # vertex is linked onward gets 28/14, enough for the 2 isolating
+    # vertices it needs, and is not bad
+    outcomes = set()
+    for theorem in ("k2", "k3"):
+        fam = THEOREMS[theorem].family
+        for tag in THEOREMS[theorem].exceptions:
+            h = named_graph(tag)
+            iota = exact_iota(h, fam).value
+            # outside the piece: a hub tied to a non-leaf of H, and a leaf
+            # of G on the hub that the piece's share must not count
+            hub, tail = h.n, h.n + 1
+            centre = max(range(h.n), key=h.degree)
+            h_leaves = [u for u in range(h.n) if h.degree(u) == 1]
+            for pick in range(1 << len(h_leaves)):
+                linked = [u for i, u in enumerate(h_leaves) if pick >> i & 1]
+                g = Graph(h.n + 2, list(h.edges()) + [(hub, tail)]
+                          + [(hub, u) for u in [centre] + linked])
+                leaf = sum(1 for u in range(h.n) if g.degree(u) == 1)
+                assert leaf == len(h_leaves) - len(linked)
+                if theorem == "k2":
+                    bad = 14 * iota > 4 * h.n - leaf
+                else:
+                    bad = 4 * iota > h.n
+                got = bad_piece(g, h.vertex_mask, theorem)
+                assert got == (tag if bad else None), (theorem, tag, linked)
+                outcomes.add(bad)
+    assert outcomes == {True, False}
 
 
 def test_residual_sets():
     p3 = named_graph("P3")
-    assert residual_set_for_bad(p3, p3.vertex_mask, "p3", 1) == 0
+    assert residual_set_for_bad(p3, p3.vertex_mask, "P3", 1) == 0
     k3 = named_graph("K3")
-    assert residual_set_for_bad(k3, k3.vertex_mask, "k3", 0) == 0
+    assert residual_set_for_bad(k3, k3.vertex_mask, "K3", 0) == 0
     c6 = named_graph("C6")
-    y4 = residual_set_for_bad(c6, c6.vertex_mask, "c6", 0)
+    y4 = residual_set_for_bad(c6, c6.vertex_mask, "C6", 0)
     assert y4.bit_count() == 1
     # the residual vertex sits three steps around the cycle from the attach
     g = named_graph("C6")
@@ -311,5 +332,5 @@ def test_residual_sets():
     assert y4 == 1 << step3
     k13 = named_graph("K13")
     with pytest.raises(ValueError):
-        residual_set_for_bad(k13, k13.vertex_mask, "k13", 1)  # leaf attach
-    assert residual_set_for_bad(k13, k13.vertex_mask, "k13", 0) == 0
+        residual_set_for_bad(k13, k13.vertex_mask, "K13", 1)  # leaf attach
+    assert residual_set_for_bad(k13, k13.vertex_mask, "K13", 0) == 0
