@@ -20,18 +20,20 @@ integer numerator is computed.  H is *bad* when iota(H) > beta_G(H), and
 only an exception can be: a single vertex needs no isolating vertex, and
 for |V(H)| >= 2 a leaf of G in H is a leaf of H, so beta_G(H) >= beta_H(H)
 >= iota(H) for any other H.  Every exception exceeds its own potential, so
-``classify_exception`` is ``bad_piece`` on the whole graph.
+``classify_exception`` is ``bad_piece`` on the whole graph.  G itself may
+be a piece of a larger graph g, given as ``within``: the prover's recursion
+charges the components of a piece in that piece.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Optional
 
 from .enumeration import canonical_form
 from .families import CYCLES, FamilySpec, edge_family, exact_iota
-from .graphs import Graph, bits, induced_subgraph, leaves, named_graph
+from .graphs import Graph, bits, induced_subgraph, named_graph
 
 
 @dataclass(frozen=True)
@@ -47,11 +49,14 @@ class Theorem:
     denominator: int
     exceptions: tuple[str, ...]
 
-    def potential(self, g: Graph, piece: int) -> int:
-        """The numerator of beta_G(H) for the piece H given as a mask of g."""
+    def potential(self, g: Graph, piece: int, within: Optional[int] = None) -> int:
+        """The numerator of beta_G(H) for the piece H given as a mask of g,
+        where G is g (or g induced on ``within``)."""
         value = self.per_vertex * piece.bit_count()
         if self.per_leaf:
-            value -= self.per_leaf * (leaves(g) & piece).bit_count()
+            host = g.vertex_mask if within is None else within
+            value -= self.per_leaf * sum(
+                1 for u in bits(piece) if (g.adj[u] & host).bit_count() == 1)
         return value
 
     def bound(self, g: Graph) -> int:
@@ -89,14 +94,17 @@ def _exception_keys(theorem: str) -> dict[int, dict[int, dict[tuple, tuple[str, 
     return keys
 
 
-def _exceeding(g: Graph, piece: int, theorem: str, edge_count: Callable[[], int]) -> Optional[str]:
-    """The exception tag of g[piece] if it exceeds its potential in g.
+def bad_piece(g: Graph, piece: int, theorem: str, within: Optional[int] = None) -> Optional[str]:
+    """The exception tag of the connected piece H = g[piece] if
+    denominator * iota(H) exceeds its potential in G, where G is g (or g
+    induced on ``within``), else None.
 
     Only a piece with the vertex count and then the edge count of some
     exception gets an induced subgraph and a canonical form.
     """
     by_edges = _exception_keys(theorem).get(piece.bit_count())
-    candidates = by_edges and by_edges.get(edge_count())
+    candidates = by_edges and by_edges.get(
+        sum((g.adj[u] & piece).bit_count() for u in bits(piece)) // 2)
     if not candidates:
         return None
     h = g if piece == g.vertex_mask else induced_subgraph(g, piece)[0]
@@ -104,14 +112,7 @@ def _exceeding(g: Graph, piece: int, theorem: str, edge_count: Callable[[], int]
     if hit is None:
         return None
     tag, need = hit
-    return tag if need > THEOREMS[theorem].potential(g, piece) else None
-
-
-def bad_piece(g: Graph, piece: int, theorem: str) -> Optional[str]:
-    """The exception tag of the connected piece H = g[piece] if
-    denominator * iota(H) exceeds its potential in g, else None."""
-    return _exceeding(g, piece, theorem,
-                      lambda: sum((g.adj[u] & piece).bit_count() for u in bits(piece)) // 2)
+    return tag if need > THEOREMS[theorem].potential(g, piece, within) else None
 
 
 def classify_exception(g: Graph, theorem: str) -> Optional[str]:
@@ -119,9 +120,9 @@ def classify_exception(g: Graph, theorem: str) -> Optional[str]:
 
     The exception sets differ per bound (C6 is exceptional for the E_2 bound
     but not for E_3), hence the explicit theorem context.  This is
-    ``bad_piece`` on all of g, with the edge count read off g as a whole.
+    ``bad_piece`` on all of g.
     """
-    return _exceeding(g, g.vertex_mask, theorem, g.edge_count)
+    return bad_piece(g, g.vertex_mask, theorem)
 
 
 # ===== Bound checking ========================================================

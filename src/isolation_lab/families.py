@@ -93,11 +93,13 @@ def _contains_within(g: Graph, alive: int, fam: FamilySpec) -> bool:
                for comp in component_masks(g, alive))
 
 
-def is_isolating(g: Graph, d: int, fam: FamilySpec) -> bool:
-    """True iff G - N[d] contains no F-graph."""
-    if d & ~g.vertex_mask:
+def is_isolating(g: Graph, d: int, fam: FamilySpec, within: Optional[int] = None) -> bool:
+    """True iff G - N[d] contains no F-graph, where G is g (or g induced on
+    ``within``)."""
+    host = g.vertex_mask if within is None else within
+    if d & ~host:
         raise ValueError("isolating-set candidate contains out-of-range vertices")
-    alive = g.vertex_mask & ~closed_neighborhood(g, d)
+    alive = host & ~closed_neighborhood(g, d)
     return not _contains_within(g, alive, fam)
 
 
@@ -160,16 +162,25 @@ def _short_cycle(g: Graph, comp: int) -> int:
 
 
 class _Search:
-    """Branch and bound over the alive sets of one graph and one family."""
+    """Branch and bound over the alive sets of g induced on ``within``, for
+    one family.  Closed neighbourhoods are cut to ``within``: a vertex
+    outside it neither isolates nor witnesses anything."""
 
-    def __init__(self, g: Graph, fam: FamilySpec):
+    def __init__(self, g: Graph, fam: FamilySpec, within: int):
         self.g = g
         self.fam = fam
-        self.closed = [a | 1 << v for v, a in enumerate(g.adj)]
+        self.within = within
+        members = list(bits(within))
+        self.closed = closed = [0] * g.n
+        for v in members:
+            closed[v] = (g.adj[v] | 1 << v) & within
         # neighbours with small closed neighbourhoods first: witnesses
         # grown from them have small hitting sets, which pack better
-        order = sorted(range(g.n), key=lambda w: self.closed[w].bit_count())
-        self.ranked = [[w for w in order if a >> w & 1] for a in g.adj]
+        order = sorted(members, key=lambda w: closed[w].bit_count())
+        self.ranked = ranked = [[]] * g.n
+        for v in members:
+            a = g.adj[v]
+            ranked[v] = [w for w in order if a >> w & 1]
         # alive -> (value, mask) once solved, or a proven lower bound (int)
         self.memo: dict = {}
 
@@ -182,7 +193,7 @@ class _Search:
             found = [self.tree_hood(alive, root) for root in bits(alive)]
         else:
             g = self.g
-            found = [closed_neighborhood(g, _short_cycle(g, comp))
+            found = [closed_neighborhood(g, _short_cycle(g, comp)) & self.within
                      for comp in component_masks(g, alive)
                      if _edges_within(g, comp) >= comp.bit_count()]
         return sorted(dict.fromkeys(h for h in found if h), key=int.bit_count)
@@ -247,18 +258,21 @@ class _Search:
         return best
 
 
-def exact_iota(g: Graph, fam: FamilySpec, budget: Optional[int] = None) -> Optional[IsolationResult]:
-    """Minimum F-isolating set of g, exactly.
+def exact_iota(g: Graph, fam: FamilySpec, budget: Optional[int] = None,
+               within: Optional[int] = None) -> Optional[IsolationResult]:
+    """Minimum F-isolating set of g (or of g induced on ``within``), exactly.
 
     Components are solved independently and the optima added up.  When
     ``budget`` is given and every isolating set needs more than ``budget``
     vertices, returns None (a distinct "exceeds budget" outcome, not an
-    error), so sweeps can skip expensive graphs gracefully.
+    error), so sweeps can skip expensive graphs gracefully.  The witness is
+    a mask in g's labels, inside ``within``.
     """
-    search = _Search(g, fam)
+    host = g.vertex_mask if within is None else within
+    search = _Search(g, fam, host)
     value = 0
     mask = 0
-    for comp in component_masks(g):
+    for comp in component_masks(g, host):
         # taking every vertex always isolates
         cap = comp.bit_count() if budget is None else budget - value
         got = search.solve(comp, cap) if cap >= 0 else None

@@ -2,9 +2,10 @@
 
 Vertices are integers 0..n-1 and every vertex set is a Python int used as a
 bitmask, so set algebra is single machine-word arithmetic for the sizes this
-package cares about (n <= 64).  A graph is immutable: operations that "delete"
-vertices return a fresh graph together with a relabelling map, which keeps
-recursive decompositions auditable.
+package cares about (n <= 64).  A graph is immutable.  A piece of a graph is
+a vertex mask in the graph's own labels, and the functions that look at a
+piece take it as ``within``; ``induced_subgraph`` builds a relabelled copy
+only where a piece must become a graph of its own.
 
 Conventions used throughout the package:
 
@@ -162,31 +163,18 @@ def is_connected(g: Graph) -> bool:
     return len(component_masks(g)) <= 1
 
 
-def leaves(g: Graph) -> int:
-    """Bitmask of the degree-1 vertices."""
+def leaves(g: Graph, within: Optional[int] = None) -> int:
+    """Bitmask of the degree-1 vertices of ``g`` (or of g induced on ``within``)."""
+    todo = g.vertex_mask if within is None else within
     m = 0
-    for v in range(g.n):
-        if g.adj[v].bit_count() == 1:
+    for v in bits(todo):
+        if (g.adj[v] & todo).bit_count() == 1:
             m |= 1 << v
     return m
 
 
 def leaf_count(g: Graph) -> int:
     return leaves(g).bit_count()
-
-
-def max_degree_vertex(g: Graph) -> int:
-    """A vertex of maximum degree; ties broken by smallest index."""
-    best, best_deg = 0, -1
-    for v in range(g.n):
-        d = g.adj[v].bit_count()
-        if d > best_deg:
-            best, best_deg = v, d
-    return best
-
-
-def max_degree(g: Graph) -> int:
-    return max((m.bit_count() for m in g.adj), default=0)
 
 
 # ===== graph6 encoding =======================================================

@@ -7,7 +7,11 @@ together with a trace of the decision taken at each recursion step.
 
 The construction mirrors the inductive argument that proves the bounds:
 
-* graphs on at most 7 vertices are solved exactly (the bound is known to
+* every step works on a piece of the input graph, given as a vertex mask
+  in the input's own labels.  G below is the graph induced on the piece:
+  the step reads adjacency, degrees, leaves and potentials in G, and its
+  isolating set comes back in the input's labels;
+* pieces on at most 7 vertices are solved exactly (the bound is known to
   hold for them outright);
 * paths and cycles get the periodic pattern sets;
 * otherwise pick a maximum-degree vertex v and remove N[v].  A component
@@ -49,16 +53,11 @@ from .families import exact_iota, is_isolating
 from .graphs import (
     Graph,
     bits,
-    closed_neighborhood,
     component_masks,
     graph6_encode,
-    induced_subgraph,
     is_connected,
-    leaf_count,
     leaves,
     mask_of,
-    max_degree,
-    max_degree_vertex,
 )
 
 # pieces this small are solved exactly instead of recursively
@@ -85,11 +84,11 @@ class InternalConsistencyError(RuntimeError):
 
 @dataclass(frozen=True)
 class TraceEntry:
-    """One dispatch decision: which case fired, on a subgraph of n vertices."""
+    """One dispatch decision: which case fired, on a piece of n vertices."""
 
     case: str
     n: int
-    v: int  # the chosen max-degree vertex, or -1 for the caseless leaves
+    v: int  # the chosen max-degree vertex's rank in its piece, or -1 for the caseless leaves
     d_size: int
 
     def line(self) -> str:
@@ -112,10 +111,11 @@ class Certificate:
 
 @dataclass
 class InductionContext:
-    """The decomposition around the chosen max-degree vertex."""
+    """The decomposition of a piece around its chosen max-degree vertex."""
 
+    piece: int  # the vertex mask being solved
     v: int
-    nv: int  # N[v]
+    nbrs: int  # N(v) within the piece
     comps: list[int]  # components of G - N[v], as masks
     bad: dict[int, str]  # comp mask -> exception tag, as in ``bounds.bad_piece``
     links: dict[int, int]  # comp mask -> mask of neighbours of v it touches
@@ -160,7 +160,7 @@ def residual_set_for_bad(g: Graph, comp: int, tag: str, y_attach: int) -> int:
     classes, the vertex at cycle-distance 3 from the attachment point mops up
     the rest of the cycle.
     """
-    if tag in ("K13", "C6P", "C6PP") and leaves(g) >> y_attach & 1:
+    if tag in ("K13", "C6P", "C6PP") and (g.adj[y_attach] & comp).bit_count() == 1:
         raise ValueError("attachment vertex of a leafy bad component must not be its leaf")
     if tag in ("P3", "K3", "K13"):
         return 0
@@ -170,23 +170,23 @@ def residual_set_for_bad(g: Graph, comp: int, tag: str, y_attach: int) -> int:
 # ===== Shared machinery ======================================================
 
 
-def _build_context(g: Graph, v: int, theorem: str) -> InductionContext:
-    nv = closed_neighborhood(g, 1 << v)
-    comps = component_masks(g, g.vertex_mask & ~nv)
+def _build_context(g: Graph, piece: int, v: int, theorem: str) -> InductionContext:
+    nbrs = g.adj[v] & piece
+    comps = component_masks(g, piece & ~nbrs & ~(1 << v))
     links: dict[int, int] = {}
     bad: dict[int, str] = {}
     for comp in comps:
         lk = 0
-        for x in bits(g.adj[v]):
+        for x in bits(nbrs):
             if g.adj[x] & comp:
                 lk |= 1 << x
         if not lk:
-            raise InternalConsistencyError("component with no link to N(v) in a connected graph")
+            raise InternalConsistencyError("component with no link to N(v) in a connected piece")
         links[comp] = lk
-        tag = bad_piece(g, comp, theorem)
+        tag = bad_piece(g, comp, theorem, within=piece)
         if tag is not None:
             bad[comp] = tag
-    return InductionContext(v, nv, comps, bad, links)
+    return InductionContext(piece, v, nbrs, comps, bad, links)
 
 
 def _attach(g: Graph, x: int, comp: int) -> int:
@@ -214,43 +214,37 @@ class _Prover:
     def __init__(self, k: int):
         self.k = k
         self.rules = _RULES[k]
-        theorem = THEOREMS[self.rules.theorem]
-        self.fam = theorem.family
-        self.bound = theorem.bound
+        self.theorem = THEOREMS[self.rules.theorem]
+        self.fam = self.theorem.family
         self.trace: list[TraceEntry] = []
 
-    def finish(self, g: Graph, d: int, case: str, v: int) -> int:
+    def finish(self, g: Graph, piece: int, d: int, case: str, v: int) -> int:
         """Verify-then-return: every case leaf funnels through here."""
-        limit = self.bound(g)
-        if d & ~g.vertex_mask:
-            raise InternalConsistencyError(f"case {case}: set leaves the vertex range")
-        if not is_isolating(g, d, self.fam):
-            raise InternalConsistencyError(
-                f"case {case}: assembled set is not isolating on {graph6_encode(g)}"
-            )
-        if d.bit_count() > limit:
-            raise InternalConsistencyError(
-                f"case {case}: |d|={d.bit_count()} exceeds bound {limit} on {graph6_encode(g)}"
-            )
-        self.trace.append(TraceEntry(case, g.n, v, d.bit_count()))
-        return d
+        limit = self.theorem.potential(g, piece, within=piece) // self.theorem.denominator
+        if d & ~piece:
+            problem = "set leaves the piece"
+        elif not is_isolating(g, d, self.fam, within=piece):
+            problem = "assembled set is not isolating"
+        elif d.bit_count() > limit:
+            problem = f"|d|={d.bit_count()} exceeds bound {limit}"
+        else:
+            # n and v as on the piece relabelled 0..n-1 in vertex order
+            rank = -1 if v < 0 else (piece & ((1 << v) - 1)).bit_count()
+            self.trace.append(TraceEntry(case, piece.bit_count(), rank, d.bit_count()))
+            return d
+        raise InternalConsistencyError(
+            f"case {case}: {problem} on piece {piece:#x} of {graph6_encode(g)}")
 
-    def solve_piece(self, g: Graph, mask: int) -> int:
-        """Isolating mask (host labels) for an induced piece.
+    def solve_piece(self, g: Graph, piece: int) -> int:
+        """Isolating mask for a connected piece of g.
 
         Small pieces are solved exactly — this is also what keeps the
         exceptional graphs out of the recursion, since they all have at most
         7 vertices.  Larger pieces recurse through the full dispatch.
         """
-        h, old = induced_subgraph(g, mask)
-        if h.n <= _SMALL_EXACT:
-            local = exact_iota(h, self.fam).witness
-        else:
-            local = _dispatch(self, h)
-        out = 0
-        for i in bits(local):
-            out |= 1 << old[i]
-        return out
+        if piece.bit_count() <= _SMALL_EXACT:
+            return exact_iota(g, self.fam, within=piece).witness
+        return _dispatch(self, g, piece)
 
     def solve_comps(self, g: Graph, masks) -> int:
         out = 0
@@ -268,14 +262,15 @@ class _Prover:
         home: int,
         leftover_ok: int = 0,
     ) -> tuple[int, int, list[int]]:
-        """Split G - removed into the home component and re-solved strays.
+        """Split the piece minus ``removed`` into the home component and
+        re-solved strays.
 
         Returns (home component mask, solution mask for the full stray
         components, list of leftover comp masks inside ``leftover_ok``).
         Stray components must be components of G - N[v] that lost their only
         anchors; anything else is an accounting bug.
         """
-        comps = component_masks(g, g.vertex_mask & ~removed)
+        comps = component_masks(g, ctx.piece & ~removed)
         home_mask = 0
         strays = 0
         leftovers: list[int] = []
@@ -294,12 +289,12 @@ class _Prover:
         return home_mask, strays, leftovers
 
 
-def _walk_order(g: Graph, start: int) -> list[int]:
-    """Vertices of a path or cycle in traversal order from ``start``."""
+def _walk_order(g: Graph, piece: int, start: int) -> list[int]:
+    """Vertices of a path or cycle piece in traversal order from ``start``."""
     order = [start]
     seen = 1 << start
     while True:
-        nxt = g.adj[order[-1]] & ~seen
+        nxt = g.adj[order[-1]] & piece & ~seen
         if not nxt:
             return order
         u = (nxt & -nxt).bit_length() - 1
@@ -307,20 +302,16 @@ def _walk_order(g: Graph, start: int) -> list[int]:
         seen |= 1 << u
 
 
-def _pattern_case(prover: _Prover, g: Graph) -> int:
-    """Max degree 2: lay the periodic pattern along the walk order."""
-    if leaf_count(g) > 0 or g.n <= 2:
-        start = (leaves(g) & -leaves(g)).bit_length() - 1 if leaf_count(g) else 0
-        kind, case = "path", "path-pattern"
-    else:
-        start = 0
-        kind, case = "cycle", "cycle-pattern"
-    order = _walk_order(g, start)
-    local = pattern_isolating_set(kind, g.n, prover.k)
-    d = 0
-    for i in bits(local):
-        d |= 1 << order[i]
-    return prover.finish(g, d, case, -1)
+def _pattern_case(prover: _Prover, g: Graph, piece: int) -> int:
+    """Max degree 2: lay the periodic pattern along the walk order, from the
+    lowest end of a path or the lowest vertex of a cycle."""
+    ends = leaves(g, piece)
+    kind = "path" if ends else "cycle"
+    first = ends or piece
+    order = _walk_order(g, piece, (first & -first).bit_length() - 1)
+    local = pattern_isolating_set(kind, piece.bit_count(), prover.k)
+    d = mask_of(order[i] for i in bits(local))
+    return prover.finish(g, piece, d, f"{kind}-pattern", -1)
 
 
 def _case_shared_anchor(prover: _Prover, g: Graph, ctx: InductionContext, x: int) -> int:
@@ -335,7 +326,7 @@ def _case_shared_anchor(prover: _Prover, g: Graph, ctx: InductionContext, x: int
         d |= 1 << xc
         d |= residual_set_for_bad(g, c, ctx.bad[c], _attach(g, xc, c))
     d |= prover.solve_comps(g, (c for c in ctx.comps if c not in ctx.bad))
-    return prover.finish(g, d, "shared-anchor", ctx.v)
+    return prover.finish(g, ctx.piece, d, "shared-anchor", ctx.v)
 
 
 def _case_wide_frontier(prover: _Prover, g: Graph, ctx: InductionContext, anchors: dict) -> int:
@@ -347,13 +338,13 @@ def _case_wide_frontier(prover: _Prover, g: Graph, ctx: InductionContext, anchor
         d |= residual_set_for_bad(g, c, ctx.bad[c], _attach(g, xc, c))
     d |= prover.solve_comps(g, (c for c in ctx.comps if c not in ctx.bad))
     if prover.k == 2:
-        w_mask = g.adj[ctx.v] & ~mask_of(anchors.values())
-        if w_mask.bit_count() == 3 and w_mask & leaves(g) == w_mask:
+        w_mask = ctx.nbrs & ~mask_of(anchors.values())
+        if w_mask.bit_count() == 3 and w_mask & leaves(g, ctx.piece) == w_mask:
             # all three non-anchors are leaves: v is already dominated by
             # the anchors and its removal still leaves an isolating set
             d &= ~(1 << ctx.v)
             case = "wide-frontier-all-leaves"
-    return prover.finish(g, d, case, ctx.v)
+    return prover.finish(g, ctx.piece, d, case, ctx.v)
 
 
 def _case_lone_anchor(prover: _Prover, g: Graph, ctx: InductionContext, comp: int) -> int:
@@ -363,9 +354,8 @@ def _case_lone_anchor(prover: _Prover, g: Graph, ctx: InductionContext, comp: in
     removed = (1 << x1) | comp
     home, strays, _ = prover.carve(g, ctx, removed, ctx.v)
     d = (1 << x1) | residual_set_for_bad(g, comp, ctx.bad[comp], y1) | strays
-    h, _ = induced_subgraph(g, home)
     case = "lone-anchor"
-    tag = classify_exception(h, prover.rules.theorem)
+    tag = bad_piece(g, home, prover.rules.theorem, within=home)
     if tag in ("P3", "K3", "K13"):
         # the remainder is already dominated through x1's neighbourhood
         case = "lone-anchor-small-rescue"
@@ -376,17 +366,17 @@ def _case_lone_anchor(prover: _Prover, g: Graph, ctx: InductionContext, comp: in
         case = "lone-anchor-cycle-rescue"
     else:
         d |= prover.solve_piece(g, home)
-    return prover.finish(g, d, case, ctx.v)
+    return prover.finish(g, ctx.piece, d, case, ctx.v)
 
 
 def _case_single(prover: _Prover, g: Graph, ctx: InductionContext, comp: int) -> int:
     """The one bad component reaches two anchors x1, x1'; w is v's third neighbour."""
-    if g.degree(ctx.v) != 3:
+    if ctx.nbrs.bit_count() != 3:
         raise InternalConsistencyError("a lone doubly-linked bad component forces degree 3")
     x1 = _anchor(ctx.links[comp])
     x1p = _second_anchor(ctx.links[comp], x1)
-    w = _anchor(g.adj[ctx.v] & ~(1 << x1) & ~(1 << x1p))
-    y_top = ctx.nv | comp  # N[v] plus the bad component
+    w = _anchor(ctx.nbrs & ~(1 << x1) & ~(1 << x1p))
+    y_top = (1 << ctx.v) | ctx.nbrs | comp  # N[v] plus the bad component
     tag = ctx.bad[comp]
     if tag in ("C6", "C7"):
         length = 7 if tag == "C7" else 6
@@ -394,14 +384,15 @@ def _case_single(prover: _Prover, g: Graph, ctx: InductionContext, comp: int) ->
     return prover.rules.single(prover, g, ctx, comp, x1, x1p, w, y_top)
 
 
-def _carve_anchor(g: Graph, y_top: int, x1: int, x1p: int, w: int) -> tuple[int, int]:
+def _carve_anchor(g: Graph, ctx: InductionContext, y_top: int, x1: int, x1p: int,
+                  w: int) -> tuple[int, int]:
     """The anchor to carve with: its partner (or w) must reach outside Y.
 
     Carving removes one anchor; the surviving neighbourhood of v must keep
     an escape edge into the rest of the graph, so carve the anchor whose
     absence leaves one.
     """
-    outside = g.vertex_mask & ~y_top
+    outside = ctx.piece & ~y_top
     if (g.adj[x1p] | g.adj[w]) & outside:
         return x1, x1p
     return x1p, x1
@@ -421,8 +412,8 @@ def _single_cycle(
         cyc = _cycle_through(g, comp, y1, length)
         return y1, cyc, (1 << anchor) | (1 << cyc[0]) | (1 << cyc[1]) | (1 << cyc[-1])
 
-    if y_top == g.vertex_mask:
-        # G is N[v] plus the cycle: a 2-element set built around x1
+    if y_top == ctx.piece:
+        # the piece is N[v] plus the cycle: a 2-element set built around x1
         y1, cyc, y_carve = around(x1)
         imask = y_top & ~y_carve
         if len(component_masks(g, imask)) != 1:
@@ -431,8 +422,7 @@ def _single_cycle(
                 if g.adj[y] & ((1 << x1p) | (1 << w)):
                     d = (1 << y1) | (1 << y)
                     break
-        elif classify_exception(induced_subgraph(g, imask)[0],
-                                prover.rules.theorem) != f"C{length}":
+        elif bad_piece(g, imask, prover.rules.theorem, within=imask) != f"C{length}":
             d = (1 << y1) | prover.solve_piece(g, imask)
         elif length == 6:
             d = (1 << x1) | (1 << cyc[3])
@@ -442,20 +432,20 @@ def _single_cycle(
             if not g.adj[x1p] >> cyc[2] & 1:
                 cyc = [cyc[0]] + cyc[1:][::-1]
             d = (1 << cyc[2]) | (1 << cyc[5])
-        return prover.finish(g, d, f"{case}-whole", v)
+        return prover.finish(g, ctx.piece, d, f"{case}-whole", v)
 
-    c, cp = _carve_anchor(g, y_top, x1, x1p, w)
+    c, cp = _carve_anchor(g, ctx, y_top, x1, x1p, w)
     y1, _, y_carve = around(c)
     if len(component_masks(g, y_top & ~y_carve)) == 1:
         home, strays, _ = prover.carve(g, ctx, y_carve, v)
         d = (1 << y1) | strays | prover.solve_piece(g, home)
-        return prover.finish(g, d, f"{case}-carve", v)
+        return prover.finish(g, ctx.piece, d, f"{case}-carve", v)
     # the middle of the cycle is attached to nothing but its anchors: keep
     # v and w, carve everything else around the component
     removed = y_top & ~((1 << v) | (1 << w))
     home, strays, _ = prover.carve(g, ctx, removed, v)
     d = (1 << y1) | (1 << _attach(g, cp, comp)) | strays | prover.solve_piece(g, home)
-    return prover.finish(g, d, f"{case}-split", v)
+    return prover.finish(g, ctx.piece, d, f"{case}-split", v)
 
 
 # ===== E_2-only cases ========================================================
@@ -483,7 +473,7 @@ def _k2_pair_carve(prover: _Prover, g: Graph, ctx: InductionContext, comp: int, 
     d = (1 << y1) | residual_set_for_bad(g, comp, ctx.bad[comp], y1)
     home, strays, _ = prover.carve(g, ctx, (1 << x1) | comp, ctx.v)
     d |= strays | prover.solve_piece(g, home)
-    return prover.finish(g, d, case, ctx.v)
+    return prover.finish(g, ctx.piece, d, case, ctx.v)
 
 
 def _k2_pair(prover: _Prover, g: Graph, ctx: InductionContext, badlist: list[int]) -> int:
@@ -501,7 +491,7 @@ def _k2_pair(prover: _Prover, g: Graph, ctx: InductionContext, badlist: list[int
         hp = h1 if tags[0] == "P3" else h2
         hc = h2 if hp is h1 else h1
         _, e1, e2 = _p3_parts(g, hp)
-        lg = leaves(g)
+        lg = leaves(g, ctx.piece)
         n_leaf = (lg >> e1 & 1) + (lg >> e2 & 1)
         if n_leaf == 2:
             # both path ends are true leaves: the anchor attaches at the
@@ -512,23 +502,23 @@ def _k2_pair(prover: _Prover, g: Graph, ctx: InductionContext, badlist: list[int
             d = (1 << ctx.v) | (1 << _anchor(ctx.links[hp])) | (1 << xc)
             d |= residual_set_for_bad(g, hc, "C6", _attach(g, xc, hc))
             d |= prover.solve_comps(g, (c for c in ctx.comps if c not in ctx.bad))
-            return prover.finish(g, d, "pair-p3-unleafed", ctx.v)
+            return prover.finish(g, ctx.piece, d, "pair-p3-unleafed", ctx.v)
         # exactly one end is a true leaf: shed the component through the
         # linked end and recurse on the remainder
         yi = e1 if not lg >> e1 & 1 else e2
-        x = _anchor(g.adj[yi] & g.adj[ctx.v])
+        x = _anchor(g.adj[yi] & ctx.nbrs)
         home, strays, _ = prover.carve(g, ctx, (1 << x) | hp, ctx.v)
         d = (1 << yi) | strays | prover.solve_piece(g, home)
-        return prover.finish(g, d, "pair-p3-halfleaf", ctx.v)
+        return prover.finish(g, ctx.piece, d, "pair-p3-halfleaf", ctx.v)
     # two 3-paths
     mid1, e11, e12 = _p3_parts(g, h1)
     mid2, e21, e22 = _p3_parts(g, h2)
-    lg = leaves(g)
+    lg = leaves(g, ctx.piece)
     h = sum(lg >> e & 1 for e in (e11, e12, e21, e22))
     if h <= 2:
         d = (1 << ctx.v) | (1 << mid1) | (1 << mid2)
         d |= prover.solve_comps(g, (c for c in ctx.comps if c not in ctx.bad))
-        return prover.finish(g, d, "pair-p3p3-dominate", ctx.v)
+        return prover.finish(g, ctx.piece, d, "pair-p3p3-dominate", ctx.v)
     # three or more true leaf-ends: shed a leaf end of the less leafy path
     if (lg >> e11 & 1) + (lg >> e12 & 1) == 2 and (lg >> e21 & 1) + (lg >> e22 & 1) < 2:
         h1, h2 = h2, h1
@@ -537,7 +527,7 @@ def _k2_pair(prover: _Prover, g: Graph, ctx: InductionContext, badlist: list[int
     d = 1 << _attach(g, x1, h1)
     home, strays, _ = prover.carve(g, ctx, (1 << x1) | h1, ctx.v)
     d |= strays | prover.solve_piece(g, home)
-    return prover.finish(g, d, "pair-p3p3-shedleaf", ctx.v)
+    return prover.finish(g, ctx.piece, d, "pair-p3p3-shedleaf", ctx.v)
 
 
 def _k2_single(
@@ -551,17 +541,17 @@ def _k2_single(
         y1 = _attach(g, x1, comp)
         d = (1 << v) | (1 << y1) | residual_set_for_bad(g, comp, tag, y1)
         d |= prover.solve_comps(g, (c for c in ctx.comps if c not in ctx.bad))
-        return prover.finish(g, d, "single-attached", v)
+        return prover.finish(g, ctx.piece, d, "single-attached", v)
 
     mid, e1, e2 = _centre_parts(g, comp, tag)
-    lg = leaves(g)
+    lg = leaves(g, ctx.piece)
 
     if lg & y_top == 0:
         d = (1 << v) | (1 << mid)
         d |= prover.solve_comps(g, (c for c in ctx.comps if c not in ctx.bad))
-        return prover.finish(g, d, "single-small-dominate", v)
+        return prover.finish(g, ctx.piece, d, "single-small-dominate", v)
 
-    c, cp = _carve_anchor(g, y_top, x1, x1p, w)
+    c, cp = _carve_anchor(g, ctx, y_top, x1, x1p, w)
 
     if lg >> w & 1:
         # w is a true leaf: carve v, the anchor, its attachment, and w; the
@@ -570,7 +560,7 @@ def _k2_single(
         removed = (1 << v) | (1 << c) | (1 << y1) | (1 << w)
         home, strays, _ = prover.carve(g, ctx, removed, cp, leftover_ok=comp)
         d = (1 << c) | strays | prover.solve_piece(g, home)
-        return prover.finish(g, d, "single-small-wleaf", v)
+        return prover.finish(g, ctx.piece, d, "single-small-wleaf", v)
 
     # some end of the 3-path is a true leaf (triangles cannot reach here)
     if tag != "P3" or not (lg >> e1 & 1 or lg >> e2 & 1):
@@ -579,10 +569,10 @@ def _k2_single(
     if ystar != _attach(g, cp, comp):
         home, strays, _ = prover.carve(g, ctx, (1 << c) | comp, v)
         d = (1 << ystar) | strays | prover.solve_piece(g, home)
-        return prover.finish(g, d, "single-small-splitattach", v)
+        return prover.finish(g, ctx.piece, d, "single-small-splitattach", v)
     home, strays, _ = prover.carve(g, ctx, (1 << c) | (1 << cp) | comp, v)
     d = (1 << ystar) | strays | prover.solve_piece(g, home)
-    return prover.finish(g, d, "single-small-sharedattach", v)
+    return prover.finish(g, ctx.piece, d, "single-small-sharedattach", v)
 
 
 # ===== E_3-only cases ========================================================
@@ -592,7 +582,7 @@ def _k3_pair(prover: _Prover, g: Graph, ctx: InductionContext, badlist: list[int
     h1 = badlist[0]
     x1 = _anchor(ctx.links[h1])
     y1 = _attach(g, x1, h1)
-    removed = closed_neighborhood(g, 1 << y1) & ((1 << x1) | h1)
+    removed = (g.adj[y1] | 1 << y1) & ((1 << x1) | h1)
     home, strays, leftovers = prover.carve(g, ctx, removed, ctx.v, leftover_ok=h1)
     d = 1 << y1
     if leftovers:
@@ -600,7 +590,7 @@ def _k3_pair(prover: _Prover, g: Graph, ctx: InductionContext, badlist: list[int
         # cycle-distance 3 from the attachment finishes off
         d |= residual_set_for_bad(g, h1, ctx.bad[h1], y1)
     d |= strays | prover.solve_piece(g, home)
-    return prover.finish(g, d, "pair-carve", ctx.v)
+    return prover.finish(g, ctx.piece, d, "pair-carve", ctx.v)
 
 
 def _k3_single(
@@ -609,16 +599,16 @@ def _k3_single(
 ) -> int:
     """The lone bad component is a triangle."""
     v = ctx.v
-    c, cp = _carve_anchor(g, y_top, x1, x1p, w)
+    c, cp = _carve_anchor(g, ctx, y_top, x1, x1p, w)
     y1 = _attach(g, c, comp)
     home, strays, _ = prover.carve(g, ctx, (1 << c) | comp, v)
-    if classify_exception(induced_subgraph(g, home)[0], prover.rules.theorem) == "C7":
+    if bad_piece(g, home, prover.rules.theorem, within=home) == "C7":
         # the remainder closed into a 7-cycle: v with the other anchor
         # breaks it and reaches the triangle through that anchor's link
         d = (1 << v) | (1 << cp) | strays
-        return prover.finish(g, d, "single-k3-cyclepatch", v)
+        return prover.finish(g, ctx.piece, d, "single-k3-cyclepatch", v)
     d = (1 << y1) | strays | prover.solve_piece(g, home)
-    return prover.finish(g, d, "single-k3-carve", v)
+    return prover.finish(g, ctx.piece, d, "single-k3-carve", v)
 
 
 # ===== The dispatcher ========================================================
@@ -639,27 +629,30 @@ _RULES = {
 }
 
 
-def _dispatch(prover: _Prover, g: Graph) -> int:
-    if g.n <= _SMALL_EXACT:
-        return prover.finish(g, exact_iota(g, prover.fam).witness, "exact-base", -1)
-    if max_degree(g) <= 2:
-        return _pattern_case(prover, g)
-    v = max_degree_vertex(g)
-    if closed_neighborhood(g, 1 << v) == g.vertex_mask:
-        return prover.finish(g, 1 << v, "dominated", v)
-    ctx = _build_context(g, v, prover.rules.theorem)
+def _dispatch(prover: _Prover, g: Graph, piece: int) -> int:
+    if piece.bit_count() <= _SMALL_EXACT:
+        d = exact_iota(g, prover.fam, within=piece).witness
+        return prover.finish(g, piece, d, "exact-base", -1)
+    # a vertex of maximum degree in the piece, the lowest on ties
+    v = max(bits(piece), key=lambda u: (g.adj[u] & piece).bit_count())
+    nbrs = g.adj[v] & piece
+    if nbrs.bit_count() <= 2:
+        return _pattern_case(prover, g, piece)
+    if (nbrs | 1 << v) == piece:
+        return prover.finish(g, piece, 1 << v, "dominated", v)
+    ctx = _build_context(g, piece, v, prover.rules.theorem)
 
     if not ctx.bad:
         d = (1 << v) | prover.solve_comps(g, ctx.comps)
-        return prover.finish(g, d, "no-bad", v)
+        return prover.finish(g, piece, d, "no-bad", v)
 
-    for x in bits(g.adj[v]):
+    for x in bits(ctx.nbrs):
         if sum(1 for c in ctx.bad if ctx.links[c] >> x & 1) >= 2:
             return _case_shared_anchor(prover, g, ctx, x)
 
     # every neighbour of v anchors at most one bad component
     anchors = {c: _anchor(ctx.links[c]) for c in ctx.comps if c in ctx.bad}
-    if (g.adj[v] & ~mask_of(anchors.values())).bit_count() >= 3:
+    if (ctx.nbrs & ~mask_of(anchors.values())).bit_count() >= 3:
         return _case_wide_frontier(prover, g, ctx, anchors)
 
     for c in ctx.comps:
@@ -685,8 +678,8 @@ def _certify(g: Graph, k: int) -> Certificate:
     tag = classify_exception(g, prover.rules.theorem)
     if tag is not None:
         raise NotCovered(f"the E_{k} bound does not hold for the exception graph {tag}", tag)
-    d = _dispatch(prover, g)
-    return Certificate(d, prover.bound(g), tuple(prover.trace))
+    d = _dispatch(prover, g, g.vertex_mask)
+    return Certificate(d, prover.theorem.bound(g), tuple(prover.trace))
 
 
 def isolate_k2(g: Graph) -> Certificate:

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from isolation_lab.bounds import THEOREMS, bad_piece, classify_exception
 from isolation_lab.families import (
     CYCLES,
     FamilySpec,
@@ -20,8 +21,11 @@ from isolation_lab.graphs import (
     bits,
     closed_neighborhood,
     complete_graph,
+    component_masks,
     cycle_graph,
     graph6_decode,
+    induced_subgraph,
+    leaves,
     mask_of,
     named_graph,
     path_graph,
@@ -177,3 +181,72 @@ def test_exact_iota_matches_checker_on_large_sparse_graphs():
             assert got.value == checker.iota_e2(adj), (n, p, adj)
             assert got.witness.bit_count() == got.value
             assert is_isolating(g, got.witness, E2)
+
+
+# ===== pieces of a host graph ================================================
+#
+# The prover works on pieces of one graph, passed as ``within``.  On a piece,
+# the solver, the membership test, the leaf mask and the bad-piece test must
+# answer exactly as on the piece relabelled into a graph of its own.
+
+
+def _host_pieces(rng: random.Random, g: Graph) -> list[int]:
+    """Connected pieces of g: the components of G - N[v] for a few v, and
+    pieces grown from random roots to random sizes."""
+    out = []
+    for v in rng.sample(range(g.n), 3):
+        out += component_masks(g, g.vertex_mask & ~closed_neighborhood(g, 1 << v))
+    for _ in range(6):
+        piece, size = 1 << rng.randrange(g.n), rng.randint(2, 14)
+        while piece.bit_count() < size:
+            frontier = closed_neighborhood(g, piece) & ~piece
+            if not frontier:
+                break
+            piece |= 1 << rng.choice(list(bits(frontier)))
+        out.append(piece)
+    return out
+
+
+def _check_piece(rng: random.Random, g: Graph, piece: int, tags: set) -> None:
+    h, old = induced_subgraph(g, piece)
+
+    def host(local: int) -> int:
+        return mask_of(old[i] for i in bits(local))
+
+    assert leaves(g, piece) == host(leaves(h))
+    for fam in (E1, E2, E3, CYCLES):
+        got, ref = exact_iota(g, fam, within=piece), exact_iota(h, fam)
+        assert (got.value, got.witness) == (ref.value, host(ref.witness))
+        for local in (ref.witness, rng.getrandbits(h.n)):
+            assert is_isolating(g, host(local), fam, within=piece) == \
+                is_isolating(h, local, fam)
+    for theorem in THEOREMS:
+        assert bad_piece(g, piece, theorem, within=piece) == classify_exception(h, theorem)
+        # the pieces the prover classifies: components of the piece minus
+        # N[u], whose potential counts the leaves of the piece
+        u = old[rng.randrange(h.n)]
+        rest = piece & ~closed_neighborhood(g, 1 << u)
+        for comp in component_masks(g, rest):
+            tag = bad_piece(g, comp, theorem, within=piece)
+            assert tag == bad_piece(h, mask_of(old.index(w) for w in bits(comp)), theorem)
+            tags.add(tag)
+
+
+def test_within_matches_the_induced_subgraph():
+    rng = random.Random(2027)
+    tags: set = set()
+    # a P8 whose every vertex touches a hub outside it: a search that let the
+    # hub into its neighbourhoods would isolate the piece with the hub alone
+    hub = Graph(9, [(i, i + 1) for i in range(7)] + [(i, 8) for i in range(8)])
+    _check_piece(rng, hub, mask_of(range(8)), tags)
+    for fam in (E1, E2, E3):
+        got = exact_iota(hub, fam, within=mask_of(range(8)))
+        assert not got.witness >> 8 & 1
+        assert got.value == exact_iota(path_graph(8), fam).value > 0
+    for _ in range(12):
+        n = rng.randrange(16, 41)
+        g = Graph.from_adj(n, graphgen.random_connected(rng, n, rng.choice((0.0, 0.05, 0.1))))
+        for piece in _host_pieces(rng, g):
+            _check_piece(rng, g, piece, tags)
+    # the bad-piece comparison met some exceptions, not only good pieces
+    assert {"K2", "P3", "K13"} <= tags

@@ -22,8 +22,6 @@ from isolation_lab.graphs import (
     leaf_count,
     leaves,
     mask_of,
-    max_degree,
-    max_degree_vertex,
     named_graph,
     path_graph,
     star_graph,
@@ -100,11 +98,10 @@ def test_leaves_and_degrees():
     g = star_graph(3)
     assert leaves(g) == mask_of([1, 2, 3])
     assert leaf_count(g) == 3
-    assert max_degree(g) == 3
-    assert max_degree_vertex(g) == 0
-    # ties break toward the smallest index
-    assert max_degree_vertex(cycle_graph(4)) == 0
+    assert g.degree(0) == 3 and g.degree(1) == 1
     assert leaf_count(cycle_graph(5)) == 0
+    # leaves of a piece count only the neighbours inside it
+    assert leaves(cycle_graph(5), mask_of([0, 1, 2])) == mask_of([0, 2])
 
 
 def test_builders():

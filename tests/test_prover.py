@@ -9,8 +9,13 @@ bound, so any change to the dispatch order or the tie-breaking shows up here.
 
 from __future__ import annotations
 
+import os
+import sys
+from collections import Counter
+
 import pytest
 
+from isolation_lab import bounds, graphs
 from isolation_lab.bounds import THEOREMS, bad_piece, theorem_bound
 from isolation_lab.families import edge_family, exact_iota, is_isolating
 from isolation_lab.graphs import Graph, graph6_decode, named_graph
@@ -22,6 +27,10 @@ from isolation_lab.prover import (
     isolate_k3,
     residual_set_for_bad,
 )
+
+# the benchmark's seeded generator imports nothing from the package
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
+import graphgen  # noqa: E402
 
 E2, E3 = edge_family(2), edge_family(3)
 
@@ -187,6 +196,63 @@ def test_sweep_witness(k, case, g6, d_size, bound):
     assert is_isolating(g, cert.d, E2 if k == 2 else E3)
 
 
+def test_success_path_builds_no_induced_subgraph(monkeypatch):
+    # the prover works on pieces of the input in its own labels; the only
+    # relabelled copies are the pieces whose canonical form bad_piece needs
+    original, canonical = graphs.induced_subgraph, bounds.canonical_form
+    built = []  # (calling function, the copy) per call
+    formed = {}  # id -> graph given to bad_piece's canonical_form, kept alive
+
+    def counting(g, keep):
+        out = original(g, keep)
+        built.append((sys._getframe(1).f_code.co_name, out[0]))
+        return out
+
+    def forming(g):
+        formed[id(g)] = g
+        return canonical(g)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "isolation_lab" and \
+                getattr(module, "induced_subgraph", None) is original:
+            monkeypatch.setattr(module, "induced_subgraph", counting)
+    monkeypatch.setattr(bounds, "canonical_form", forming)
+    for k, _, _, _, n, edges in CASE_FIXTURES:
+        _prove(k, Graph(n, edges))
+    for k, _, g6, _, _ in SWEEP_WITNESSES:
+        _prove(k, graph6_decode(g6))
+    assert built
+    for caller, h in built:
+        assert caller == "bad_piece" and formed.get(id(h)) is h
+
+
+# certify-stream seed 1 chunk 0 of the benchmark: per (k, case), the trace
+# entries that the 2,000 graphs produce under isolate_k2 and isolate_k3
+STREAM_CASES = {
+    (2, "cycle-pattern"): 1, (2, "lone-anchor"): 524,
+    (2, "lone-anchor-cycle-rescue"): 1, (2, "lone-anchor-small-rescue"): 33,
+    (2, "no-bad"): 6238, (2, "path-pattern"): 95, (2, "shared-anchor"): 49,
+    (2, "single-small-dominate"): 14, (2, "single-small-sharedattach"): 3,
+    (2, "single-small-splitattach"): 10, (2, "single-small-wleaf"): 7,
+    (2, "wide-frontier"): 813, (2, "wide-frontier-all-leaves"): 14,
+    (3, "cycle-pattern"): 1, (3, "lone-anchor"): 6, (3, "no-bad"): 7516,
+    (3, "path-pattern"): 74, (3, "wide-frontier"): 22,
+}
+
+
+def test_certify_stream_counts_hold():
+    entries: Counter = Counter()
+    cert_sizes = 0
+    for adj in graphgen.certify_stream(1, 0):
+        g = Graph.from_adj(len(adj), adj)
+        for k in (2, 3):
+            cert = _prove(k, g)
+            cert_sizes += cert.d.bit_count()
+            entries.update((k, e.case) for e in cert.trace)
+    assert sum(entries.values()) == 15421 and cert_sizes == 22250
+    assert dict(entries) == STREAM_CASES
+
+
 def test_exact_base_below_eight():
     cert = isolate_k2(graph6_decode("@"))
     assert cert.trace[-1].case == "exact-base" and cert.d == 0
@@ -334,3 +400,18 @@ def test_residual_sets():
     with pytest.raises(ValueError):
         residual_set_for_bad(k13, k13.vertex_mask, "K13", 1)  # leaf attach
     assert residual_set_for_bad(k13, k13.vertex_mask, "K13", 0) == 0
+
+
+def test_residual_set_refuses_a_leaf_of_the_component():
+    # a star or pendant 6-cycle inside a larger graph, attached at its own
+    # leaf: that leaf has a neighbour outside, so it is no leaf of G, but it
+    # is still a leaf of the component
+    star = Graph(5, [(0, 1), (0, 2), (0, 3), (1, 4)])
+    with pytest.raises(ValueError, match="leaf"):
+        residual_set_for_bad(star, 0b1111, "K13", 1)
+    assert residual_set_for_bad(star, 0b1111, "K13", 0) == 0
+    c6p = named_graph("C6P")
+    g = Graph(8, list(c6p.edges()) + [(6, 7)])
+    with pytest.raises(ValueError, match="leaf"):
+        residual_set_for_bad(g, c6p.vertex_mask, "C6P", 6)
+    assert residual_set_for_bad(g, c6p.vertex_mask, "C6P", 0) == 1 << 3
