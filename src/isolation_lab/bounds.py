@@ -107,7 +107,7 @@ def bad_piece(g: Graph, piece: int, theorem: str, within: Optional[int] = None) 
         sum((g.adj[u] & piece).bit_count() for u in bits(piece)) // 2)
     if not candidates:
         return None
-    h = g if piece == g.vertex_mask else induced_subgraph(g, piece)[0]
+    h = g if piece == g.vertex_mask else induced_subgraph(g, piece)
     hit = candidates.get(canonical_form(h))
     if hit is None:
         return None

@@ -175,7 +175,8 @@ def iter_source(
 
 
 class _Writers:
-    """Optional JSON-lines and CSV side outputs for per-row reports."""
+    """Optional JSON-lines and CSV side outputs for per-row reports, closed
+    when the ``with`` block that holds them ends."""
 
     def __init__(self, json_path: Optional[str], csv_path: Optional[str],
                  fields: tuple[str, ...] = ROW_FIELDS):
@@ -197,7 +198,10 @@ class _Writers:
         if self._csv is not None:
             self._csv.writerow(row)
 
-    def close(self) -> None:
+    def __enter__(self) -> "_Writers":
+        return self
+
+    def __exit__(self, *exc) -> None:
         if self._json is not None:
             self._json.close()
         if self._csv_file is not None:
@@ -301,8 +305,7 @@ def cmd_sweep(args) -> int:
             for g in iter_source(args.source, args.n_min, args.n_max,
                                  args.strict_parse, imap=imap)
         ]
-        writers = _Writers(args.json, args.csv)
-        try:
+        with _Writers(args.json, args.csv) as writers:
             for row, problems in imap(_sweep_one, tasks):
                 writers.write(row)
                 checked += 1
@@ -322,8 +325,6 @@ def cmd_sweep(args) -> int:
                     all_problems.extend(problems)
                     for message in problems:
                         print(f"VIOLATION {message}")
-        finally:
-            writers.close()
     elapsed = time.monotonic() - start
     print(f"sweep {label} (bound {theorem}) n={args.n_min}..{args.n_max} "
           f"source={args.source} jobs={jobs}")
@@ -357,8 +358,7 @@ def cmd_ckn(args) -> int:
         )
     k = fam.k
     jobs = _resolve_jobs(args.jobs)
-    writers = _Writers(args.json, args.csv, fields=("k", "n", "c", "witness"))
-    try:
+    with _Writers(args.json, args.csv, fields=("k", "n", "c", "witness")) as writers:
         with _ordered_map(jobs) as imap:
             # one pass over the source, so each skipped line is reported once
             levels: dict[int, list[tuple[Graph, int]]] = {}
@@ -377,8 +377,6 @@ def cmd_ckn(args) -> int:
                        "witness": graph6_encode(witness)}
                 writers.write(row)
                 print(f"c_{{{k},{n}}} = {row['c']:<6} witness {row['witness']}")
-    finally:
-        writers.close()
     return 0
 
 
@@ -416,10 +414,9 @@ def cmd_extremal(args) -> int:
             f"no extremal family rows for {label!r} (choose e1, e2, e3, "
             f"or cycles)"
         )
-    writers = _Writers(args.json, args.csv,
-                       fields=("construction", "n", "expected", "iota", "equal"))
     failures = 0
-    try:
+    with _Writers(args.json, args.csv,
+                  fields=("construction", "n", "expected", "iota", "equal")) as writers:
         for name, n, g, expected in _extremal_rows(theorem, args.n_min,
                                                    args.n_max):
             # A cap at the expected value decides equality exactly: the solver
@@ -436,8 +433,6 @@ def cmd_extremal(args) -> int:
             print(f"{name:<16} n={n:<3} iota = {shown} expected {expected}  {verdict}")
             if not equal:
                 failures += 1
-    finally:
-        writers.close()
     if failures:
         print(f"{failures} equality rows failed")
         return 1
@@ -496,9 +491,7 @@ def _vertex_list(mask: int) -> str:
 
 def cmd_solve(args) -> int:
     label, fam, theorem = parse_family(args.family)
-    writers = _Writers(args.json, args.csv,
-                       fields=ROW_FIELDS[:7] + ("witness",))
-    try:
+    with _Writers(args.json, args.csv, fields=ROW_FIELDS[:7] + ("witness",)) as writers:
         for g in _input_graphs(args):
             # the bounds, and so their exceptions, cover connected graphs only
             if theorem is not None and is_connected(g):
@@ -518,8 +511,6 @@ def cmd_solve(args) -> int:
             shown_bound = "-" if row["bound"] is None else row["bound"]
             print(f"{row['graph6']}: iota_{label} = {row['iota']}  bound "
                   f"{shown_bound}{note}  witness {_vertex_list(witness)}")
-    finally:
-        writers.close()
     return 0
 
 
@@ -529,10 +520,8 @@ def cmd_solve(args) -> int:
 def cmd_certify(args) -> int:
     k = args.k
     prove = isolate_k2 if k == 2 else isolate_k3
-    writers = _Writers(args.json, args.csv,
-                       fields=ROW_FIELDS + ("certificate",))
     refused = 0
-    try:
+    with _Writers(args.json, args.csv, fields=ROW_FIELDS + ("certificate",)) as writers:
         for g in _input_graphs(args):
             try:
                 cert = prove(g)
@@ -554,8 +543,6 @@ def cmd_certify(args) -> int:
             print("trace:")
             for entry in cert.trace:
                 print(f"  {entry.line()}")
-    finally:
-        writers.close()
     return 1 if refused else 0
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import Union
 
-from .graphs import Graph, named_graph, path_graph
+from .graphs import Graph, mask_of, named_graph, path_graph
 
 
 def spine_count(n: int, k: int) -> int:
@@ -108,16 +108,16 @@ def build_B_prime_7r_C6(r: int) -> Graph:
 
 # ===== Pattern isolating sets for paths and cycles ===========================
 
-# On 0-based labels (vertex i here is vertex i+1 of the 1-based formulas):
-#   paths,  E_2: every 4th vertex            {4i - 1 : 1 <= i <= n/4}
-#   cycles, E_2: every 5th vertex from 0     {5(i-1) : 1 <= i <= (n+4)/5}
-#   paths,  E_3: every 5th vertex            {5i - 1 : 1 <= i <= n/5}
-#   cycles, E_3: every 6th vertex from 0     {6(i-1) : 1 <= i <= (n+5)/6}
+# On 0-based labels (vertex i here is vertex i+1 of the 1-based formulas),
+# with period k + 2 on paths and k + 3 on cycles:
+#   paths:  every (k+2)-th vertex, ending each period   {(k+2)i - 1 : i >= 1}
+#   cycles: every (k+3)-th vertex from 0                {(k+3)i : i >= 0}
 #
 # Every set returned below is isolating for each n the function accepts.  The
 # E_3 path period places no vertex for n < 5; that is right for n <= 3, where
 # P_n has at most 2 edges, but P_4 has 3, so there one vertex is placed
-# (any single vertex of P_4 leaves at most one edge).
+# (any single vertex of P_4 leaves at most one edge).  The E_2 patterns need
+# n >= 4: below that the period places no vertex on P_3, which is in E_2.
 
 
 def pattern_isolating_set(kind: str, n: int, k: int) -> int:
@@ -130,31 +130,13 @@ def pattern_isolating_set(kind: str, n: int, k: int) -> int:
     if k not in (2, 3):
         raise ValueError("patterns exist for k = 2 and k = 3 only")
     if kind == "path":
-        if k == 2:
-            if n < 4:
-                raise ValueError("the E_2 path pattern needs n >= 4")
-            step, count = 4, n // 4
-        else:
-            if n < 1:
-                raise ValueError("need at least one vertex")
-            step, count = 5, n // 5
-            if count == 0 and n >= 4:
-                return 1 << 1
-        mask = 0
-        for i in range(1, count + 1):
-            mask |= 1 << (step * i - 1)
-        return mask
-    if kind == "cycle":
-        if k == 2:
-            if n < 4:
-                raise ValueError("the E_2 cycle pattern needs n >= 4")
-            step, count = 5, (n + 4) // 5
-        else:
-            if n < 3:
-                raise ValueError("cycles need at least 3 vertices")
-            step, count = 6, (n + 5) // 6
-        mask = 0
-        for i in range(count):
-            mask |= 1 << (step * i)
-        return mask
-    raise ValueError(f"unknown pattern kind {kind!r}")
+        least, step, first = (4 if k == 2 else 1), k + 2, k + 1
+    elif kind == "cycle":
+        least, step, first = (4 if k == 2 else 3), k + 3, 0
+    else:
+        raise ValueError(f"unknown pattern kind {kind!r}")
+    if n < least:
+        raise ValueError(f"the E_{k} {kind} pattern needs n >= {least}")
+    if kind == "path" and k == 3 and n == 4:
+        return 1 << 1
+    return mask_of(range(first, n, step))

@@ -121,11 +121,11 @@ def closed_neighborhood(g: Graph, xs: int) -> int:
     return m
 
 
-def induced_subgraph(g: Graph, keep: int) -> tuple[Graph, tuple[int, ...]]:
-    """Induced subgraph on the bitmask ``keep``.
+def induced_subgraph(g: Graph, keep: int) -> Graph:
+    """Induced subgraph on the bitmask ``keep``, relabelled in vertex order.
 
-    Returns ``(h, old_labels)`` where ``old_labels[i]`` is the vertex of ``g``
-    that became vertex ``i`` of ``h``.  The map is order-preserving.
+    Vertex ``i`` of the result is the ``i``-th lowest vertex of ``keep``, so
+    ``tuple(bits(keep))`` maps the new labels back to those of ``g``.
     """
     old = tuple(bits(keep))
     index = {v: i for i, v in enumerate(old)}
@@ -133,7 +133,7 @@ def induced_subgraph(g: Graph, keep: int) -> tuple[Graph, tuple[int, ...]]:
     for i, v in enumerate(old):
         for w in bits(g.adj[v] & keep):
             adj[i] |= 1 << index[w]
-    return Graph.from_adj(len(old), tuple(adj)), old
+    return Graph.from_adj(len(old), tuple(adj))
 
 
 def component_masks(g: Graph, within: Optional[int] = None) -> list[int]:

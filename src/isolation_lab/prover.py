@@ -36,10 +36,13 @@ The construction mirrors the inductive argument that proves the bounds:
     their vertices are leaves of G picks a carve (or a small dominating
     set) that pays for itself.
 
-Every case ends by *verifying* that the assembled set actually isolates and
-actually fits the bound; a failure raises InternalConsistencyError, because
-the argument guarantees success — any failure is an implementation bug, not
-a property of the input graph.
+Each proof step only names its case, the vertices it takes itself, and the
+connected pieces it recurses on (each charged its own potential).  The
+dispatcher alone solves those pieces in order, adds their sets to the
+step's own, and *verifies* that the assembled set actually isolates the
+piece and actually fits the bound; a failure raises
+InternalConsistencyError, because the argument guarantees success — any
+failure is an implementation bug, not a property of the input graph.
 """
 
 from __future__ import annotations
@@ -116,8 +119,9 @@ class InductionContext:
     piece: int  # the vertex mask being solved
     v: int
     nbrs: int  # N(v) within the piece
-    comps: list[int]  # components of G - N[v], as masks
-    bad: dict[int, str]  # comp mask -> exception tag, as in ``bounds.bad_piece``
+    # the components of G - N[v] as masks, both in component order
+    good: list[int]  # those that are not bad
+    bad: dict[int, str]  # bad comp mask -> exception tag, as in ``bounds.bad_piece``
     links: dict[int, int]  # comp mask -> mask of neighbours of v it touches
 
 
@@ -172,10 +176,10 @@ def residual_set_for_bad(g: Graph, comp: int, tag: str, y_attach: int) -> int:
 
 def _build_context(g: Graph, piece: int, v: int, theorem: str) -> InductionContext:
     nbrs = g.adj[v] & piece
-    comps = component_masks(g, piece & ~nbrs & ~(1 << v))
+    good: list[int] = []
     links: dict[int, int] = {}
     bad: dict[int, str] = {}
-    for comp in comps:
+    for comp in component_masks(g, piece & ~nbrs & ~(1 << v)):
         lk = 0
         for x in bits(nbrs):
             if g.adj[x] & comp:
@@ -184,9 +188,11 @@ def _build_context(g: Graph, piece: int, v: int, theorem: str) -> InductionConte
             raise InternalConsistencyError("component with no link to N(v) in a connected piece")
         links[comp] = lk
         tag = bad_piece(g, comp, theorem, within=piece)
-        if tag is not None:
+        if tag is None:
+            good.append(comp)
+        else:
             bad[comp] = tag
-    return InductionContext(piece, v, nbrs, comps, bad, links)
+    return InductionContext(piece, v, nbrs, good, bad, links)
 
 
 def _attach(g: Graph, x: int, comp: int) -> int:
@@ -219,7 +225,7 @@ class _Prover:
         self.trace: list[TraceEntry] = []
 
     def finish(self, g: Graph, piece: int, d: int, case: str, v: int) -> int:
-        """Verify-then-return: every case leaf funnels through here."""
+        """Verify-then-return, once per proof step, from ``_dispatch``."""
         limit = self.theorem.potential(g, piece, within=piece) // self.theorem.denominator
         if d & ~piece:
             problem = "set leaves the piece"
@@ -246,47 +252,36 @@ class _Prover:
             return exact_iota(g, self.fam, within=piece).witness
         return _dispatch(self, g, piece)
 
-    def solve_comps(self, g: Graph, masks) -> int:
-        out = 0
-        for m in masks:
-            out |= self.solve_piece(g, m)
-        return out
 
-    # --- carve bookkeeping ---------------------------------------------
+# A proof step: (case name, the vertices it takes itself, the connected
+# pieces it recurses on, in solve order).
+_Step = tuple[str, int, list[int]]
 
-    def carve(
-        self,
-        g: Graph,
-        ctx: InductionContext,
-        removed: int,
-        home: int,
-        leftover_ok: int = 0,
-    ) -> tuple[int, int, list[int]]:
-        """Split the piece minus ``removed`` into the home component and
-        re-solved strays.
 
-        Returns (home component mask, solution mask for the full stray
-        components, list of leftover comp masks inside ``leftover_ok``).
-        Stray components must be components of G - N[v] that lost their only
-        anchors; anything else is an accounting bug.
-        """
-        comps = component_masks(g, ctx.piece & ~removed)
-        home_mask = 0
-        strays = 0
-        leftovers: list[int] = []
-        good = [c for c in ctx.comps if c not in ctx.bad]
-        for c in comps:
-            if c >> home & 1:
-                home_mask = c
-            elif c & leftover_ok and not c & ~leftover_ok:
-                leftovers.append(c)
-            elif c in good:
-                strays |= self.solve_piece(g, c)
-            else:
-                raise InternalConsistencyError("unexpected stray component after a carve")
-        if not home_mask:
-            raise InternalConsistencyError("the carve removed the home vertex")
-        return home_mask, strays, leftovers
+def _carve(g: Graph, ctx: InductionContext, removed: int, home: int,
+           leftover_ok: int = 0) -> tuple[list[int], list[int]]:
+    """Split the piece minus ``removed`` into pieces to recurse on.
+
+    Returns (the stray components in component order followed by the home
+    component, the leftover components inside ``leftover_ok``).  Stray
+    components must be components of G - N[v] that lost their only anchors;
+    anything else is an accounting bug.
+    """
+    home_mask = 0
+    strays: list[int] = []
+    leftovers: list[int] = []
+    for c in component_masks(g, ctx.piece & ~removed):
+        if c >> home & 1:
+            home_mask = c
+        elif c & leftover_ok and not c & ~leftover_ok:
+            leftovers.append(c)
+        elif c in ctx.good:
+            strays.append(c)
+        else:
+            raise InternalConsistencyError("unexpected stray component after a carve")
+    if not home_mask:
+        raise InternalConsistencyError("the carve removed the home vertex")
+    return strays + [home_mask], leftovers
 
 
 def _walk_order(g: Graph, piece: int, start: int) -> list[int]:
@@ -302,7 +297,7 @@ def _walk_order(g: Graph, piece: int, start: int) -> list[int]:
         seen |= 1 << u
 
 
-def _pattern_case(prover: _Prover, g: Graph, piece: int) -> int:
+def _pattern_case(prover: _Prover, g: Graph, piece: int) -> _Step:
     """Max degree 2: lay the periodic pattern along the walk order, from the
     lowest end of a path or the lowest vertex of a cycle."""
     ends = leaves(g, piece)
@@ -310,66 +305,51 @@ def _pattern_case(prover: _Prover, g: Graph, piece: int) -> int:
     first = ends or piece
     order = _walk_order(g, piece, (first & -first).bit_length() - 1)
     local = pattern_isolating_set(kind, piece.bit_count(), prover.k)
-    d = mask_of(order[i] for i in bits(local))
-    return prover.finish(g, piece, d, f"{kind}-pattern", -1)
+    return f"{kind}-pattern", mask_of(order[i] for i in bits(local)), []
 
 
-def _case_shared_anchor(prover: _Prover, g: Graph, ctx: InductionContext, x: int) -> int:
+def _case_shared_anchor(g: Graph, ctx: InductionContext, x: int) -> _Step:
     """Two or more bad components hang off the same anchor x."""
-    hx = [c for c in ctx.comps if c in ctx.bad and ctx.links[c] >> x & 1]
-    rest = [c for c in ctx.comps if c in ctx.bad and not ctx.links[c] >> x & 1]
     d = (1 << ctx.v) | (1 << x)
-    for c in hx:
-        d |= residual_set_for_bad(g, c, ctx.bad[c], _attach(g, x, c))
-    for c in rest:
-        xc = _anchor(ctx.links[c])
-        d |= 1 << xc
-        d |= residual_set_for_bad(g, c, ctx.bad[c], _attach(g, xc, c))
-    d |= prover.solve_comps(g, (c for c in ctx.comps if c not in ctx.bad))
-    return prover.finish(g, ctx.piece, d, "shared-anchor", ctx.v)
+    for c, tag in ctx.bad.items():
+        xc = x if ctx.links[c] >> x & 1 else _anchor(ctx.links[c])
+        d |= (1 << xc) | residual_set_for_bad(g, c, tag, _attach(g, xc, c))
+    return "shared-anchor", d, ctx.good
 
 
-def _case_wide_frontier(prover: _Prover, g: Graph, ctx: InductionContext, anchors: dict) -> int:
+def _case_wide_frontier(prover: _Prover, g: Graph, ctx: InductionContext, anchors: dict) -> _Step:
     """|W| >= 3 non-anchor neighbours: v plus anchors plus residuals fit."""
     d = 1 << ctx.v
-    case = "wide-frontier"
     for c, xc in anchors.items():
-        d |= 1 << xc
-        d |= residual_set_for_bad(g, c, ctx.bad[c], _attach(g, xc, c))
-    d |= prover.solve_comps(g, (c for c in ctx.comps if c not in ctx.bad))
+        d |= (1 << xc) | residual_set_for_bad(g, c, ctx.bad[c], _attach(g, xc, c))
     if prover.k == 2:
         w_mask = ctx.nbrs & ~mask_of(anchors.values())
         if w_mask.bit_count() == 3 and w_mask & leaves(g, ctx.piece) == w_mask:
             # all three non-anchors are leaves: v is already dominated by
             # the anchors and its removal still leaves an isolating set
-            d &= ~(1 << ctx.v)
-            case = "wide-frontier-all-leaves"
-    return prover.finish(g, ctx.piece, d, case, ctx.v)
+            return "wide-frontier-all-leaves", d & ~(1 << ctx.v), ctx.good
+    return "wide-frontier", d, ctx.good
 
 
-def _case_lone_anchor(prover: _Prover, g: Graph, ctx: InductionContext, comp: int) -> int:
+def _case_lone_anchor(prover: _Prover, g: Graph, ctx: InductionContext, comp: int) -> _Step:
     """A bad component linked to a single anchor: carve both out, recurse."""
     x1 = _anchor(ctx.links[comp])
-    y1 = _attach(g, x1, comp)
-    removed = (1 << x1) | comp
-    home, strays, _ = prover.carve(g, ctx, removed, ctx.v)
-    d = (1 << x1) | residual_set_for_bad(g, comp, ctx.bad[comp], y1) | strays
-    case = "lone-anchor"
+    d = (1 << x1) | residual_set_for_bad(g, comp, ctx.bad[comp], _attach(g, x1, comp))
+    pieces, _ = _carve(g, ctx, (1 << x1) | comp, ctx.v)
+    home = pieces[-1]
     tag = bad_piece(g, home, prover.rules.theorem, within=home)
     if tag in ("P3", "K3", "K13"):
         # the remainder is already dominated through x1's neighbourhood
-        case = "lone-anchor-small-rescue"
-    elif tag in ("C6", "C6P", "C6PP", "C7"):
+        return "lone-anchor-small-rescue", d, pieces[:-1]
+    if tag in ("C6", "C6P", "C6PP", "C7"):
         # the remainder is a near-cycle through v: v is covered via x1, and
         # the vertex at cycle-distance 3 finishes the job
         d |= _far_vertex(g, home, ctx.v, 7 if tag == "C7" else 6)
-        case = "lone-anchor-cycle-rescue"
-    else:
-        d |= prover.solve_piece(g, home)
-    return prover.finish(g, ctx.piece, d, case, ctx.v)
+        return "lone-anchor-cycle-rescue", d, pieces[:-1]
+    return "lone-anchor", d, pieces
 
 
-def _case_single(prover: _Prover, g: Graph, ctx: InductionContext, comp: int) -> int:
+def _case_single(prover: _Prover, g: Graph, ctx: InductionContext, comp: int) -> _Step:
     """The one bad component reaches two anchors x1, x1'; w is v's third neighbour."""
     if ctx.nbrs.bit_count() != 3:
         raise InternalConsistencyError("a lone doubly-linked bad component forces degree 3")
@@ -401,7 +381,7 @@ def _carve_anchor(g: Graph, ctx: InductionContext, y_top: int, x1: int, x1p: int
 def _single_cycle(
     prover: _Prover, g: Graph, ctx: InductionContext,
     comp: int, x1: int, x1p: int, w: int, y_top: int, length: int,
-) -> int:
+) -> _Step:
     """The lone bad component is a C_length: a 6-cycle for E_2, a 7-cycle for E_3."""
     v = ctx.v
     case = f"single-c{length}"
@@ -423,7 +403,7 @@ def _single_cycle(
                     d = (1 << y1) | (1 << y)
                     break
         elif bad_piece(g, imask, prover.rules.theorem, within=imask) != f"C{length}":
-            d = (1 << y1) | prover.solve_piece(g, imask)
+            return f"{case}-whole", 1 << y1, [imask]
         elif length == 6:
             d = (1 << x1) | (1 << cyc[3])
         else:
@@ -432,20 +412,17 @@ def _single_cycle(
             if not g.adj[x1p] >> cyc[2] & 1:
                 cyc = [cyc[0]] + cyc[1:][::-1]
             d = (1 << cyc[2]) | (1 << cyc[5])
-        return prover.finish(g, ctx.piece, d, f"{case}-whole", v)
+        return f"{case}-whole", d, []
 
     c, cp = _carve_anchor(g, ctx, y_top, x1, x1p, w)
     y1, _, y_carve = around(c)
     if len(component_masks(g, y_top & ~y_carve)) == 1:
-        home, strays, _ = prover.carve(g, ctx, y_carve, v)
-        d = (1 << y1) | strays | prover.solve_piece(g, home)
-        return prover.finish(g, ctx.piece, d, f"{case}-carve", v)
+        pieces, _ = _carve(g, ctx, y_carve, v)
+        return f"{case}-carve", 1 << y1, pieces
     # the middle of the cycle is attached to nothing but its anchors: keep
     # v and w, carve everything else around the component
-    removed = y_top & ~((1 << v) | (1 << w))
-    home, strays, _ = prover.carve(g, ctx, removed, v)
-    d = (1 << y1) | (1 << _attach(g, cp, comp)) | strays | prover.solve_piece(g, home)
-    return prover.finish(g, ctx.piece, d, f"{case}-split", v)
+    pieces, _ = _carve(g, ctx, y_top & ~((1 << v) | (1 << w)), v)
+    return f"{case}-split", (1 << y1) | (1 << _attach(g, cp, comp)), pieces
 
 
 # ===== E_2-only cases ========================================================
@@ -466,27 +443,26 @@ def _centre_parts(g: Graph, comp: int, tag: str) -> tuple[int, int, int]:
     return _p3_parts(g, comp)
 
 
-def _k2_pair_carve(prover: _Prover, g: Graph, ctx: InductionContext, comp: int, case: str) -> int:
+def _k2_pair_carve(g: Graph, ctx: InductionContext, comp: int) -> _Step:
     """Carve one bad component with its anchor; the rest stays connected."""
     x1 = _anchor(ctx.links[comp])
     y1 = _attach(g, x1, comp)
     d = (1 << y1) | residual_set_for_bad(g, comp, ctx.bad[comp], y1)
-    home, strays, _ = prover.carve(g, ctx, (1 << x1) | comp, ctx.v)
-    d |= strays | prover.solve_piece(g, home)
-    return prover.finish(g, ctx.piece, d, case, ctx.v)
+    pieces, _ = _carve(g, ctx, (1 << x1) | comp, ctx.v)
+    return "pair-carve", d, pieces
 
 
-def _k2_pair(prover: _Prover, g: Graph, ctx: InductionContext, badlist: list[int]) -> int:
-    h1, h2 = badlist
+def _k2_pair(g: Graph, ctx: InductionContext) -> _Step:
+    h1, h2 = ctx.bad
     tags = (ctx.bad[h1], ctx.bad[h2])
     carveable = ("K3", "K13", "C6P", "C6PP")
     if tags[0] in carveable:
-        return _k2_pair_carve(prover, g, ctx, h1, "pair-carve")
+        return _k2_pair_carve(g, ctx, h1)
     if tags[1] in carveable:
-        return _k2_pair_carve(prover, g, ctx, h2, "pair-carve")
+        return _k2_pair_carve(g, ctx, h2)
     # both components are 3-paths or 6-cycles now
     if tags == ("C6", "C6"):
-        return _k2_pair_carve(prover, g, ctx, h1, "pair-carve")
+        return _k2_pair_carve(g, ctx, h1)
     if "C6" in tags:
         hp = h1 if tags[0] == "P3" else h2
         hc = h2 if hp is h1 else h1
@@ -496,119 +472,102 @@ def _k2_pair(prover: _Prover, g: Graph, ctx: InductionContext, badlist: list[int
         if n_leaf == 2:
             # both path ends are true leaves: the anchor attaches at the
             # midpoint and the component carves exactly like a 6-cycle
-            return _k2_pair_carve(prover, g, ctx, hp, "pair-carve")
+            return _k2_pair_carve(g, ctx, hp)
         if n_leaf == 0:
             xc = _anchor(ctx.links[hc])
             d = (1 << ctx.v) | (1 << _anchor(ctx.links[hp])) | (1 << xc)
             d |= residual_set_for_bad(g, hc, "C6", _attach(g, xc, hc))
-            d |= prover.solve_comps(g, (c for c in ctx.comps if c not in ctx.bad))
-            return prover.finish(g, ctx.piece, d, "pair-p3-unleafed", ctx.v)
+            return "pair-p3-unleafed", d, ctx.good
         # exactly one end is a true leaf: shed the component through the
         # linked end and recurse on the remainder
         yi = e1 if not lg >> e1 & 1 else e2
         x = _anchor(g.adj[yi] & ctx.nbrs)
-        home, strays, _ = prover.carve(g, ctx, (1 << x) | hp, ctx.v)
-        d = (1 << yi) | strays | prover.solve_piece(g, home)
-        return prover.finish(g, ctx.piece, d, "pair-p3-halfleaf", ctx.v)
+        pieces, _ = _carve(g, ctx, (1 << x) | hp, ctx.v)
+        return "pair-p3-halfleaf", 1 << yi, pieces
     # two 3-paths
     mid1, e11, e12 = _p3_parts(g, h1)
     mid2, e21, e22 = _p3_parts(g, h2)
     lg = leaves(g, ctx.piece)
     h = sum(lg >> e & 1 for e in (e11, e12, e21, e22))
     if h <= 2:
-        d = (1 << ctx.v) | (1 << mid1) | (1 << mid2)
-        d |= prover.solve_comps(g, (c for c in ctx.comps if c not in ctx.bad))
-        return prover.finish(g, ctx.piece, d, "pair-p3p3-dominate", ctx.v)
+        return "pair-p3p3-dominate", (1 << ctx.v) | (1 << mid1) | (1 << mid2), ctx.good
     # three or more true leaf-ends: shed a leaf end of the less leafy path
     if (lg >> e11 & 1) + (lg >> e12 & 1) == 2 and (lg >> e21 & 1) + (lg >> e22 & 1) < 2:
-        h1, h2 = h2, h1
-        mid1, e11, e12 = mid2, e21, e22
+        h1 = h2
     x1 = _anchor(ctx.links[h1])
-    d = 1 << _attach(g, x1, h1)
-    home, strays, _ = prover.carve(g, ctx, (1 << x1) | h1, ctx.v)
-    d |= strays | prover.solve_piece(g, home)
-    return prover.finish(g, ctx.piece, d, "pair-p3p3-shedleaf", ctx.v)
+    pieces, _ = _carve(g, ctx, (1 << x1) | h1, ctx.v)
+    return "pair-p3p3-shedleaf", 1 << _attach(g, x1, h1), pieces
 
 
 def _k2_single(
     prover: _Prover, g: Graph, ctx: InductionContext,
     comp: int, x1: int, x1p: int, w: int, y_top: int,
-) -> int:
+) -> _Step:
     """The lone bad component is a star, a pendant 6-cycle, or 3 vertices."""
     v = ctx.v
     tag = ctx.bad[comp]
     if tag in ("K13", "C6P", "C6PP"):
         y1 = _attach(g, x1, comp)
         d = (1 << v) | (1 << y1) | residual_set_for_bad(g, comp, tag, y1)
-        d |= prover.solve_comps(g, (c for c in ctx.comps if c not in ctx.bad))
-        return prover.finish(g, ctx.piece, d, "single-attached", v)
+        return "single-attached", d, ctx.good
 
     mid, e1, e2 = _centre_parts(g, comp, tag)
     lg = leaves(g, ctx.piece)
 
     if lg & y_top == 0:
-        d = (1 << v) | (1 << mid)
-        d |= prover.solve_comps(g, (c for c in ctx.comps if c not in ctx.bad))
-        return prover.finish(g, ctx.piece, d, "single-small-dominate", v)
+        return "single-small-dominate", (1 << v) | (1 << mid), ctx.good
 
     c, cp = _carve_anchor(g, ctx, y_top, x1, x1p, w)
 
     if lg >> w & 1:
         # w is a true leaf: carve v, the anchor, its attachment, and w; the
         # other anchor keeps the remainder connected to the outside
-        y1 = _attach(g, c, comp)
-        removed = (1 << v) | (1 << c) | (1 << y1) | (1 << w)
-        home, strays, _ = prover.carve(g, ctx, removed, cp, leftover_ok=comp)
-        d = (1 << c) | strays | prover.solve_piece(g, home)
-        return prover.finish(g, ctx.piece, d, "single-small-wleaf", v)
+        removed = (1 << v) | (1 << c) | (1 << _attach(g, c, comp)) | (1 << w)
+        pieces, _ = _carve(g, ctx, removed, cp, leftover_ok=comp)
+        return "single-small-wleaf", 1 << c, pieces
 
     # some end of the 3-path is a true leaf (triangles cannot reach here)
     if tag != "P3" or not (lg >> e1 & 1 or lg >> e2 & 1):
         raise InternalConsistencyError("leafy single-component case without a leafy path end")
     ystar = _attach(g, c, comp)
     if ystar != _attach(g, cp, comp):
-        home, strays, _ = prover.carve(g, ctx, (1 << c) | comp, v)
-        d = (1 << ystar) | strays | prover.solve_piece(g, home)
-        return prover.finish(g, ctx.piece, d, "single-small-splitattach", v)
-    home, strays, _ = prover.carve(g, ctx, (1 << c) | (1 << cp) | comp, v)
-    d = (1 << ystar) | strays | prover.solve_piece(g, home)
-    return prover.finish(g, ctx.piece, d, "single-small-sharedattach", v)
+        pieces, _ = _carve(g, ctx, (1 << c) | comp, v)
+        return "single-small-splitattach", 1 << ystar, pieces
+    pieces, _ = _carve(g, ctx, (1 << c) | (1 << cp) | comp, v)
+    return "single-small-sharedattach", 1 << ystar, pieces
 
 
 # ===== E_3-only cases ========================================================
 
 
-def _k3_pair(prover: _Prover, g: Graph, ctx: InductionContext, badlist: list[int]) -> int:
-    h1 = badlist[0]
+def _k3_pair(g: Graph, ctx: InductionContext) -> _Step:
+    h1 = next(iter(ctx.bad))
     x1 = _anchor(ctx.links[h1])
     y1 = _attach(g, x1, h1)
     removed = (g.adj[y1] | 1 << y1) & ((1 << x1) | h1)
-    home, strays, leftovers = prover.carve(g, ctx, removed, ctx.v, leftover_ok=h1)
+    pieces, leftovers = _carve(g, ctx, removed, ctx.v, leftover_ok=h1)
     d = 1 << y1
     if leftovers:
         # only a 7-cycle leaves anything behind: a 4-path that the vertex at
         # cycle-distance 3 from the attachment finishes off
         d |= residual_set_for_bad(g, h1, ctx.bad[h1], y1)
-    d |= strays | prover.solve_piece(g, home)
-    return prover.finish(g, ctx.piece, d, "pair-carve", ctx.v)
+    return "pair-carve", d, pieces
 
 
 def _k3_single(
     prover: _Prover, g: Graph, ctx: InductionContext,
     comp: int, x1: int, x1p: int, w: int, y_top: int,
-) -> int:
+) -> _Step:
     """The lone bad component is a triangle."""
     v = ctx.v
     c, cp = _carve_anchor(g, ctx, y_top, x1, x1p, w)
-    y1 = _attach(g, c, comp)
-    home, strays, _ = prover.carve(g, ctx, (1 << c) | comp, v)
+    pieces, _ = _carve(g, ctx, (1 << c) | comp, v)
+    home = pieces[-1]
     if bad_piece(g, home, prover.rules.theorem, within=home) == "C7":
         # the remainder closed into a 7-cycle: v with the other anchor
         # breaks it and reaches the triangle through that anchor's link
-        d = (1 << v) | (1 << cp) | strays
-        return prover.finish(g, ctx.piece, d, "single-k3-cyclepatch", v)
-    d = (1 << y1) | strays | prover.solve_piece(g, home)
-    return prover.finish(g, ctx.piece, d, "single-k3-carve", v)
+        return "single-k3-cyclepatch", (1 << v) | (1 << cp), pieces[:-1]
+    return "single-k3-carve", 1 << _attach(g, c, comp), pieces
 
 
 # ===== The dispatcher ========================================================
@@ -628,44 +587,54 @@ _RULES = {
     3: _Rules("k3", _k3_pair, _k3_single),
 }
 
+# steps that split no piece around its pivot: their trace entries carry v=-1
+_PIVOTLESS = ("exact-base", "path-pattern", "cycle-pattern")
 
-def _dispatch(prover: _Prover, g: Graph, piece: int) -> int:
+
+def _step(prover: _Prover, g: Graph, piece: int, v: int) -> _Step:
+    """The proof step for a connected piece with pivot v."""
     if piece.bit_count() <= _SMALL_EXACT:
-        d = exact_iota(g, prover.fam, within=piece).witness
-        return prover.finish(g, piece, d, "exact-base", -1)
-    # a vertex of maximum degree in the piece, the lowest on ties
-    v = max(bits(piece), key=lambda u: (g.adj[u] & piece).bit_count())
+        return "exact-base", exact_iota(g, prover.fam, within=piece).witness, []
     nbrs = g.adj[v] & piece
     if nbrs.bit_count() <= 2:
         return _pattern_case(prover, g, piece)
     if (nbrs | 1 << v) == piece:
-        return prover.finish(g, piece, 1 << v, "dominated", v)
+        return "dominated", 1 << v, []
     ctx = _build_context(g, piece, v, prover.rules.theorem)
 
     if not ctx.bad:
-        d = (1 << v) | prover.solve_comps(g, ctx.comps)
-        return prover.finish(g, piece, d, "no-bad", v)
+        return "no-bad", 1 << v, ctx.good
 
     for x in bits(ctx.nbrs):
         if sum(1 for c in ctx.bad if ctx.links[c] >> x & 1) >= 2:
-            return _case_shared_anchor(prover, g, ctx, x)
+            return _case_shared_anchor(g, ctx, x)
 
     # every neighbour of v anchors at most one bad component
-    anchors = {c: _anchor(ctx.links[c]) for c in ctx.comps if c in ctx.bad}
+    anchors = {c: _anchor(ctx.links[c]) for c in ctx.bad}
     if (ctx.nbrs & ~mask_of(anchors.values())).bit_count() >= 3:
         return _case_wide_frontier(prover, g, ctx, anchors)
 
-    for c in ctx.comps:
-        if c in ctx.bad and ctx.links[c] == 1 << anchors[c]:
+    for c in ctx.bad:
+        if ctx.links[c] == 1 << anchors[c]:
             return _case_lone_anchor(prover, g, ctx, c)
 
     # two-anchor cases: every bad component reaches a second neighbour of v
-    badlist = [c for c in ctx.comps if c in ctx.bad]
-    if len(badlist) == 2:
-        return prover.rules.pair(prover, g, ctx, badlist)
-    if len(badlist) == 1:
-        return _case_single(prover, g, ctx, badlist[0])
+    if len(ctx.bad) == 2:
+        return prover.rules.pair(g, ctx)
+    if len(ctx.bad) == 1:
+        return _case_single(prover, g, ctx, next(iter(ctx.bad)))
     raise InternalConsistencyError("more than two doubly-linked bad components survived")
+
+
+def _dispatch(prover: _Prover, g: Graph, piece: int) -> int:
+    """Take one proof step on a connected piece, solve the pieces it recurses
+    on in order, and verify the assembled set."""
+    # a vertex of maximum degree in the piece, the lowest on ties
+    v = max(bits(piece), key=lambda u: (g.adj[u] & piece).bit_count())
+    case, d, pieces = _step(prover, g, piece, v)
+    for child in pieces:
+        d |= prover.solve_piece(g, child)
+    return prover.finish(g, piece, d, case, -1 if case in _PIVOTLESS else v)
 
 
 # ===== Public entry points ===================================================

@@ -367,7 +367,7 @@ def test_criterion_8a_deletion_inequality():
             if nx >> v & 1 and rng.random() < 0.5:
                 y |= 1 << v
         lhs = exact_iota(g, fam).value
-        rest, _ = induced_subgraph(g, g.vertex_mask & ~y)
+        rest = induced_subgraph(g, g.vertex_mask & ~y)
         rhs = x.bit_count() + exact_iota(rest, fam).value
         assert lhs <= rhs, (graph6_encode(g), x, y, lhs, rhs)
         checked += 1
@@ -419,7 +419,7 @@ def test_criterion_8c_potential_partition_and_subgraph():
             u, v = next(g.edges())
             comps = [(1 << u) | (1 << v)]
         piece = max(comps, key=int.bit_count)
-        h, _ = induced_subgraph(g, piece)
+        h = induced_subgraph(g, piece)
         assert _beta14(h, h.vertex_mask) <= _beta14(g, piece), (graph6_encode(g), piece)
     record_result("8c", True,
                   "potential partition additivity and subgraph inequality "

@@ -208,7 +208,7 @@ def _host_pieces(rng: random.Random, g: Graph) -> list[int]:
 
 
 def _check_piece(rng: random.Random, g: Graph, piece: int, tags: set) -> None:
-    h, old = induced_subgraph(g, piece)
+    h, old = induced_subgraph(g, piece), tuple(bits(piece))
 
     def host(local: int) -> int:
         return mask_of(old[i] for i in bits(local))

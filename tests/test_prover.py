@@ -9,16 +9,17 @@ bound, so any change to the dispatch order or the tie-breaking shows up here.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import sys
 from collections import Counter
 
 import pytest
 
-from isolation_lab import bounds, graphs
+from isolation_lab import bounds, graphs, prover
 from isolation_lab.bounds import THEOREMS, bad_piece, theorem_bound
 from isolation_lab.families import edge_family, exact_iota, is_isolating
-from isolation_lab.graphs import Graph, graph6_decode, named_graph
+from isolation_lab.graphs import Graph, bits, graph6_decode, named_graph
 from isolation_lab.prover import (
     Certificate,
     InternalConsistencyError,
@@ -205,7 +206,7 @@ def test_success_path_builds_no_induced_subgraph(monkeypatch):
 
     def counting(g, keep):
         out = original(g, keep)
-        built.append((sys._getframe(1).f_code.co_name, out[0]))
+        built.append((sys._getframe(1).f_code.co_name, out))
         return out
 
     def forming(g):
@@ -240,17 +241,26 @@ STREAM_CASES = {
 }
 
 
+# sha256 over every certificate of that chunk, k2 then k3 per graph: its
+# sorted vertex list and its trace lines, one per line
+STREAM_SHA256 = "e6f9d327f11f68f60425491df71f9759f28b6316bfcadf4628bdbe0c09db3b16"
+
+
 def test_certify_stream_counts_hold():
     entries: Counter = Counter()
     cert_sizes = 0
+    digest = hashlib.sha256()
     for adj in graphgen.certify_stream(1, 0):
         g = Graph.from_adj(len(adj), adj)
         for k in (2, 3):
             cert = _prove(k, g)
             cert_sizes += cert.d.bit_count()
             entries.update((k, e.case) for e in cert.trace)
+            lines = [str(sorted(bits(cert.d)))] + [e.line() for e in cert.trace]
+            digest.update(("\n".join(lines) + "\n").encode())
     assert sum(entries.values()) == 15421 and cert_sizes == 22250
     assert dict(entries) == STREAM_CASES
+    assert digest.hexdigest() == STREAM_SHA256
 
 
 def test_exact_base_below_eight():
@@ -320,6 +330,51 @@ def test_trace_structure_and_serialization():
 
 def test_internal_consistency_error_type():
     assert issubclass(InternalConsistencyError, RuntimeError)
+
+
+# ===== the one check catches a broken step ===================================
+
+
+def _add_outside_vertex(run, g, piece, added, pieces):
+    outside = g.vertex_mask & ~piece
+    if outside:
+        return added | (outside & -outside), pieces
+    return None  # the whole graph: nothing lies outside
+
+
+def _drop_a_child(run, g, piece, added, pieces):
+    for child in pieces:
+        if exact_iota(g, run.fam, within=child).value:  # its solution is non-empty
+            return added, [c for c in pieces if c != child]
+    return None
+
+
+@pytest.mark.parametrize("mutate,least", [(_add_outside_vertex, 4), (_drop_a_child, 12)])
+def test_finish_catches_a_broken_step(monkeypatch, mutate, least):
+    # break the first step that the mutation applies to; the check after
+    # that step's children are solved must name its case
+    step, broken = prover._step, []
+
+    def patched(run, g, piece, v):
+        case, added, pieces = step(run, g, piece, v)
+        out = None if broken else mutate(run, g, piece, added, pieces)
+        if out is None:
+            return case, added, pieces
+        broken.append(case)
+        return (case, *out)
+
+    monkeypatch.setattr(prover, "_step", patched)
+    caught = 0
+    for k, _, _, _, n, edges in CASE_FIXTURES:
+        broken.clear()
+        try:
+            _prove(k, Graph(n, edges))
+        except InternalConsistencyError as exc:
+            assert broken and str(exc).startswith(f"case {broken[0]}: ")
+            caught += 1
+        else:
+            assert not broken
+    assert caught >= least
 
 
 # ===== bad-component classification ==========================================
