@@ -20,12 +20,13 @@ Exit codes: 0 clean, 1 violation (or refused certificate), 2 usage error,
 Per-graph rows carry the keys
 {graph6, n, leaves, iota, bound, exception, tight, cert_size?, case_trace?}.
 
-A ``--budget S`` caps the exact solver at sets of size S per graph; graphs
-whose optimum exceeds the cap become "skipped (budget)" rows instead of
-aborting the run.  ``--jobs N`` (default 1) starts one pool of
-min(N, cores) processes for the command; it generates the builtin levels
-not built yet and then does the per-graph work.  Results are merged back
-in input order, so reports are the same for every N.
+``sweep`` and ``solve`` take ``--budget S``, which caps the exact solver
+at sets of size S per graph; graphs whose optimum exceeds the cap become
+"skipped (budget)" rows instead of aborting the run.  ``--jobs N``
+(default 1) starts one pool of min(N, cores) processes for the command; it
+generates the builtin levels not built yet and then does the per-graph
+work.  Results are merged back in input order, so reports are the same for
+every N.
 
 graph6 is the I/O format only: a line is decoded where it is read, a graph
 is encoded where its row (``_row``) or an error message is written, and
@@ -37,13 +38,14 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import json
 import multiprocessing
 import os
 import sys
 import time
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .bounds import THEOREMS, check_bound, theorem_bound
 from .constructions import build_B, build_B_prime_7r_C6, build_B_prime_P3
@@ -152,7 +154,9 @@ def iter_source(
     elif source.startswith("file:"):
         path = source[5:]
         try:
-            lines = open(path, "r", encoding="ascii")
+            # latin-1 maps every byte to a character, so graph6_decode names
+            # a stray non-ASCII byte like any other one outside its range
+            lines = open(path, "r", encoding="latin-1")
         except OSError as exc:
             raise UsageError(f"cannot read {path}: {exc}")
     else:
@@ -174,38 +178,37 @@ def iter_source(
             print(f"warning: skipped line {line_no}: {message}", file=sys.stderr)
 
 
-class _Writers:
-    """Optional JSON-lines and CSV side outputs for per-row reports, closed
-    when the ``with`` block that holds them ends."""
+@contextlib.contextmanager
+def _writers(json_path: Optional[str], csv_path: Optional[str],
+             fields: tuple[str, ...] = ROW_FIELDS) -> Iterator[Callable[[dict], None]]:
+    """Optional JSON-lines and CSV side outputs for per-row reports.
 
-    def __init__(self, json_path: Optional[str], csv_path: Optional[str],
-                 fields: tuple[str, ...] = ROW_FIELDS):
-        self.fields = fields
-        self._json: Optional[TextIO] = None
-        self._csv_file: Optional[TextIO] = None
-        self._csv = None
+    Yields ``write(row)``.  Both files are opened on one stack, so whatever
+    is open is closed when the block ends or the other open fails; a path
+    that cannot be opened is a usage error.
+    """
+    with contextlib.ExitStack() as stack:
+        def open_report(path: str, **kwargs):
+            try:
+                return stack.enter_context(open(path, "w", encoding="ascii", **kwargs))
+            except OSError as exc:
+                raise UsageError(f"cannot write {path}: {exc}")
+
+        sinks: list[Callable[[dict], None]] = []
         if json_path:
-            self._json = open(json_path, "w", encoding="ascii")
+            out = open_report(json_path)
+            sinks.append(lambda row: out.write(json.dumps(row) + "\n"))
         if csv_path:
-            self._csv_file = open(csv_path, "w", encoding="ascii", newline="")
-            self._csv = csv.DictWriter(self._csv_file, fieldnames=fields,
-                                       restval="")
-            self._csv.writeheader()
+            table = csv.DictWriter(open_report(csv_path, newline=""),
+                                   fieldnames=fields, restval="")
+            table.writeheader()
+            sinks.append(table.writerow)
 
-    def write(self, row: dict) -> None:
-        if self._json is not None:
-            self._json.write(json.dumps(row) + "\n")
-        if self._csv is not None:
-            self._csv.writerow(row)
+        def write(row: dict) -> None:
+            for sink in sinks:
+                sink(row)
 
-    def __enter__(self) -> "_Writers":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        if self._json is not None:
-            self._json.close()
-        if self._csv_file is not None:
-            self._csv_file.close()
+        yield write
 
 
 def _row(g: Graph, iota: Optional[int] = None, bound: Optional[int] = None,
@@ -228,14 +231,13 @@ def _cert_fields(cert) -> dict:
 # ===== sweep =================================================================
 
 
-def _sweep_one(task: tuple[Graph, str, Optional[int]]) -> tuple[dict, list[str]]:
+def _sweep_one(g: Graph, theorem: str, budget: Optional[int]) -> tuple[dict, list[str]]:
     """Check one graph against one bound; runs inside worker processes.
 
     Returns the report row plus any problem messages (bound violations or
     prover failures).  The sandwich iota <= |certificate| <= bound is checked
     here for the E_2/E_3 bounds.
     """
-    g, theorem, budget = task
     rec = check_bound(g, theorem, budget=budget)
     row = _row(g, rec.iota, rec.bound, rec.exception, rec.tight)
     g6 = row["graph6"]
@@ -293,38 +295,26 @@ def cmd_sweep(args) -> int:
         )
     jobs = _resolve_jobs(args.jobs)
     start = time.monotonic()
-    checked = 0
-    tight = 0
-    skipped = 0
     exceptions: dict[str, int] = {}
-    per_n: dict[int, list[int]] = {}
-    all_problems: list[str] = []
-    with _ordered_map(jobs) as imap:
-        tasks = [
-            (g, theorem, args.budget)
-            for g in iter_source(args.source, args.n_min, args.n_max,
-                                 args.strict_parse, imap=imap)
-        ]
-        with _Writers(args.json, args.csv) as writers:
-            for row, problems in imap(_sweep_one, tasks):
-                writers.write(row)
-                checked += 1
-                stats = per_n.setdefault(row["n"], [0, 0, 0, 0])  # graphs/viol/tight/skip
-                stats[0] += 1
-                if row["exception"] is not None:
-                    exceptions[row["exception"]] = exceptions.get(row["exception"], 0) + 1
-                if row["iota"] is None:
-                    skipped += 1
-                    stats[3] += 1
-                    print(f"skipped (budget): {row['graph6']}")
-                if row["tight"]:
-                    tight += 1
-                    stats[2] += 1
-                if problems:
-                    stats[1] += len(problems)
-                    all_problems.extend(problems)
-                    for message in problems:
-                        print(f"VIOLATION {message}")
+    per_n: dict[int, list[int]] = {}  # graphs, violations, tight, skipped
+    with _writers(args.json, args.csv) as write, _ordered_map(jobs) as imap:
+        tasks = list(iter_source(args.source, args.n_min, args.n_max,
+                                 args.strict_parse, imap=imap))
+        check = functools.partial(_sweep_one, theorem=theorem, budget=args.budget)
+        for row, problems in imap(check, tasks):
+            write(row)
+            stats = per_n.setdefault(row["n"], [0, 0, 0, 0])
+            stats[0] += 1
+            if row["exception"] is not None:
+                exceptions[row["exception"]] = exceptions.get(row["exception"], 0) + 1
+            if row["iota"] is None:
+                stats[3] += 1
+                print(f"skipped (budget): {row['graph6']}")
+            if row["tight"]:
+                stats[2] += 1
+            stats[1] += len(problems)
+            for message in problems:
+                print(f"VIOLATION {message}")
     elapsed = time.monotonic() - start
     print(f"sweep {label} (bound {theorem}) n={args.n_min}..{args.n_max} "
           f"source={args.source} jobs={jobs}")
@@ -334,17 +324,17 @@ def cmd_sweep(args) -> int:
     if exceptions:
         listed = ", ".join(f"{tag} x{count}" for tag, count in exceptions.items())
         print(f"exceptions skipped: {listed}")
-    print(f"checked {checked} graphs: {len(all_problems)} violations, "
+    checked, violations, tight, skipped = map(sum, zip([0, 0, 0, 0], *per_n.values()))
+    print(f"checked {checked} graphs: {violations} violations, "
           f"{tight} tight, {sum(exceptions.values())} exceptions, "
           f"{skipped} skipped  [{elapsed:.2f}s]")
-    return 1 if all_problems else 0
+    return 1 if violations else 0
 
 
 # ===== ckn ===================================================================
 
 
-def _ckn_one(task: tuple[Graph, int]) -> int:
-    g, k = task
+def _ckn_one(g: Graph, k: int) -> int:
     got = exact_iota(g, edge_family(k))
     assert got is not None  # no budget on this path
     return got.value
@@ -358,25 +348,26 @@ def cmd_ckn(args) -> int:
         )
     k = fam.k
     jobs = _resolve_jobs(args.jobs)
-    with _Writers(args.json, args.csv, fields=("k", "n", "c", "witness")) as writers:
-        with _ordered_map(jobs) as imap:
-            # one pass over the source, so each skipped line is reported once
-            levels: dict[int, list[tuple[Graph, int]]] = {}
-            for g in iter_source(args.source, args.n_min, args.n_max,
-                                 args.strict_parse, imap=imap):
-                levels.setdefault(g.n, []).append((g, k))
-            for n, tasks in sorted(levels.items()):
-                best: Optional[Fraction] = None
-                witness = None
-                for (g, _), value in zip(tasks, imap(_ckn_one, tasks)):
-                    c = Fraction(value, n)
-                    if best is None or c > best:
-                        best, witness = c, g
-                row = {"k": k, "n": n,
-                       "c": f"{best.numerator}/{best.denominator}",
-                       "witness": graph6_encode(witness)}
-                writers.write(row)
-                print(f"c_{{{k},{n}}} = {row['c']:<6} witness {row['witness']}")
+    with (_writers(args.json, args.csv, fields=("k", "n", "c", "witness")) as write,
+          _ordered_map(jobs) as imap):
+        # one pass over the source, so each skipped line is reported once
+        levels: dict[int, list[Graph]] = {}
+        for g in iter_source(args.source, args.n_min, args.n_max,
+                             args.strict_parse, imap=imap):
+            levels.setdefault(g.n, []).append(g)
+        solve = functools.partial(_ckn_one, k=k)
+        for n, tasks in sorted(levels.items()):
+            best: Optional[Fraction] = None
+            witness = None
+            for g, value in zip(tasks, imap(solve, tasks)):
+                c = Fraction(value, n)
+                if best is None or c > best:
+                    best, witness = c, g
+            row = {"k": k, "n": n,
+                   "c": f"{best.numerator}/{best.denominator}",
+                   "witness": graph6_encode(witness)}
+            write(row)
+            print(f"c_{{{k},{n}}} = {row['c']:<6} witness {row['witness']}")
     return 0
 
 
@@ -415,19 +406,18 @@ def cmd_extremal(args) -> int:
             f"or cycles)"
         )
     failures = 0
-    with _Writers(args.json, args.csv,
-                  fields=("construction", "n", "expected", "iota", "equal")) as writers:
+    with _writers(args.json, args.csv,
+                  fields=("construction", "n", "expected", "iota", "equal")) as write:
         for name, n, g, expected in _extremal_rows(theorem, args.n_min,
                                                    args.n_max):
             # A cap at the expected value decides equality exactly: the solver
             # returns None iff the optimum exceeds the cap.
-            cap = expected if args.budget is None else min(expected, args.budget)
-            got = exact_iota(g, fam, budget=cap)
+            got = exact_iota(g, fam, budget=expected)
             value = None if got is None else got.value
             equal = value == expected
             row = {"construction": name, "n": n, "expected": expected,
                    "iota": value, "equal": equal}
-            writers.write(row)
+            write(row)
             shown = "> cap" if value is None else value
             verdict = "ok" if equal else "MISMATCH"
             print(f"{name:<16} n={n:<3} iota = {shown} expected {expected}  {verdict}")
@@ -491,7 +481,7 @@ def _vertex_list(mask: int) -> str:
 
 def cmd_solve(args) -> int:
     label, fam, theorem = parse_family(args.family)
-    with _Writers(args.json, args.csv, fields=ROW_FIELDS[:7] + ("witness",)) as writers:
+    with _writers(args.json, args.csv, fields=ROW_FIELDS[:7] + ("witness",)) as write:
         for g in _input_graphs(args):
             # the bounds, and so their exceptions, cover connected graphs only
             if theorem is not None and is_connected(g):
@@ -503,7 +493,7 @@ def cmd_solve(args) -> int:
                 row = _row(g, None if got is None else got.value)
                 witness = None if got is None else got.witness
             row["witness"] = None if witness is None else sorted(bits(witness))
-            writers.write(row)
+            write(row)
             if row["iota"] is None:
                 print(f"skipped (budget): {row['graph6']}")
                 continue
@@ -521,7 +511,7 @@ def cmd_certify(args) -> int:
     k = args.k
     prove = isolate_k2 if k == 2 else isolate_k3
     refused = 0
-    with _Writers(args.json, args.csv, fields=ROW_FIELDS + ("certificate",)) as writers:
+    with _writers(args.json, args.csv, fields=ROW_FIELDS + ("certificate",)) as write:
         for g in _input_graphs(args):
             try:
                 cert = prove(g)
@@ -536,7 +526,7 @@ def cmd_certify(args) -> int:
                 continue
             row = _row(g, bound=cert.bound)
             row.update(_cert_fields(cert), certificate=sorted(bits(cert.d)))
-            writers.write(row)
+            write(row)
             print(f"graph: {row['graph6']} (n={g.n}, {row['leaves']} leaves)")
             print(f"bound: {cert.bound}  certificate: {_vertex_list(cert.d)} "
                   f"({cert.d.bit_count()} vertices)")
@@ -595,7 +585,8 @@ def build_parser() -> argparse.ArgumentParser:
                                help="check bound-attaining equality rows")
     extremal.add_argument("--family", required=True,
                           help="e1, e2, e3, or cycles")
-    _add_common(extremal, n_defaults=(1, 16), source=False, jobs=False)
+    _add_common(extremal, n_defaults=(1, 16), source=False, budget=False,
+                jobs=False)
     extremal.set_defaults(func=cmd_extremal)
 
     emit = subs.add_parser("emit", help="print constructions as graph6")

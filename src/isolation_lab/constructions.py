@@ -68,25 +68,15 @@ def build_B(n: int, f: Union[Graph, str]) -> Graph:
 
 
 def build_B_prime_P3(n: int) -> Graph:
-    """The P_3 spine construction with each copy attached by its midpoint only.
+    """``build_B(n, "P3")`` with each copy attached by its midpoint only.
 
     For n <= 3 this is just P_n; n = 4 comes out as the 3-leaf star.  Leaves:
     the b - a extras plus both endpoints of every copy.
     """
-    if n < 1:
-        raise ValueError("need at least one vertex")
-    k = 3
-    if n <= k:
-        return path_graph(n)
-    a = spine_count(n, k)
-    b = base_count(n, k)
-    edges = [(i, i + 1) for i in range(a - 1)]
-    edges += [(a - 1, j) for j in range(a, b)]
-    for i in range(a):
-        off = b + i * k
-        edges += [(off, off + 1), (off + 1, off + 2)]  # the P_3 copy
-        edges.append((i, off + 1))  # spine to the copy's midpoint
-    return Graph(n, edges)
+    g = build_B(n, "P3")
+    b = base_count(n, 3)
+    ends = {(i, b + 3 * i + j) for i in range(spine_count(n, 3)) for j in (0, 2)}
+    return Graph(n, (e for e in g.edges() if e not in ends))
 
 
 def build_B_prime_7r_C6(r: int) -> Graph:

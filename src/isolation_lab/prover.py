@@ -48,7 +48,7 @@ failure is an implementation bug, not a property of the input graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from .bounds import THEOREMS, bad_piece, classify_exception
 from .constructions import pattern_isolating_set
@@ -215,18 +215,18 @@ def _second_anchor(links: int, first: int) -> int:
 
 
 class _Prover:
-    """One certification run; holds the trace and the rules for its k."""
+    """One certification run; holds the trace and the rules for its bound."""
 
-    def __init__(self, k: int):
-        self.k = k
-        self.rules = _RULES[k]
-        self.theorem = THEOREMS[self.rules.theorem]
-        self.fam = self.theorem.family
+    def __init__(self, theorem: str):
+        self.theorem = theorem  # "k2" or "k3", as in ``THEOREMS``
+        self.pair, self.single = _RULES[theorem]
+        self.th = THEOREMS[theorem]
+        self.fam = self.th.family
         self.trace: list[TraceEntry] = []
 
     def finish(self, g: Graph, piece: int, d: int, case: str, v: int) -> int:
         """Verify-then-return, once per proof step, from ``_dispatch``."""
-        limit = self.theorem.potential(g, piece, within=piece) // self.theorem.denominator
+        limit = self.th.potential(g, piece, within=piece) // self.th.denominator
         if d & ~piece:
             problem = "set leaves the piece"
         elif not is_isolating(g, d, self.fam, within=piece):
@@ -304,7 +304,7 @@ def _pattern_case(prover: _Prover, g: Graph, piece: int) -> _Step:
     kind = "path" if ends else "cycle"
     first = ends or piece
     order = _walk_order(g, piece, (first & -first).bit_length() - 1)
-    local = pattern_isolating_set(kind, piece.bit_count(), prover.k)
+    local = pattern_isolating_set(kind, piece.bit_count(), prover.fam.k)
     return f"{kind}-pattern", mask_of(order[i] for i in bits(local)), []
 
 
@@ -322,7 +322,7 @@ def _case_wide_frontier(prover: _Prover, g: Graph, ctx: InductionContext, anchor
     d = 1 << ctx.v
     for c, xc in anchors.items():
         d |= (1 << xc) | residual_set_for_bad(g, c, ctx.bad[c], _attach(g, xc, c))
-    if prover.k == 2:
+    if prover.fam.k == 2:
         w_mask = ctx.nbrs & ~mask_of(anchors.values())
         if w_mask.bit_count() == 3 and w_mask & leaves(g, ctx.piece) == w_mask:
             # all three non-anchors are leaves: v is already dominated by
@@ -337,7 +337,7 @@ def _case_lone_anchor(prover: _Prover, g: Graph, ctx: InductionContext, comp: in
     d = (1 << x1) | residual_set_for_bad(g, comp, ctx.bad[comp], _attach(g, x1, comp))
     pieces, _ = _carve(g, ctx, (1 << x1) | comp, ctx.v)
     home = pieces[-1]
-    tag = bad_piece(g, home, prover.rules.theorem, within=home)
+    tag = bad_piece(g, home, prover.theorem, within=home)
     if tag in ("P3", "K3", "K13"):
         # the remainder is already dominated through x1's neighbourhood
         return "lone-anchor-small-rescue", d, pieces[:-1]
@@ -361,7 +361,7 @@ def _case_single(prover: _Prover, g: Graph, ctx: InductionContext, comp: int) ->
     if tag in ("C6", "C7"):
         length = 7 if tag == "C7" else 6
         return _single_cycle(prover, g, ctx, comp, x1, x1p, w, y_top, length)
-    return prover.rules.single(prover, g, ctx, comp, x1, x1p, w, y_top)
+    return prover.single(prover, g, ctx, comp, x1, x1p, w, y_top)
 
 
 def _carve_anchor(g: Graph, ctx: InductionContext, y_top: int, x1: int, x1p: int,
@@ -402,7 +402,7 @@ def _single_cycle(
                 if g.adj[y] & ((1 << x1p) | (1 << w)):
                     d = (1 << y1) | (1 << y)
                     break
-        elif bad_piece(g, imask, prover.rules.theorem, within=imask) != f"C{length}":
+        elif bad_piece(g, imask, prover.theorem, within=imask) != f"C{length}":
             return f"{case}-whole", 1 << y1, [imask]
         elif length == 6:
             d = (1 << x1) | (1 << cyc[3])
@@ -563,7 +563,7 @@ def _k3_single(
     c, cp = _carve_anchor(g, ctx, y_top, x1, x1p, w)
     pieces, _ = _carve(g, ctx, (1 << c) | comp, v)
     home = pieces[-1]
-    if bad_piece(g, home, prover.rules.theorem, within=home) == "C7":
+    if bad_piece(g, home, prover.theorem, within=home) == "C7":
         # the remainder closed into a 7-cycle: v with the other anchor
         # breaks it and reaches the triangle through that anchor's link
         return "single-k3-cyclepatch", (1 << v) | (1 << cp), pieces[:-1]
@@ -573,18 +573,12 @@ def _k3_single(
 # ===== The dispatcher ========================================================
 
 
-@dataclass(frozen=True)
-class _Rules:
-    """What the induction does differently for E_2 and E_3."""
-
-    theorem: str  # "k2" or "k3": picks the family, the bound and the bad pieces
-    pair: Callable  # two doubly-linked bad components
-    single: Callable  # one doubly-linked bad component that is not a cycle
-
-
+# What the induction does differently per bound: the step for two
+# doubly-linked bad components, and the one for a lone doubly-linked bad
+# component that is not a cycle.
 _RULES = {
-    2: _Rules("k2", _k2_pair, _k2_single),
-    3: _Rules("k3", _k3_pair, _k3_single),
+    "k2": (_k2_pair, _k2_single),
+    "k3": (_k3_pair, _k3_single),
 }
 
 # steps that split no piece around its pivot: their trace entries carry v=-1
@@ -600,7 +594,7 @@ def _step(prover: _Prover, g: Graph, piece: int, v: int) -> _Step:
         return _pattern_case(prover, g, piece)
     if (nbrs | 1 << v) == piece:
         return "dominated", 1 << v, []
-    ctx = _build_context(g, piece, v, prover.rules.theorem)
+    ctx = _build_context(g, piece, v, prover.theorem)
 
     if not ctx.bad:
         return "no-bad", 1 << v, ctx.good
@@ -620,7 +614,7 @@ def _step(prover: _Prover, g: Graph, piece: int, v: int) -> _Step:
 
     # two-anchor cases: every bad component reaches a second neighbour of v
     if len(ctx.bad) == 2:
-        return prover.rules.pair(g, ctx)
+        return prover.pair(g, ctx)
     if len(ctx.bad) == 1:
         return _case_single(prover, g, ctx, next(iter(ctx.bad)))
     raise InternalConsistencyError("more than two doubly-linked bad components survived")
@@ -640,15 +634,16 @@ def _dispatch(prover: _Prover, g: Graph, piece: int) -> int:
 # ===== Public entry points ===================================================
 
 
-def _certify(g: Graph, k: int) -> Certificate:
+def _certify(g: Graph, theorem: str) -> Certificate:
     if not is_connected(g):
         raise NotCovered("certification needs a connected graph")
-    prover = _Prover(k)
-    tag = classify_exception(g, prover.rules.theorem)
+    prover = _Prover(theorem)
+    tag = classify_exception(g, theorem)
     if tag is not None:
-        raise NotCovered(f"the E_{k} bound does not hold for the exception graph {tag}", tag)
+        raise NotCovered(f"the E_{prover.fam.k} bound does not hold for the "
+                         f"exception graph {tag}", tag)
     d = _dispatch(prover, g, g.vertex_mask)
-    return Certificate(d, prover.theorem.bound(g), tuple(prover.trace))
+    return Certificate(d, prover.th.bound(g), tuple(prover.trace))
 
 
 def isolate_k2(g: Graph) -> Certificate:
@@ -657,7 +652,7 @@ def isolate_k2(g: Graph) -> Certificate:
     Raises ValueError on the six exception graphs and on disconnected input;
     InternalConsistencyError only on an implementation bug.
     """
-    return _certify(g, 2)
+    return _certify(g, "k2")
 
 
 def isolate_k3(g: Graph) -> Certificate:
@@ -666,4 +661,4 @@ def isolate_k3(g: Graph) -> Certificate:
     Raises ValueError if the graph is a triangle or a 7-cycle, and on
     disconnected input.
     """
-    return _certify(g, 3)
+    return _certify(g, "k3")

@@ -172,6 +172,19 @@ def test_file_source_strict_fails(tmp_path, capsys):
     assert code == 3 and "parse error" in err and "line 2" in err
 
 
+def test_file_source_non_ascii_byte(tmp_path, capsys):
+    # a stray non-ASCII byte is a malformed line like any other: skipped
+    # with a warning, or a parse error under --strict-parse
+    path = tmp_path / "graphs.g6"
+    path.write_bytes(b"Bw\nB\xc3\xa9\nCr\n")
+    argv = ["sweep", "--family", "e1", "--source", f"file:{path}"]
+    code, out, err = run(argv, capsys)
+    assert code == 0 and "2 graphs" in out.replace("  ", " ")
+    assert err.startswith("warning: skipped line 2: byte 195")
+    code, _, err = run(argv + ["--strict-parse"], capsys)
+    assert code == 3 and err.startswith("parse error: line 2: byte 195")
+
+
 def test_file_source_missing(capsys):
     code, _, err = run(["sweep", "--family", "e1",
                         "--source", "file:/does/not/exist.g6"], capsys)
@@ -215,6 +228,18 @@ def test_jobs_capped_at_core_count(command, monkeypatch, capsys):
     assert code == 0 and started == [2]
     if command == "sweep":
         assert "jobs=100000" in out
+
+
+def test_sweep_opens_reports_before_enumerating(tmp_path, monkeypatch, capsys):
+    # an unwritable report path is a usage error before any graph is built
+    def no_enumeration(*args):
+        raise AssertionError("enumerated before opening the reports")
+
+    monkeypatch.setattr(cli, "connected_graphs", no_enumeration)
+    code, out, err = run(["sweep", "--family", "e2", "--n-max", "8", "--json",
+                          str(tmp_path / "missing" / "rows.jsonl")], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("usage error: cannot write")
 
 
 # ===== ckn ===================================================================
@@ -261,6 +286,15 @@ def test_extremal_detects_mismatch(monkeypatch, capsys):
                         "--n-max", "5"], capsys)
     assert code == 1
     assert "MISMATCH" in out and "> cap" in out
+
+
+def test_extremal_takes_no_budget(capsys):
+    # extremal caps the solver at each row's expected value, which decides
+    # equality exactly; a lower cap could only fail rows that hold
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["extremal", "--family", "e2", "--budget", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --budget" in capsys.readouterr().err
 
 
 def test_extremal_rejects_k_family(capsys):
@@ -403,6 +437,25 @@ def test_certify_refuses_disconnected(capsys):
     g6 = graph6_encode(Graph(4, [(0, 1), (2, 3)]))
     code, _, err = run(["certify", g6, "--k", "2"], capsys)
     assert code == 2 and "disconnected" in err
+
+
+def test_unwritable_report_closes_the_other(tmp_path, monkeypatch, capsys):
+    # the JSON report opens first; when the CSV path cannot be opened the
+    # JSON file is closed again and the command ends in a usage error
+    opened = []
+
+    def tracked_open(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(cli, "open", tracked_open, raising=False)
+    jpath = tmp_path / "rows.jsonl"
+    code, out, err = run(["certify", "Bg", "--k", "2", "--json", str(jpath),
+                          "--csv", str(tmp_path / "missing" / "rows.csv")],
+                         capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("usage error: cannot write")
+    assert [f.name for f in opened] == [str(jpath)] and opened[0].closed
 
 
 def test_certify_stream_mixes_refusals(tmp_path, capsys):
