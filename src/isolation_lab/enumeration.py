@@ -56,8 +56,8 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Optional
 
-from .graphs import (Graph, Graph6Error, bits, component_masks, graph6_decode,
-                     is_connected)
+from .graphs import (ASCII_WHITESPACE, Graph, Graph6Error, bits, component_masks,
+                     graph6_decode, is_connected)
 
 BUILTIN_MAX_N = 9
 
@@ -274,7 +274,7 @@ def read_graph6_stream(
     skipped as well.
     """
     for line_no, raw in enumerate(lines, start=1):
-        s = raw.strip()
+        s = raw.strip(ASCII_WHITESPACE)
         if not s or s == ">>graph6<<":
             continue
         try:

@@ -10,7 +10,8 @@ F, and iota(G, F) is the minimum size of an F-isolating set.  ``exact_iota``
 computes it by depth-first branch and bound:
 
 * isolation numbers add up over the components of G, so each component is
-  solved on its own;
+  solved on its own, and one that is F-free needs no search (the empty set
+  isolates it);
 * a search node is the set ``alive`` of vertices not yet covered by N[D].
   If g[alive] still contains an F-graph W, every isolating set contains a
   vertex of N_G[V(W)], because deleting N[u] for u outside it leaves W
@@ -83,14 +84,17 @@ def _edges_within(g: Graph, mask: int) -> int:
     return sum((g.adj[v] & mask).bit_count() for v in bits(mask)) // 2
 
 
+def _comp_contains(g: Graph, comp: int, fam: FamilySpec) -> bool:
+    """Does the component ``comp`` of g (connected) contain an F-graph?"""
+    if fam.kind == "edges":
+        return _edges_within(g, comp) >= fam.k
+    # a connected graph has a cycle iff it has >= |V| edges
+    return _edges_within(g, comp) >= comp.bit_count()
+
+
 def _contains_within(g: Graph, alive: int, fam: FamilySpec) -> bool:
     """Does g induced on ``alive`` contain an F-graph?"""
-    if fam.kind == "edges":
-        return any(_edges_within(g, comp) >= fam.k
-                   for comp in component_masks(g, alive))
-    # a connected graph has a cycle iff it has >= |V| edges
-    return any(_edges_within(g, comp) >= comp.bit_count()
-               for comp in component_masks(g, alive))
+    return any(_comp_contains(g, comp, fam) for comp in component_masks(g, alive))
 
 
 def is_isolating(g: Graph, d: int, fam: FamilySpec, within: Optional[int] = None) -> bool:
@@ -269,13 +273,19 @@ def exact_iota(g: Graph, fam: FamilySpec, budget: Optional[int] = None,
     a mask in g's labels, inside ``within``.
     """
     host = g.vertex_mask if within is None else within
-    search = _Search(g, fam, host)
+    search = None
     value = 0
     mask = 0
     for comp in component_masks(g, host):
         # taking every vertex always isolates
         cap = comp.bit_count() if budget is None else budget - value
-        got = search.solve(comp, cap) if cap >= 0 else None
+        if cap < 0:
+            return None
+        if not _comp_contains(g, comp, fam):
+            continue  # F-free: the empty set isolates it, no search needed
+        if search is None:
+            search = _Search(g, fam, host)
+        got = search.solve(comp, cap)
         if got is None:
             return None
         value += got[0]

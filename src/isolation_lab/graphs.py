@@ -22,6 +22,8 @@ their ``enumeration.canonical_form`` keys are equal, and
 
 from __future__ import annotations
 
+import binascii
+import re
 from typing import Iterable, Iterator, Optional
 
 MAX_VERTICES = 64
@@ -183,7 +185,24 @@ def leaf_count(g: Graph) -> int:
 # graph.  Header encodes n (one byte for n <= 62, '~' + 3 bytes otherwise up
 # to 258047); body packs the upper triangle of the adjacency matrix,
 # column-major (bit (i, j) for i < j ordered by j then i), 6 bits per byte,
-# each byte offset by 63.
+# most significant first, each byte offset by 63.
+#
+# Both directions go through one LSB-first int ``word`` whose bit
+# j(j-1)/2 + i is the pair (i, j), i < j: column j is then the j low bits of
+# adj[j] shifted left by j(j-1)/2.  Read from its low end, ``word`` is the
+# body's bit string, so one string reversal puts it in graph6 order, and
+# base64 (also 6 bits per byte, most significant first) packs it with only
+# the alphabet to translate.
+
+_G6_CHARS = bytes(range(63, 127))
+_B64_CHARS = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_TO_G6 = bytes.maketrans(_B64_CHARS, _G6_CHARS)
+_FROM_G6 = bytes.maketrans(_G6_CHARS, _B64_CHARS)
+_OUTSIDE_G6 = re.compile("[^?-~]")
+
+# What graph6 readers strip from a line.  str.strip() would also remove
+# bytes such as 0x1c and 0xa0, which are malformed input, not layout.
+ASCII_WHITESPACE = " \t\n\r\v\f"
 
 
 class Graph6Error(ValueError):
@@ -197,31 +216,30 @@ def graph6_encode(g: Graph) -> str:
     else:
         # 18-bit vertex count: '~' then three 6-bit digits, big-endian.
         head = "~" + chr(63 + (n >> 12 & 63)) + chr(63 + (n >> 6 & 63)) + chr(63 + (n & 63))
+    adj = g.adj
     word = 0
-    nbits = 0
     for j in range(1, n):
-        col = g.adj[j]  # bits i<j of column j
-        for i in range(j):
-            word = word << 1 | (col >> i & 1)
-            nbits += 1
-    pad = (-nbits) % 6
-    word <<= pad
-    nbits += pad
-    body = "".join(
-        chr(63 + (word >> shift & 63)) for shift in range(nbits - 6, -1, -6)
-    )
-    return head + body
+        word |= (adj[j] & ((1 << j) - 1)) << (j * (j - 1) // 2)
+    nbits = n * (n - 1) // 2
+    need = (nbits + 5) // 6
+    # graph6 bit order, padded with zeros to whole bytes of base64 input
+    order = format(word, f"0{nbits}b")[::-1]
+    order += "0" * (-len(order) % 24)
+    raw = int(order, 2).to_bytes(len(order) // 8, "big")
+    body = binascii.b2a_base64(raw, newline=False).translate(_TO_G6)
+    return head + body[:need].decode("ascii")
 
 
 def graph6_decode(line: str) -> Graph:
-    s = line.strip()
+    s = line.strip(ASCII_WHITESPACE)
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<"):]
     if not s:
         raise Graph6Error("empty graph6 line")
-    for pos, ch in enumerate(s):
-        if not 63 <= ord(ch) <= 126:
-            raise Graph6Error(f"byte {ord(ch)} at position {pos} outside graph6 range")
+    bad = _OUTSIDE_G6.search(s)
+    if bad:
+        pos = bad.start()
+        raise Graph6Error(f"byte {ord(s[pos])} at position {pos} outside graph6 range")
     if s[0] != "~":
         n = ord(s[0]) - 63
         body = s[1:]
@@ -240,20 +258,25 @@ def graph6_decode(line: str) -> Graph:
         raise Graph6Error(
             f"body length {len(body)} does not match {need} bytes for n={n}"
         )
-    word = 0
-    for ch in body:
-        word = word << 6 | (ord(ch) - 63)
-    total = 6 * need
-    if total > nbits and word & ((1 << (total - nbits)) - 1):
+    data = body.encode("ascii").translate(_FROM_G6)
+    raw = binascii.a2b_base64(data + b"A" * (-len(data) % 4))
+    # the body's bits, first bit highest, then padding up to whole bytes
+    pad = 8 * len(raw) - nbits
+    word = int.from_bytes(raw, "big")
+    if word & ((1 << pad) - 1):
         raise Graph6Error("nonzero padding bits")
+    word = int(format(word >> pad, f"0{nbits}b")[::-1], 2)
     adj = [0] * n
-    shift = total
     for j in range(1, n):
-        for i in range(j):
-            shift -= 1
-            if word >> shift & 1:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
+        col = word & ((1 << j) - 1)
+        word >>= j
+        adj[j] = col
+        # the upper half, edge by edge
+        bit = 1 << j
+        while col:
+            low = col & -col
+            adj[low.bit_length() - 1] |= bit
+            col ^= low
     return Graph.from_adj(n, tuple(adj))
 
 

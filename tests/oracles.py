@@ -11,6 +11,11 @@ loses nothing).
 kernel in its plain form (sorted neighbour-colour tuples, a full prefix
 comparison at every search node, no twin pruning).  The package's faster
 kernel must return the same colour values and the same keys.
+
+``graph6_encode`` and ``graph6_decode`` are the graph6 codec in its plain
+form: one bit per step, in the order the format lists the pairs, with the
+package's validation and error messages.  The package's whole-string codec
+must give the same lines, the same adjacency and the same messages.
 """
 
 from __future__ import annotations
@@ -192,3 +197,70 @@ def canonical_form(n: int, adj) -> tuple:
     rec([], 0, [])
     assert best is not None
     return (n, *best)
+
+
+# ===== the graph6 codec, plain form ==========================================
+
+
+def graph6_encode(n: int, adj) -> str:
+    """graph6 line of the graph on 0..n-1 with adjacency masks ``adj``."""
+    if n <= 62:
+        head = chr(63 + n)
+    else:
+        head = "~" + chr(63 + (n >> 12 & 63)) + chr(63 + (n >> 6 & 63)) + chr(63 + (n & 63))
+    word = 0
+    nbits = 0
+    for j in range(1, n):
+        for i in range(j):
+            word = word << 1 | (adj[j] >> i & 1)
+            nbits += 1
+    pad = (-nbits) % 6
+    word <<= pad
+    nbits += pad
+    return head + "".join(
+        chr(63 + (word >> shift & 63)) for shift in range(nbits - 6, -1, -6)
+    )
+
+
+def graph6_decode(line: str) -> tuple[int, tuple[int, ...]]:
+    """(n, adjacency masks) of a graph6 line of at most 64 vertices; a
+    malformed line raises ValueError with the package's message."""
+    s = line.strip(" \t\n\r\v\f")
+    if s.startswith(">>graph6<<"):
+        s = s[len(">>graph6<<"):]
+    if not s:
+        raise ValueError("empty graph6 line")
+    for pos, ch in enumerate(s):
+        if not 63 <= ord(ch) <= 126:
+            raise ValueError(f"byte {ord(ch)} at position {pos} outside graph6 range")
+    if s[0] != "~":
+        n = ord(s[0]) - 63
+        body = s[1:]
+    else:
+        if len(s) >= 2 and s[1] == "~":
+            raise ValueError("vertex count uses the 36-bit form; far over the 64-vertex cap")
+        if len(s) < 4:
+            raise ValueError("truncated extended vertex-count header")
+        n = (ord(s[1]) - 63) << 12 | (ord(s[2]) - 63) << 6 | (ord(s[3]) - 63)
+        body = s[4:]
+    if n > 64:
+        raise ValueError(f"vertex count {n} over the 64-vertex cap")
+    nbits = n * (n - 1) // 2
+    need = (nbits + 5) // 6
+    if len(body) != need:
+        raise ValueError(f"body length {len(body)} does not match {need} bytes for n={n}")
+    word = 0
+    for ch in body:
+        word = word << 6 | (ord(ch) - 63)
+    total = 6 * need
+    if total > nbits and word & ((1 << (total - nbits)) - 1):
+        raise ValueError("nonzero padding bits")
+    adj = [0] * n
+    shift = total
+    for j in range(1, n):
+        for i in range(j):
+            shift -= 1
+            if word >> shift & 1:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    return n, tuple(adj)

@@ -185,6 +185,23 @@ def test_file_source_non_ascii_byte(tmp_path, capsys):
     assert code == 3 and err.startswith("parse error: line 2: byte 195")
 
 
+def test_file_source_strips_only_ascii_whitespace(tmp_path, capsys):
+    # 0xa0 and 0x1c are whitespace to str.strip() but bytes outside the
+    # graph6 range to the format
+    path = tmp_path / "graphs.g6"
+    path.write_bytes(b"Bw\xa0\nCr\x1c\n")
+    argv = ["solve", "--family", "e2", "--source", f"file:{path}"]
+    code, out, err = run(argv + ["--strict-parse"], capsys)
+    assert code == 3 and out == ""
+    assert err == ("parse error: line 1: byte 160 at position 2 outside "
+                   "graph6 range\n")
+    code, out, err = run(argv, capsys)
+    assert out == "" and err.splitlines() == [
+        "warning: skipped line 1: byte 160 at position 2 outside graph6 range",
+        "warning: skipped line 2: byte 28 at position 2 outside graph6 range",
+    ]
+
+
 def test_file_source_missing(capsys):
     code, _, err = run(["sweep", "--family", "e1",
                         "--source", "file:/does/not/exist.g6"], capsys)

@@ -8,10 +8,12 @@ import sys
 
 import pytest
 
+from isolation_lab import families
 from isolation_lab.bounds import THEOREMS, bad_piece, classify_exception
 from isolation_lab.families import (
     CYCLES,
     FamilySpec,
+    IsolationResult,
     edge_family,
     exact_iota,
     is_isolating,
@@ -138,6 +140,48 @@ def test_exact_iota_budget_semantics():
     assert exact_iota(g, E2, budget=1) is None
     got = exact_iota(g, E2, budget=2)
     assert got is not None and got.value == 2
+
+
+def test_family_free_pieces_skip_the_search(monkeypatch):
+    def no_search(*args):
+        raise AssertionError("an F-free piece needs no search")
+
+    monkeypatch.setattr(families, "_Search", no_search)
+    g = path_graph(5)
+    for fam in (E2, E3, CYCLES):
+        assert exact_iota(Graph(1), fam) == IsolationResult(0, 0)
+        assert exact_iota(path_graph(2), fam, budget=0) == IsolationResult(0, 0)
+        for piece in (0b1, 0b10, 0b11, 0b11000, 0b10001):
+            assert exact_iota(g, fam, within=piece) == IsolationResult(0, 0)
+    assert exact_iota(g, E1, within=0b10100) == IsolationResult(0, 0)
+
+
+def test_family_free_piece_over_a_negative_budget():
+    # None exactly when the optimum exceeds the budget, even when it is 0
+    assert exact_iota(path_graph(2), E2, budget=-1) is None
+    assert exact_iota(Graph(1), CYCLES, budget=-1) is None
+
+
+def _searched(g: Graph, fam: FamilySpec, within: int) -> IsolationResult:
+    """exact_iota's answer taken from the search alone, component by component."""
+    search = families._Search(g, fam, within)
+    value = mask = 0
+    for comp in component_masks(g, within):
+        got = search.solve(comp, comp.bit_count())
+        value += got[0]
+        mask |= got[1]
+    return IsolationResult(value, mask)
+
+
+@pytest.mark.parametrize("fam", [E1, E2, E3, CYCLES],
+                         ids=["e1", "e2", "e3", "cycles"])
+def test_exact_iota_agrees_with_the_search(fam, connected_upto):
+    # the whole graph and the pieces G - N[v] that a proof step leaves
+    for g in connected_upto(1, 7):
+        pieces = [g.vertex_mask] + [g.vertex_mask & ~closed_neighborhood(g, 1 << v)
+                                    for v in range(g.n)]
+        for piece in pieces:
+            assert exact_iota(g, fam, within=piece) == _searched(g, fam, piece)
 
 
 def test_monotonicity_helper():

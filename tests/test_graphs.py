@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import random
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,6 +30,15 @@ from isolation_lab.graphs import (
     path_graph,
     star_graph,
 )
+
+import oracles
+
+# The benchmark's generator and checker carry their own graph6 writer and
+# reader and import nothing from the package, so they check the bit layout
+# independently of the package and of the plain codec in ``oracles``.
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
+import checker  # noqa: E402
+import graphgen  # noqa: E402
 
 
 def test_graph_construction_and_queries():
@@ -177,6 +190,94 @@ def test_graph6_rejects_malformed():
 
 def test_graph6_optional_header_is_stripped():
     assert graph6_decode(">>graph6<<Bw") == complete_graph(3)
+
+
+def test_graph6_strips_only_ascii_whitespace():
+    assert graph6_decode(" \t\v\fBw\r\n") == complete_graph(3)
+    # separators and non-ASCII spaces are bytes outside the graph6 range
+    for line, byte in (("Bw\xa0", 160), ("Cr\x1c", 28), ("Bw\x85", 133),
+                       ("\x1fBw", 31)):
+        pos = line.index(chr(byte))
+        with pytest.raises(Graph6Error, match=f"^byte {byte} at position {pos} "
+                                               "outside graph6 range$"):
+            graph6_decode(line)
+
+
+def _random_adj(rng: random.Random, n: int, p: float) -> tuple[int, ...]:
+    adj = [0] * n
+    for j in range(1, n):
+        for i in range(j):
+            if rng.random() < p:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    return tuple(adj)
+
+
+def _assert_codec_agrees(g: Graph) -> None:
+    line = graph6_encode(g)
+    assert line == oracles.graph6_encode(g.n, g.adj) == graphgen.graph6(g.adj)
+    assert graph6_decode(line) == g
+    assert oracles.graph6_decode(line) == (g.n, g.adj)
+    assert checker.decode(line) == g.adj
+
+
+def test_graph6_matches_plain_codec_on_small_classes(connected_upto):
+    for g in connected_upto(0, 8):
+        _assert_codec_agrees(g)
+
+
+def test_graph6_matches_plain_codec_on_random_graphs():
+    # every n up to the cap, so both header forms (n = 62 is '}', 63 and 64
+    # take '~' and three digits) and every padding width are crossed
+    rng = random.Random(6)
+    for n in range(65):
+        for p in (0, 0.03, 0.1, 0.5, 1):
+            for _ in range(2):
+                _assert_codec_agrees(Graph.from_adj(n, _random_adj(rng, n, p)))
+    assert graph6_encode(Graph(62))[0] == "}"
+    assert graph6_encode(Graph(63)).startswith("~??~")
+    assert graph6_encode(Graph(64)).startswith("~?@?")
+
+
+def _mutations(rng: random.Random, line: str) -> list[str]:
+    """Lines one edit away from ``line``, malformed or not."""
+    pos = rng.randrange(len(line))
+    other = chr(rng.choice((rng.randrange(32, 200), rng.randrange(63, 127))))
+    out = [
+        line[:pos] + other + line[pos + 1:],  # a byte replaced
+        line[:pos] + line[pos + 1:],  # a byte dropped
+        line[:pos] + other + line[pos:],  # a byte added
+        line[:-1] + chr(rng.randrange(63, 127)),  # padding bits touched
+        "~~" + line,
+        ">>graph6<<" + line,
+        ">>graph6<<",
+        rng.choice((" ", "\t", "\r\n", "\x0b", "\x1e", "\xa0")) + line,
+    ]
+    if line[0] == "~":
+        out += [line[:cut] for cut in range(1, 4)]  # truncated header
+    return out
+
+
+def test_graph6_malformed_lines_keep_their_messages():
+    rng = random.Random(14)
+    outcomes = {"graph": 0, "error": 0}
+    for n in list(range(12)) + [40, 61, 62, 63, 64]:
+        for p in (0.1, 0.5):
+            line = graph6_encode(Graph.from_adj(n, _random_adj(rng, n, p)))
+            for _ in range(8):
+                for bad in _mutations(rng, line):
+                    try:
+                        expected = oracles.graph6_decode(bad)
+                    except ValueError as exc:
+                        with pytest.raises(Graph6Error) as got:
+                            graph6_decode(bad)
+                        assert str(got.value) == str(exc), repr(bad)
+                        outcomes["error"] += 1
+                    else:
+                        g = graph6_decode(bad)
+                        assert (g.n, g.adj) == expected, repr(bad)
+                        outcomes["graph"] += 1
+    assert outcomes["graph"] > 100 and outcomes["error"] > 1000, outcomes
 
 
 @settings(max_examples=200, deadline=None)
