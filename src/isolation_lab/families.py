@@ -24,7 +24,20 @@ computes it by depth-first branch and bound:
   need their own vertex, so a greedy packing of them counts vertices that
   any isolating set of the node still needs;
 * one memo per call, keyed on ``alive``, holds the optimum of a node once
-  it is solved and the best lower bound proven for it otherwise.
+  it is solved and the best lower bound proven for it otherwise;
+* for E_k a node hands its trees to its children, as a table root ->
+  (W, N_G[V(W)]) with W the vertices the breadth-first search chose (the
+  whole component of the root when it has fewer than k edges, and the hood
+  is 0).  A child, whose alive set is alive' = alive - N[u], keeps every
+  entry with W inside alive' and regrows the rest.  This changes nothing:
+  the search in alive' meets the same alive vertices in the same ranked
+  order until it stops, since each vertex it took lies in W and each one it
+  passed over was outside alive or already taken, so it takes the same W
+  and returns the same hood; a component with fewer than k edges only
+  loses edges.  So every node gets the same hoods, packs the same bound,
+  branches in the same order and returns the same value and witness.
+  Only the tables on the current path of the search are alive, at most n
+  entries per level.
 
 ``alive`` is not split into its components below the top level.  A vertex
 outside ``alive`` can be adjacent to two of its components and isolate both
@@ -176,36 +189,50 @@ class _Search:
         self.within = within
         members = list(bits(within))
         self.closed = closed = [0] * g.n
+        size = [0] * g.n
         for v in members:
-            closed[v] = (g.adj[v] | 1 << v) & within
+            closed[v] = hood = (g.adj[v] | 1 << v) & within
+            size[v] = hood.bit_count()
         # neighbours with small closed neighbourhoods first: witnesses
         # grown from them have small hitting sets, which pack better
-        order = sorted(members, key=lambda w: closed[w].bit_count())
         self.ranked = ranked = [[]] * g.n
         for v in members:
-            a = g.adj[v]
-            ranked[v] = [w for w in order if a >> w & 1]
+            ranked[v] = sorted(bits(g.adj[v] & within), key=size.__getitem__)
         # alive -> (value, mask) once solved, or a proven lower bound (int)
         self.memo: dict = {}
 
-    def hoods(self, alive: int) -> list[int]:
-        """N_G[V(W)] for small F-graphs W in g[alive], smallest first.
+    def hoods(self, alive: int,
+              trees: Optional[dict] = None) -> tuple[list[int], Optional[dict]]:
+        """N_G[V(W)] for small F-graphs W in g[alive], smallest first, and
+        for E_k the table root -> (W, N_G[V(W)]) of the trees they came from.
 
-        Empty exactly when g[alive] is F-free.
+        The list is empty exactly when g[alive] is F-free.  ``trees`` is the
+        table of a node whose alive set contains ``alive``: an entry whose W
+        lies inside ``alive`` is kept, the others are regrown.  A hood found
+        twice is not dropped; it changes neither the packing nor the first
+        smallest hood.
         """
-        if self.fam.kind == "edges":
-            found = [self.tree_hood(alive, root) for root in bits(alive)]
-        else:
+        if self.fam.kind != "edges":
             g = self.g
             found = [closed_neighborhood(g, _short_cycle(g, comp)) & self.within
                      for comp in component_masks(g, alive)
                      if _edges_within(g, comp) >= comp.bit_count()]
-        return sorted(dict.fromkeys(h for h in found if h), key=int.bit_count)
+            return sorted(found, key=int.bit_count), None
+        tree_hood = self.tree_hood
+        if trees is None:
+            table = {root: tree_hood(alive, root) for root in bits(alive)}
+        else:
+            gone = ~alive
+            table = {root: tree if not tree[0] & gone else tree_hood(alive, root)
+                     for root, tree in trees.items() if alive >> root & 1}
+        found = [hood for _, hood in table.values() if hood]
+        return sorted(found, key=int.bit_count), table
 
-    def tree_hood(self, alive: int, root: int) -> int:
-        """N_G[V(W)] for the first k + 1 vertices W of a breadth-first search
-        of g[alive] from ``root``, which span a k-edge subtree; 0 when the
-        component of ``root`` has fewer than k edges."""
+    def tree_hood(self, alive: int, root: int) -> tuple[int, int]:
+        """(W, N_G[V(W)]) for the first k + 1 vertices W of a breadth-first
+        search of g[alive] from ``root``, which span a k-edge subtree.  When
+        the component of ``root`` has fewer than k edges, W is that whole
+        component and the hood is 0."""
         k, closed, ranked = self.fam.k, self.closed, self.ranked
         chosen = 1 << root
         hood = closed[root]
@@ -220,24 +247,26 @@ class _Search:
                         hood |= closed[w]
                         size += 1
                         if size > k:
-                            return hood
+                            return chosen, hood
                         nxt.append(w)
             layer = nxt
         # the component of root has at most k vertices: it is a witness
         # itself if it has k edges
         if size * (size - 1) // 2 < k or _edges_within(self.g, chosen) < k:
-            return 0
-        return hood
+            return chosen, 0
+        return chosen, hood
 
-    def solve(self, alive: int, cap: int) -> Optional[tuple[int, int]]:
+    def solve(self, alive: int, cap: int,
+              trees: Optional[dict] = None) -> Optional[tuple[int, int]]:
         """(value, mask) of a minimum isolating set of g[alive] if its size
-        is at most ``cap``, else None."""
+        is at most ``cap``, else None.  ``trees`` are the parent node's, as
+        ``hoods`` takes them."""
         known = self.memo.get(alive, 0)
         if isinstance(known, tuple):
             return known if known[0] <= cap else None
         if known > cap:
             return None
-        hoods = self.hoods(alive)
+        hoods, trees = self.hoods(alive, trees)
         if not hoods:
             self.memo[alive] = (0, 0)
             return 0, 0
@@ -252,7 +281,7 @@ class _Search:
             return None
         best = None
         for u in bits(hoods[0]):
-            got = self.solve(alive & ~self.closed[u], cap - 1)
+            got = self.solve(alive & ~self.closed[u], cap - 1, trees)
             if got is not None:
                 best = got[0] + 1, got[1] | 1 << u
                 cap = best[0] - 1

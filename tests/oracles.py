@@ -16,6 +16,11 @@ kernel must return the same colour values and the same keys.
 form: one bit per step, in the order the format lists the pairs, with the
 package's validation and error messages.  The package's whole-string codec
 must give the same lines, the same adjacency and the same messages.
+
+``exact_iota`` is the exact solver's branch and bound in its plain form: it
+grows every witness tree afresh at every search node and drops repeated
+hoods.  The package's solver, which hands each node's trees to its
+children, must return the same value and the same witness.
 """
 
 from __future__ import annotations
@@ -264,3 +269,174 @@ def graph6_decode(line: str) -> tuple[int, tuple[int, ...]]:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
     return n, tuple(adj)
+
+
+# ===== the exact solver, plain form ==========================================
+
+
+def _bits(mask: int):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _components(adj, alive: int) -> list[int]:
+    """Components of the graph induced on ``alive``, by smallest member."""
+    comps = []
+    while alive:
+        comp = frontier = alive & -alive
+        while frontier:
+            grow = 0
+            for v in _bits(frontier):
+                grow |= adj[v]
+            frontier = grow & alive & ~comp
+            comp |= frontier
+        comps.append(comp)
+        alive &= ~comp
+    return comps
+
+
+def _edges_within(adj, mask: int) -> int:
+    return sum((adj[v] & mask).bit_count() for v in _bits(mask)) // 2
+
+
+def _short_cycle(adj, comp: int) -> int:
+    """Vertex set of a shortest-found BFS cycle in ``comp``, first root wins ties."""
+    best = None
+    for root in _bits(comp):
+        parent = {root: -1}
+        queue = [root]
+        edge = None
+        while queue and edge is None:
+            nxt = []
+            for u in queue:
+                for w in _bits(adj[u] & comp):
+                    if w == parent[u]:
+                        continue
+                    if w in parent:
+                        edge = (u, w)
+                        break
+                    parent[w] = u
+                    nxt.append(w)
+                if edge:
+                    break
+            queue = nxt
+        if edge is None:
+            continue
+        u, w = edge
+        path_u = []
+        x = u
+        while x != -1:
+            path_u.append(x)
+            x = parent[x]
+        on_u = set(path_u)
+        cyc = 0
+        x = w
+        while x not in on_u:
+            cyc |= 1 << x
+            x = parent[x]
+        for y in path_u:
+            cyc |= 1 << y
+            if y == x:
+                break
+        if best is None or cyc.bit_count() < best.bit_count():
+            best = cyc
+        if best.bit_count() == 3:
+            break
+    return best
+
+
+class _RegrowingSearch:
+    def __init__(self, n: int, adj, kind: str, k: int, within: int):
+        self.adj, self.kind, self.k, self.within = adj, kind, k, within
+        members = list(_bits(within))
+        self.closed = closed = [0] * n
+        for v in members:
+            closed[v] = (adj[v] | 1 << v) & within
+        order = sorted(members, key=lambda w: closed[w].bit_count())
+        self.ranked = [[w for w in order if adj[v] >> w & 1] for v in range(n)]
+        self.memo: dict = {}
+
+    def hood(self, w: int) -> int:
+        m = 0
+        for v in _bits(w):
+            m |= self.closed[v]
+        return m
+
+    def tree_hood(self, alive: int, root: int) -> int:
+        chosen, size, layer = 1 << root, 1, [root]
+        while layer:
+            nxt = []
+            for v in layer:
+                for w in self.ranked[v]:
+                    if alive >> w & 1 and not chosen >> w & 1:
+                        chosen |= 1 << w
+                        size += 1
+                        if size > self.k:
+                            return self.hood(chosen)
+                        nxt.append(w)
+            layer = nxt
+        return self.hood(chosen) if _edges_within(self.adj, chosen) >= self.k else 0
+
+    def hoods(self, alive: int) -> list[int]:
+        if self.kind == "edges":
+            found = [self.tree_hood(alive, root) for root in _bits(alive)]
+        else:
+            found = [self.hood(_short_cycle(self.adj, comp))
+                     for comp in _components(self.adj, alive)
+                     if _edges_within(self.adj, comp) >= comp.bit_count()]
+        return sorted(dict.fromkeys(h for h in found if h), key=int.bit_count)
+
+    def solve(self, alive: int, cap: int):
+        known = self.memo.get(alive, 0)
+        if isinstance(known, tuple):
+            return known if known[0] <= cap else None
+        if known > cap:
+            return None
+        hoods = self.hoods(alive)
+        if not hoods:
+            self.memo[alive] = (0, 0)
+            return 0, 0
+        used = packed = 0
+        for hood in hoods:
+            if not hood & used:
+                used |= hood
+                packed += 1
+        lower = max(known, packed)
+        if lower > cap:
+            self.memo[alive] = lower
+            return None
+        best = None
+        for u in _bits(hoods[0]):
+            got = self.solve(alive & ~self.closed[u], cap - 1)
+            if got is not None:
+                best = got[0] + 1, got[1] | 1 << u
+                cap = best[0] - 1
+                if cap < lower:
+                    break
+        self.memo[alive] = cap + 1 if best is None else best
+        return best
+
+
+def exact_iota(n: int, adj, kind: str, k: int = 0, budget: Optional[int] = None,
+               within: Optional[int] = None) -> Optional[tuple[int, int]]:
+    """(value, witness mask) of a minimum isolating set of the graph on
+    0..n-1 (or of its piece ``within``) for the family ``kind``/``k``;
+    None when it needs more than ``budget`` vertices."""
+    host = (1 << n) - 1 if within is None else within
+    search = _RegrowingSearch(n, adj, kind, k, host)
+    value = mask = 0
+    for comp in _components(adj, host):
+        cap = comp.bit_count() if budget is None else budget - value
+        if cap < 0:
+            return None
+        edges = _edges_within(adj, comp)
+        if edges < (k if kind == "edges" else comp.bit_count()):
+            continue
+        got = search.solve(comp, cap)
+        if got is None:
+            return None
+        value += got[0]
+        mask |= got[1]
+    return value, mask

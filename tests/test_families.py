@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 import random
 import sys
+from typing import Optional
 
 import pytest
 
@@ -39,6 +40,7 @@ from isolation_lab.graphs import (
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
 import checker  # noqa: E402
 import graphgen  # noqa: E402
+import oracles  # noqa: E402
 
 E1, E2, E3 = edge_family(1), edge_family(2), edge_family(3)
 
@@ -162,6 +164,12 @@ def test_family_free_piece_over_a_negative_budget():
     assert exact_iota(Graph(1), CYCLES, budget=-1) is None
 
 
+def _regrown(g: Graph, fam: FamilySpec, **kw) -> Optional[IsolationResult]:
+    """exact_iota's answer from the plain solver that regrows every tree."""
+    got = oracles.exact_iota(g.n, g.adj, fam.kind, fam.k, **kw)
+    return None if got is None else IsolationResult(*got)
+
+
 def _searched(g: Graph, fam: FamilySpec, within: int) -> IsolationResult:
     """exact_iota's answer taken from the search alone, component by component."""
     search = families._Search(g, fam, within)
@@ -176,12 +184,15 @@ def _searched(g: Graph, fam: FamilySpec, within: int) -> IsolationResult:
 @pytest.mark.parametrize("fam", [E1, E2, E3, CYCLES],
                          ids=["e1", "e2", "e3", "cycles"])
 def test_exact_iota_agrees_with_the_search(fam, connected_upto):
-    # the whole graph and the pieces G - N[v] that a proof step leaves
+    # the whole graph and the pieces G - N[v] that a proof step leaves: the
+    # same value and witness from the search alone and from the plain
+    # solver that regrows every tree
     for g in connected_upto(1, 7):
         pieces = [g.vertex_mask] + [g.vertex_mask & ~closed_neighborhood(g, 1 << v)
                                     for v in range(g.n)]
         for piece in pieces:
-            assert exact_iota(g, fam, within=piece) == _searched(g, fam, piece)
+            got = exact_iota(g, fam, within=piece)
+            assert got == _searched(g, fam, piece) == _regrown(g, fam, within=piece)
 
 
 def test_monotonicity_helper():
@@ -225,6 +236,93 @@ def test_exact_iota_matches_checker_on_large_sparse_graphs():
             assert got.value == checker.iota_e2(adj), (n, p, adj)
             assert got.witness.bit_count() == got.value
             assert is_isolating(g, got.witness, E2)
+
+
+# ===== witness trees handed down the search ==================================
+#
+# For E_k a search node hands its table root -> (W, hood) to its children,
+# which keep the trees that lie inside their alive set.  The answers must be
+# those of the plain solver in tests/oracles.py, which regrows every tree at
+# every node.
+
+
+def test_solve_large_matches_the_regrowing_search():
+    for adj in graphgen.solve_large(1):
+        g = Graph.from_adj(len(adj), adj)
+        assert exact_iota(g, E2) == _regrown(g, E2)
+
+
+def test_large_sparse_graphs_match_the_regrowing_search():
+    # random trees with n = 48..64 plus up to n/16 chords; the plain solver
+    # takes about 12 s on them
+    rng = random.Random(2028)
+    for _ in range(30):
+        n = rng.randint(48, 64)
+        adj = list(graphgen.random_connected(rng, n, 0.0))
+        for _ in range(rng.randint(0, n // 16)):
+            u, w = rng.sample(range(n), 2)
+            adj[u] |= 1 << w
+            adj[w] |= 1 << u
+        g = Graph.from_adj(n, adj)
+        for fam in (E1, E2, E3):
+            assert exact_iota(g, fam) == _regrown(g, fam), (fam.k, adj)
+
+
+def test_kept_trees_equal_fresh_ones():
+    # down random chains alive > alive' > ..., by N[u] as the search drops
+    # vertices or by random sets, every entry a node keeps or regrows equals
+    # the tree grown afresh in its alive set
+    rng = random.Random(2029)
+    kept = regrown = 0
+    for _ in range(30):
+        n = rng.randrange(6, 33)
+        g = Graph.from_adj(n, graphgen.random_connected(rng, n, rng.choice((0.0, 0.05, 0.15))))
+        for fam in (E1, E2, E3, edge_family(5)):
+            search = families._Search(g, fam, g.vertex_mask)
+            alive = g.vertex_mask
+            trees = search.hoods(alive)[1]
+            while alive:
+                if rng.random() < 0.5:
+                    alive &= ~search.closed[rng.choice(list(bits(alive)))]
+                else:
+                    alive &= ~mask_of(v for v in bits(alive) if rng.random() < 0.2)
+                child = search.hoods(alive, trees)[1]
+                assert child == {root: search.tree_hood(alive, root) for root in bits(alive)}
+                same = sum(child[root] is trees[root] for root in child)
+                kept += same
+                regrown += len(child) - same
+                trees = child
+    assert kept > 1000 and regrown > 1000
+
+
+# The solve-large graph with the most search nodes (n = 42, iota_2 = 5).
+SOLVE_LARGE_42 = ("i@?A????Gc??@OO?_????????O@AGa?G@??oOC????OIGB@@??KSL_BC@C???C?@?@CO??C?"
+                  "??CH?CSC@???OO????GO@?OO?C???a??@A@??OA????_A?O@T???O???`D_c@??EA?G@?b?@O")
+
+
+def test_search_keeps_most_trees(monkeypatch):
+    nodes = visits = grown = 0
+    hoods, tree_hood = families._Search.hoods, families._Search.tree_hood
+
+    def counted_hoods(self, alive, trees=None):
+        nonlocal nodes, visits
+        nodes += 1
+        visits += alive.bit_count()
+        return hoods(self, alive, trees)
+
+    def counted_tree_hood(self, alive, root):
+        nonlocal grown
+        grown += 1
+        return tree_hood(self, alive, root)
+
+    monkeypatch.setattr(families._Search, "hoods", counted_hoods)
+    monkeypatch.setattr(families._Search, "tree_hood", counted_tree_hood)
+    g = graph6_decode(SOLVE_LARGE_42)
+    assert exact_iota(g, E2).value == 5
+    # the plain solver's node count, which grows a tree per alive root at
+    # each node; reuse must not change the search, only skip regrowths
+    assert nodes == 7933
+    assert grown < visits / 3
 
 
 # ===== pieces of a host graph ================================================
