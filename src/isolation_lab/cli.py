@@ -133,8 +133,9 @@ def iter_source(
 ) -> Iterator[Graph]:
     """Graphs with n_min <= n <= n_max from a --source value.
 
-    ``builtin`` enumerates every isomorphism class of connected graphs up to
-    n_max, generating the levels not built yet through ``imap``;
+    ``builtin`` enumerates every isomorphism class of connected graphs from
+    n = max(n_min, 1) up to n_max, generating the levels not built yet
+    through ``imap``; it is the CLI's only reader of the enumeration.
     ``file:PATH`` and ``-`` read graph6 lines.  Out-of-range graphs
     are dropped.  With ``connected_only`` a disconnected line is skipped
     with a warning, since the bounds only speak about connected graphs.
@@ -142,10 +143,10 @@ def iter_source(
     if source == "builtin":
         if n_max > BUILTIN_MAX_N:
             raise UsageError(
-                f"builtin enumeration stops at n = {BUILTIN_MAX_N}; "
-                f"use --source file:PATH for larger sweeps"
+                f"builtin enumeration stops at n = {BUILTIN_MAX_N}; larger "
+                f"graphs must be read from a graph6 file"
             )
-        for n in range(n_min, n_max + 1):
+        for n in range(max(n_min, 1), n_max + 1):
             yield from connected_graphs(n, imap)
         return
 
@@ -350,21 +351,15 @@ def cmd_ckn(args) -> int:
     jobs = _resolve_jobs(args.jobs)
     with (_writers(args.json, args.csv, fields=("k", "n", "c", "witness")) as write,
           _ordered_map(jobs) as imap):
-        # one pass over the source, so each skipped line is reported once
-        levels: dict[int, list[Graph]] = {}
-        for g in iter_source(args.source, args.n_min, args.n_max,
-                             args.strict_parse, imap=imap):
-            levels.setdefault(g.n, []).append(g)
-        solve = functools.partial(_ckn_one, k=k)
-        for n, tasks in sorted(levels.items()):
-            best: Optional[Fraction] = None
-            witness = None
-            for g, value in zip(tasks, imap(solve, tasks)):
-                c = Fraction(value, n)
-                if best is None or c > best:
-                    best, witness = c, g
-            row = {"k": k, "n": n,
-                   "c": f"{best.numerator}/{best.denominator}",
+        tasks = list(iter_source(args.source, args.n_min, args.n_max,
+                                 args.strict_parse, imap=imap))
+        best: dict[int, tuple[int, Graph]] = {}  # n -> first (max iota, graph)
+        for g, value in zip(tasks, imap(functools.partial(_ckn_one, k=k), tasks)):
+            if g.n not in best or value > best[g.n][0]:
+                best[g.n] = value, g
+        for n, (value, witness) in sorted(best.items()):
+            c = Fraction(value, n)
+            row = {"k": k, "n": n, "c": f"{c.numerator}/{c.denominator}",
                    "witness": graph6_encode(witness)}
             write(row)
             print(f"c_{{{k},{n}}} = {row['c']:<6} witness {row['witness']}")
@@ -435,11 +430,8 @@ def cmd_extremal(args) -> int:
 def cmd_emit(args) -> int:
     kind = args.construction
     if kind == "builtin":
-        if args.n_max > BUILTIN_MAX_N:
-            raise UsageError(f"builtin enumeration stops at n = {BUILTIN_MAX_N}")
-        for n in range(args.n_min, args.n_max + 1):
-            for g in connected_graphs(n):
-                print(graph6_encode(g))
+        for g in iter_source("builtin", args.n_min, args.n_max, strict=True):
+            print(graph6_encode(g))
         return 0
     try:
         if kind == "b":

@@ -7,13 +7,23 @@ the module globals (the serial jobs=1 path calls workers directly).
 from __future__ import annotations
 
 import dataclasses
+import importlib
+import inspect
 import json
+import os
+import sys
 
 import pytest
 
 from isolation_lab import cli
 from isolation_lab.bounds import THEOREMS, check_bound
 from isolation_lab.graphs import Graph, graph6_decode, graph6_encode, named_graph
+from isolation_lab.prover import InternalConsistencyError, isolate_k2
+
+# The benchmark's tracer imports the package only when it runs, so its
+# table of wrapped functions can be read here.
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
+import tracing  # noqa: E402
 
 
 def run(argv, capsys):
@@ -98,6 +108,35 @@ def test_sweep_reports_violations(monkeypatch, capsys):
     assert "VIOLATION" in out
 
 
+def _failing_prover(g):
+    raise InternalConsistencyError("case test: not isolating")
+
+
+def _whole_graph_prover(g):
+    return dataclasses.replace(isolate_k2(g), d=(1 << g.n) - 1)
+
+
+def _empty_set_prover(g):
+    return dataclasses.replace(isolate_k2(g), d=0)
+
+
+@pytest.mark.parametrize("prove,message", [
+    (_failing_prover, "prover failed on"),
+    (_whole_graph_prover, "certificate too large on"),
+    (_empty_set_prover, "certificate beats the optimum on"),
+])
+def test_sweep_reports_prover_problems(prove, message, monkeypatch, capsys):
+    # every connected 4-vertex graph but the star is certified, and each has
+    # 1 <= iota <= bound < 4
+    monkeypatch.setattr(cli, "isolate_k2", prove)
+    code, out, _ = run(["sweep", "--family", "e2", "--n-min", "4",
+                        "--n-max", "4"], capsys)
+    assert code == 1
+    problems = [line for line in out.splitlines() if line.startswith("VIOLATION")]
+    assert len(problems) == 5
+    assert all(line.startswith(f"VIOLATION {message} ") for line in problems)
+
+
 def test_sweep_budget_skips(capsys):
     code, out, _ = run(["sweep", "--family", "e1", "--n-min", "3",
                         "--n-max", "3", "--budget", "0"], capsys)
@@ -125,6 +164,22 @@ def test_family_k_out_of_range_is_usage_error(family, capsys):
 def test_sweep_builtin_range_cap(capsys):
     code, _, err = run(["sweep", "--family", "e2", "--n-max", "12"], capsys)
     assert code == 2 and "builtin enumeration stops" in err
+
+
+@pytest.mark.parametrize("argv", [["sweep", "--family", "e1"],
+                                  ["ckn", "--family", "e2"],
+                                  ["emit", "builtin"]], ids=["sweep", "ckn", "emit"])
+def test_builtin_range_starts_at_one(argv, tmp_path, capsys):
+    # a --n-min below 1 reads the same graphs as --n-min 1
+    outputs = []
+    for n_min in ("-1", "1"):
+        path = tmp_path / f"rows{n_min}.json"
+        reports = [] if argv[0] == "emit" else ["--json", str(path)]
+        code, out, err = run(argv + ["--n-min", n_min, "--n-max", "3"] + reports,
+                             capsys)
+        assert code == 0 and err == ""
+        outputs.append(out if argv[0] == "emit" else path.read_text())
+    assert outputs[0] == outputs[1] != ""
 
 
 # ===== sources and jobs ======================================================
@@ -221,9 +276,10 @@ def test_bad_jobs_flag_rejected(capsys):
 
 @pytest.mark.parametrize("command", ["sweep", "ckn"])
 def test_jobs_capped_at_core_count(command, monkeypatch, capsys):
-    # one pool per command, never more processes than cores; the stand-in
-    # pool maps in this process, so the test starts no process at all
-    started = []
+    # one pool per command, never more processes than cores, and one map of
+    # the per-graph worker over every graph; the stand-in pool maps in this
+    # process, so the test starts no process at all
+    started, workers = [], []
 
     class InlinePool:
         def __init__(self, processes):
@@ -236,6 +292,7 @@ def test_jobs_capped_at_core_count(command, monkeypatch, capsys):
             return False
 
         def imap(self, worker, tasks, chunksize=1):
+            workers.append(getattr(worker, "func", worker))
             return map(worker, tasks)
 
     monkeypatch.setattr(cli.multiprocessing, "Pool", InlinePool)
@@ -243,6 +300,8 @@ def test_jobs_capped_at_core_count(command, monkeypatch, capsys):
     code, out, _ = run([command, "--family", "e2", "--n-max", "5",
                         "--jobs", "100000"], capsys)
     assert code == 0 and started == [2]
+    per_graph = cli._sweep_one if command == "sweep" else cli._ckn_one
+    assert workers.count(per_graph) == 1
     if command == "sweep":
         assert "jobs=100000" in out
 
@@ -336,6 +395,13 @@ def test_emit_builtin(capsys):
     lines = out.strip().splitlines()
     assert len(lines) == 1 + 1 + 2 + 6
     assert all(graph6_decode(line).n <= 4 for line in lines)
+
+
+def test_emit_builtin_range_cap(capsys):
+    # emit takes no --source, so the message does not point to one
+    code, out, err = run(["emit", "builtin", "--n-max", "12"], capsys)
+    assert code == 2 and out == ""
+    assert "builtin enumeration stops at n = 9" in err and "--source" not in err
 
 
 def test_emit_missing_args(capsys):
@@ -498,6 +564,19 @@ def test_solve_certify_take_no_size_range(capsys):
             cli.main(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_trace_hooks_exist():
+    # perfbench's tracer wraps these functions by name; a renamed one would
+    # only show as an AttributeError in a traced benchmark run
+    for module, name in tracing.LAYERS:
+        fn = getattr(importlib.import_module(f"isolation_lab.{module}"), name, None)
+        assert callable(fn), (module, name)
+    assert tracing.GRAPH_ENTRY <= {f"{m}.{name}" for m, name in tracing.LAYERS}
+    # the tracer times each resume of these, and starts a new graph on each
+    # resume of _input_graphs
+    assert inspect.isgeneratorfunction(cli.iter_source)
+    assert inspect.isgeneratorfunction(cli._input_graphs)
 
 
 def test_argparse_usage_exit():

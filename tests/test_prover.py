@@ -147,9 +147,33 @@ CASE_FIXTURES = [
 ]
 
 
+# Copies of fixtures above that reach a branch their originals miss: a
+# relabelling by one shuffle of random.Random(0), or one more edge.  The key
+# names the branch and ends the test id.
+BRANCH_FIXTURES = {
+    # 4th shuffle of the first k2 pair-carve fixture: the triangle is the
+    # second bad component, so that one is carved
+    "second-carved": (2, "pair-carve", 2, 3, 11,
+        [(0, 1), (0, 4), (1, 2), (1, 5), (1, 6), (2, 3), (3, 5), (3, 8),
+         (3, 9), (4, 6), (4, 7), (4, 10), (7, 10)]),
+    # the shedleaf fixture with its second path's end 10 linked to 4: the
+    # first path has two leaf ends and the second one, so the second is shed
+    "second-shed": (2, "pair-p3p3-shedleaf", 2, 2, 11,
+        [(0, 1), (0, 2), (0, 3), (0, 4), (5, 6), (6, 7), (8, 9), (9, 10),
+         (1, 6), (3, 6), (2, 9), (4, 9), (4, 10)]),
+    # 41st shuffle of the first k3 single-c7-whole fixture: the cycle is
+    # reversed so that the partner anchor meets it two steps from y1
+    "cycle-reversed": (3, "single-c7-whole", 2, 2, 11,
+        [(0, 5), (0, 6), (1, 2), (1, 7), (2, 9), (3, 5), (3, 9), (4, 6),
+         (4, 7), (5, 10), (6, 8), (7, 10), (8, 9)]),
+}
+ALL_FIXTURES = CASE_FIXTURES + list(BRANCH_FIXTURES.values())
+
+
 @pytest.mark.parametrize(
-    "k,case,d_size,bound,n,edges", CASE_FIXTURES,
-    ids=[f"k{k}-{case}-n{n}" for k, case, _, _, n, edges in CASE_FIXTURES])
+    "k,case,d_size,bound,n,edges", ALL_FIXTURES,
+    ids=[f"k{k}-{case}-n{n}" for k, case, _, _, n, edges in CASE_FIXTURES]
+    + [f"k{k}-{case}-{name}" for name, (k, case, *_) in BRANCH_FIXTURES.items()])
 def test_case_fixture(k, case, d_size, bound, n, edges):
     g = Graph(n, edges)
     cert = _prove(k, g)
@@ -218,7 +242,7 @@ def test_success_path_builds_no_induced_subgraph(monkeypatch):
                 getattr(module, "induced_subgraph", None) is original:
             monkeypatch.setattr(module, "induced_subgraph", counting)
     monkeypatch.setattr(bounds, "canonical_form", forming)
-    for k, _, _, _, n, edges in CASE_FIXTURES:
+    for k, _, _, _, n, edges in ALL_FIXTURES:
         _prove(k, Graph(n, edges))
     for k, _, g6, _, _ in SWEEP_WITNESSES:
         _prove(k, graph6_decode(g6))
@@ -365,7 +389,7 @@ def test_finish_catches_a_broken_step(monkeypatch, mutate, least):
 
     monkeypatch.setattr(prover, "_step", patched)
     caught = 0
-    for k, _, _, _, n, edges in CASE_FIXTURES:
+    for k, _, _, _, n, edges in ALL_FIXTURES:
         broken.clear()
         try:
             _prove(k, Graph(n, edges))
