@@ -123,6 +123,33 @@ def _resolve_jobs(value: str) -> int:
     return jobs
 
 
+def _source_range(source: str, n_min: int, n_max: int) -> tuple[int, int]:
+    """The range of n that a --source value reads, or its usage error.
+
+    ``builtin`` starts at n = 1 and stops at ``BUILTIN_MAX_N``; a ``file:``
+    must be readable.  The commands that write reports call this before
+    opening them, so a bad source leaves an existing report as it was.
+    """
+    if source == "builtin":
+        if n_max > BUILTIN_MAX_N:
+            raise UsageError(
+                f"builtin enumeration stops at n = {BUILTIN_MAX_N}; larger "
+                f"graphs must be read from a graph6 file"
+            )
+        return max(n_min, 1), n_max
+    if source.startswith("file:"):
+        path = source[5:]
+        try:
+            open(path, "rb").close()
+        except OSError as exc:
+            raise UsageError(f"cannot read {path}: {exc}")
+    elif source != "-":
+        raise UsageError(
+            f"unknown source {source!r} (choose builtin, file:PATH, or -)"
+        )
+    return n_min, n_max
+
+
 def iter_source(
     source: str,
     n_min: int,
@@ -131,40 +158,25 @@ def iter_source(
     connected_only: bool = True,
     imap=map,
 ) -> Iterator[Graph]:
-    """Graphs with n_min <= n <= n_max from a --source value.
+    """Graphs from a --source value, with n in ``_source_range``.
 
-    ``builtin`` enumerates every isomorphism class of connected graphs from
-    n = max(n_min, 1) up to n_max, generating the levels not built yet
-    through ``imap``; it is the CLI's only reader of the enumeration.
-    ``file:PATH`` and ``-`` read graph6 lines.  Out-of-range graphs
-    are dropped.  With ``connected_only`` a disconnected line is skipped
-    with a warning, since the bounds only speak about connected graphs.
+    ``builtin`` enumerates every isomorphism class of connected graphs in
+    that range, generating the levels not built yet through ``imap``; it
+    is the CLI's only reader of the enumeration.  ``file:PATH`` and ``-``
+    read graph6 lines.  Out-of-range graphs are dropped.  With
+    ``connected_only`` a disconnected line is skipped with a warning,
+    since the bounds only speak about connected graphs.
     """
+    n_min, n_max = _source_range(source, n_min, n_max)
     if source == "builtin":
-        if n_max > BUILTIN_MAX_N:
-            raise UsageError(
-                f"builtin enumeration stops at n = {BUILTIN_MAX_N}; larger "
-                f"graphs must be read from a graph6 file"
-            )
-        for n in range(max(n_min, 1), n_max + 1):
+        for n in range(n_min, n_max + 1):
             yield from connected_graphs(n, imap)
         return
 
-    if source == "-":
-        lines: Iterable[str] = sys.stdin
-    elif source.startswith("file:"):
-        path = source[5:]
-        try:
-            # latin-1 maps every byte to a character, so graph6_decode names
-            # a stray non-ASCII byte like any other one outside its range
-            lines = open(path, "r", encoding="latin-1")
-        except OSError as exc:
-            raise UsageError(f"cannot read {path}: {exc}")
-    else:
-        raise UsageError(
-            f"unknown source {source!r} (choose builtin, file:PATH, or -)"
-        )
-
+    # latin-1 maps every byte to a character, so graph6_decode names a
+    # stray non-ASCII byte like any other one outside its range
+    lines: Iterable[str] = (sys.stdin if source == "-"
+                            else open(source[5:], "r", encoding="latin-1"))
     issues: list[tuple[int, str]] = []
     try:
         for g in read_graph6_stream(
@@ -295,12 +307,13 @@ def cmd_sweep(args) -> int:
             f"e3, and cycles do)"
         )
     jobs = _resolve_jobs(args.jobs)
+    n_min, n_max = _source_range(args.source, args.n_min, args.n_max)
     start = time.monotonic()
     exceptions: dict[str, int] = {}
     per_n: dict[int, list[int]] = {}  # graphs, violations, tight, skipped
     with _writers(args.json, args.csv) as write, _ordered_map(jobs) as imap:
-        tasks = list(iter_source(args.source, args.n_min, args.n_max,
-                                 args.strict_parse, imap=imap))
+        tasks = list(iter_source(args.source, n_min, n_max, args.strict_parse,
+                                 imap=imap))
         check = functools.partial(_sweep_one, theorem=theorem, budget=args.budget)
         for row, problems in imap(check, tasks):
             write(row)
@@ -317,7 +330,7 @@ def cmd_sweep(args) -> int:
             for message in problems:
                 print(f"VIOLATION {message}")
     elapsed = time.monotonic() - start
-    print(f"sweep {label} (bound {theorem}) n={args.n_min}..{args.n_max} "
+    print(f"sweep {label} (bound {theorem}) n={n_min}..{n_max} "
           f"source={args.source} jobs={jobs}")
     for n in sorted(per_n):
         g, v, t, s = per_n[n]
@@ -349,10 +362,11 @@ def cmd_ckn(args) -> int:
         )
     k = fam.k
     jobs = _resolve_jobs(args.jobs)
+    n_min, n_max = _source_range(args.source, args.n_min, args.n_max)
     with (_writers(args.json, args.csv, fields=("k", "n", "c", "witness")) as write,
           _ordered_map(jobs) as imap):
-        tasks = list(iter_source(args.source, args.n_min, args.n_max,
-                                 args.strict_parse, imap=imap))
+        tasks = list(iter_source(args.source, n_min, n_max, args.strict_parse,
+                                 imap=imap))
         best: dict[int, tuple[int, Graph]] = {}  # n -> first (max iota, graph)
         for g, value in zip(tasks, imap(functools.partial(_ckn_one, k=k), tasks)):
             if g.n not in best or value > best[g.n][0]:

@@ -6,8 +6,10 @@ class of connected n-vertex graphs for n <= 9, by vertex augmentation: each
 P's vertices.  A child is kept only when its new vertex passes a
 canonical-deletion test, checked before any canonical form is computed:
 among the child's non-cut vertices it has minimum degree, and among the
-non-cut vertices of that degree it has the largest refined colour.  The
-survivors are deduplicated by canonical form.
+non-cut vertices of that degree it has the largest refined colour.  Of
+one parent's children only the least mask of each Aut(P)-orbit is tried,
+and only a child in which another vertex passes the test as well gets a
+canonical key; the survivors are deduplicated by that key.
 
 The test loses no class.  Every connected graph X has a vertex x that passes
 it (non-cut vertices exist, and the rule picks some of them).  X - x is
@@ -22,12 +24,53 @@ every component of P - u.  The refinement runs only when another non-cut
 vertex ties with the new one on degree, and its colours are handed on to
 ``canonical_form``.
 
+Orbit pruning is the within-parent half of McKay's canonical augmentation
+("Isomorph-free exhaustive generation", J. Algorithms 1998).  An
+automorphism sigma of P, extended by fixing the new vertex, maps the child
+with mask m onto the child with mask sigma(m).  So the masks of one orbit
+give isomorphic children, and all of them pass the test or none does.
+
+A child X whose new vertex x is the only vertex that passes the test needs
+no key: no other kept child Y is isomorphic to it.  An isomorphism Y -> X
+maps passing vertices onto passing vertices, so Y too has one, its new
+vertex y, and it goes to x.  Then Y - y and X - x are isomorphic, so Y and
+X share their parent P (the parents are distinct classes), and the
+isomorphism restricted to P is an automorphism of P taking Y's mask to X's.
+The two masks share an orbit, and only one mask of it is tried.  The
+number of passing vertices is an isomorphism invariant, so X is not
+isomorphic to a keyed child either.  ``_next_level`` therefore keeps such
+a child as it is, and ``seen`` holds only the keys of children with a tied
+deletion vertex.
+
+The output is the one every child keyed would give.  That keeps the first
+passing child of each class in (parent, mask) order.  The other masks of
+its orbit give passing children of the same class, later in mask order,
+so its mask is the least of its orbit and is tried; it is then kept,
+unkeyed or as the first child of its key.  So the classes, their
+representatives and their order are unchanged.
+
+Aut(P) comes from the search behind ``canonical_form`` (below), run by
+``_generators``: it collects a transposition (u v) for each twin pair that
+the search prunes, and, for each leaf whose string equals the best leaf's,
+the map from the best leaf's ordering beta to that leaf's.  These generate
+Aut(P).  Take sigma in Aut(P): the ordering sigma(beta) gives the same
+string as beta.  Walk it position by position; where its vertex v has a
+lower twin u not yet placed, swap u and v by their transposition, which
+fixes the earlier positions (being twins is an equivalence, so u may be
+taken as the lowest unplaced twin).  The result gamma = t(sigma(beta)), t a
+product of twin transpositions, is never pruned: not by twins, and not by
+prefix, since its string is the minimum.  So gamma is beta, or a leaf
+tied with beta whose map beta -> gamma, which is t sigma, was collected.
+Either way sigma is in the group generated.  The search collects nothing
+when it only computes a canonical form.
+
 A level is generated per parent: ``_children`` tests and keys the children
 of one parent, and is mapped over the parents by a caller-supplied ordered
 map (the builtin ``map``, or a pool's ``imap``).  The survivors are merged
 in parent order, then mask order, through one ``seen`` set in the calling
-process, keeping the first child of each canonical key.  So the classes,
-their representatives and their order do not depend on the map.
+process, keeping the first child of each canonical key and every unkeyed
+child.  So the classes, their representatives and their order do not
+depend on the map.
 
 The canonical form is the lexicographically smallest adjacency bit string
 (upper triangle, column by column) over vertex orderings, restricted to
@@ -102,18 +145,14 @@ def _refined_colors(g: Graph) -> list[int]:
     return colors
 
 
-def canonical_form(g: Graph, colors: Optional[list[int]] = None) -> tuple:
-    """A canonical key: equal keys iff isomorphic graphs.
+def _search(g: Graph, colors: list[int], gens: Optional[list] = None) -> tuple:
+    """The canonical key of ``g`` under the refined ``colors``.
 
-    The key is (n, columns...) where columns is the minimal upper-triangle
-    encoding over colour-compatible vertex orderings.  ``colors``, when
-    given, must be ``_refined_colors(g)``, already computed by the caller.
+    When ``gens`` is a list, generators of Aut(g) are appended to it as
+    vertex maps (v -> image): a transposition per twin pair the search
+    prunes, and a map per leaf that ties with the best leaf.
     """
     n = g.n
-    if n <= 1:
-        return (n,)
-    if colors is None:
-        colors = _refined_colors(g)
     adj = g.adj
     members: dict[int, int] = {}
     for v, c in enumerate(colors):
@@ -130,18 +169,35 @@ def canonical_form(g: Graph, colors: Optional[list[int]] = None) -> tuple:
             for u in row[:j]:
                 if adj[u] & ~(1 << v) == adj[v] & ~(1 << u):
                     lower_twins[v] |= 1 << u
+    if gens is not None:
+        for v, lower in enumerate(lower_twins):
+            if lower:
+                u = (lower & -lower).bit_length() - 1
+                swap = list(range(n))
+                swap[u], swap[v] = v, u
+                gens.append(swap)
 
     chosen = [0] * n
     cols = [0] * n  # cols[pos]: the adjacency of chosen[pos] to chosen[:pos]
     best: list[int] = []
+    best_order: list[int] = []  # the ordering that gave best (kept for gens)
 
     def rec(pos: int, used: int, tied: bool) -> None:
         # tied: cols[1:pos] equals best[:pos - 1]; otherwise it is smaller,
         # and the first leaf below becomes the new best
-        nonlocal best
+        nonlocal best, best_order
         if pos == n:
             if not tied:
                 best = cols[1:]
+                if gens is not None:
+                    best_order = chosen[:]
+            elif gens is not None:
+                # two orderings with one adjacency string: mapping the one
+                # onto the other is an automorphism
+                image = [0] * n
+                for u, v in zip(best_order, chosen):
+                    image[u] = v
+                gens.append(image)
             return
         free = slots[pos] & ~used
         for v in bits(free):
@@ -171,6 +227,42 @@ def canonical_form(g: Graph, colors: Optional[list[int]] = None) -> tuple:
     return (n, *best)
 
 
+def canonical_form(g: Graph, colors: Optional[list[int]] = None) -> tuple:
+    """A canonical key: equal keys iff isomorphic graphs.
+
+    The key is (n, columns...) where columns is the minimal upper-triangle
+    encoding over colour-compatible vertex orderings.  ``colors``, when
+    given, must be ``_refined_colors(g)``, already computed by the caller.
+    """
+    if g.n <= 1:
+        return (g.n,)
+    return _search(g, _refined_colors(g) if colors is None else colors)
+
+
+def _generators(g: Graph) -> list[list[int]]:
+    """Vertex maps (v -> image) that generate Aut(g)."""
+    gens: list[list[int]] = []
+    if g.n > 1:
+        _search(g, _refined_colors(g), gens)
+    return gens
+
+
+def _orbit(mask: int, gens: list[list[int]]) -> set[int]:
+    """The orbit of a vertex mask under the group generated by ``gens``."""
+    orbit = {mask}
+    todo = [mask]
+    while todo:
+        m = todo.pop()
+        for image in gens:
+            moved = 0
+            for v in bits(m):
+                moved |= 1 << image[v]
+            if moved not in orbit:
+                orbit.add(moved)
+                todo.append(moved)
+    return orbit
+
+
 # ===== Builtin enumeration ===================================================
 
 
@@ -182,9 +274,12 @@ def _child(parent: Graph, mask: int) -> Graph:
     return Graph.from_adj(new + 1, tuple(adj))
 
 
-def _children(parent: Graph) -> list[tuple[int, tuple]]:
-    """(mask, canonical key) of each child of ``parent`` that passes the
-    canonical-deletion test, in mask order; runs inside worker processes."""
+def _children(parent: Graph) -> list[tuple[int, Optional[tuple]]]:
+    """(mask, key) of each child of ``parent`` whose new vertex passes the
+    canonical-deletion test and whose mask is the least of its Aut(parent)
+    orbit, in mask order; the key is the canonical form when another vertex
+    ties with the new one on the test, else None.  Runs inside worker
+    processes."""
     new = parent.n
     degree = [a.bit_count() for a in parent.adj]
     # low degrees first: a rejecting vertex is found sooner
@@ -193,6 +288,8 @@ def _children(parent: Graph) -> list[tuple[int, tuple]]:
     # component of parent - u
     splits = [component_masks(parent, parent.vertex_mask & ~(1 << u))
               for u in range(new)]
+    gens = _generators(parent)
+    tried: set[int] = set()  # the orbits of the passing masks met so far
     out = []
     for mask in range(1, 1 << new):
         d = mask.bit_count()
@@ -206,27 +303,39 @@ def _children(parent: Graph) -> list[tuple[int, tuple]]:
                     break  # a non-cut vertex of smaller degree: reject
                 ties.append(u)
         else:
+            if gens:
+                # the test passes on whole orbits, so the first passing
+                # mask of an orbit is its least
+                if mask in tried:
+                    continue
+                tried |= _orbit(mask, gens)
             child = _child(parent, mask)
-            colors = None
+            key = None
             if ties:
                 colors = _refined_colors(child)
-                if any(colors[u] > colors[new] for u in ties):
+                top = max(colors[u] for u in ties)
+                if top > colors[new]:
                     continue
-            out.append((mask, canonical_form(child, colors)))
+                if top == colors[new]:  # another vertex passes as well
+                    key = canonical_form(child, colors)
+            out.append((mask, key))
     return out
 
 
 def _next_level(parents: tuple[Graph, ...], imap) -> tuple[Graph, ...]:
     """The classes one vertex above ``parents``, from ``_children`` mapped
     over them by ``imap`` (an ordered map, such as a pool's); the survivors
-    are merged in parent order, the first of each canonical key kept."""
+    are merged in parent order, the first of each canonical key kept, and
+    every unkeyed child kept."""
     out = []
     seen = set()
     for parent, kids in zip(parents, imap(_children, parents)):
         for mask, key in kids:
-            if key not in seen:
+            if key is not None:
+                if key in seen:
+                    continue
                 seen.add(key)
-                out.append(_child(parent, mask))
+            out.append(_child(parent, mask))
     return tuple(out)
 
 

@@ -12,6 +12,14 @@ kernel in its plain form (sorted neighbour-colour tuples, a full prefix
 comparison at every search node, no twin pruning).  The package's faster
 kernel must return the same colour values and the same keys.
 
+``keyed_children`` and ``next_level`` are the builtin enumerator in its
+keyed form: every child that passes the canonical-deletion test gets a
+canonical key, and one ``seen`` set keeps the first child of each key.
+The package's orbit-pruned enumerator must build the same levels, the same
+representatives in the same order.  ``deletion_candidates`` lists the
+vertices that pass that test, straight from its definition, and
+``automorphisms`` lists a graph's automorphisms by backtracking.
+
 ``graph6_encode`` and ``graph6_decode`` are the graph6 codec in its plain
 form: one bit per step, in the order the format lists the pairs, with the
 package's validation and error messages.  The package's whole-string codec
@@ -202,6 +210,98 @@ def canonical_form(n: int, adj) -> tuple:
     rec([], 0, [])
     assert best is not None
     return (n, *best)
+
+
+# ===== the enumerator's levels, keyed form ==================================
+
+
+def _child_adj(adj, mask: int) -> tuple[int, ...]:
+    """The graph ``adj`` plus a new last vertex joined to ``mask``."""
+    new = len(adj)
+    return tuple([a | (mask >> v & 1) << new for v, a in enumerate(adj)]
+                 + [mask])
+
+
+def keyed_children(adj, colors=refined_colors,
+                   key=canonical_form) -> list[tuple[int, tuple]]:
+    """(mask, canonical key) of every child of ``adj`` whose new vertex
+    passes the canonical-deletion test, in mask order.
+
+    ``colors`` and ``key`` map (n, adj) to the refined colours and the
+    canonical key; they default to the plain forms above.
+    """
+    n = len(adj)
+    full = (1 << n) - 1
+    splits = [_components(adj, full & ~(1 << u)) for u in range(n)]
+    out = []
+    for mask in range(1, 1 << n):
+        d = mask.bit_count()
+        ties = []  # the other non-cut vertices of the new vertex's degree
+        for u in range(n):
+            du = adj[u].bit_count() + (mask >> u & 1)
+            if du <= d and all(mask & c for c in splits[u]):
+                if du < d:
+                    break
+                ties.append(u)
+        else:
+            child = _child_adj(adj, mask)
+            tone = colors(n + 1, child)
+            if all(tone[u] <= tone[n] for u in ties):
+                out.append((mask, key(n + 1, child)))
+    return out
+
+
+def next_level(parents, colors=refined_colors,
+               key=canonical_form) -> list[tuple[int, ...]]:
+    """The adjacency of each class one vertex above ``parents`` (adjacency
+    tuples): the first child of each canonical key, in parent order, then
+    mask order."""
+    out = []
+    seen = set()
+    for adj in parents:
+        for mask, k in keyed_children(adj, colors, key):
+            if k not in seen:
+                seen.add(k)
+                out.append(_child_adj(adj, mask))
+    return out
+
+
+def deletion_candidates(n: int, adj) -> list[int]:
+    """The vertices that pass the canonical-deletion test: the non-cut
+    vertices of least degree, and among them those of the largest refined
+    colour."""
+    full = (1 << n) - 1
+    noncut = [v for v in range(n)
+              if len(_components(adj, full & ~(1 << v))) == 1]
+    low = min(adj[v].bit_count() for v in noncut)
+    noncut = [v for v in noncut if adj[v].bit_count() == low]
+    colors = refined_colors(n, adj)
+    top = max(colors[v] for v in noncut)
+    return [v for v in noncut if colors[v] == top]
+
+
+def automorphisms(n: int, adj) -> list[list[int]]:
+    """Every automorphism of the graph as a vertex map (v -> image), by
+    backtracking over the images that keep adjacency to the vertices
+    already mapped."""
+    out = []
+    image: list[int] = []
+
+    def extend(v: int, used: int) -> None:
+        if v == n:
+            out.append(image[:])
+            return
+        for w in range(n):
+            if (not used >> w & 1
+                    and adj[w].bit_count() == adj[v].bit_count()
+                    and all((adj[v] >> u & 1) == (adj[w] >> image[u] & 1)
+                            for u in range(v))):
+                image.append(w)
+                extend(v + 1, used | 1 << w)
+                image.pop()
+
+    extend(0, 0)
+    return out
 
 
 # ===== the graph6 codec, plain form ==========================================

@@ -182,6 +182,12 @@ def test_builtin_range_starts_at_one(argv, tmp_path, capsys):
     assert outputs[0] == outputs[1] != ""
 
 
+def test_sweep_header_prints_the_range_read(capsys):
+    code, out, _ = run(["sweep", "--family", "e1", "--n-min", "-1",
+                        "--n-max", "3"], capsys)
+    assert code == 0 and "sweep e1 (bound k1) n=1..3 source=builtin" in out
+
+
 # ===== sources and jobs ======================================================
 
 
@@ -316,6 +322,22 @@ def test_sweep_opens_reports_before_enumerating(tmp_path, monkeypatch, capsys):
                           str(tmp_path / "missing" / "rows.jsonl")], capsys)
     assert code == 2 and out == ""
     assert err.startswith("usage error: cannot write")
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--family", "e2", "--n-max", "12"],
+    ["ckn", "--family", "e2", "--source", "nope"],
+    ["sweep", "--family", "e1", "--source", "file:/does/not/exist.g6"],
+], ids=["builtin-cap", "unknown-source", "missing-file"])
+def test_source_error_keeps_existing_reports(argv, tmp_path, capsys):
+    # the source is checked before the reports are opened for writing
+    reports = [tmp_path / "rows.json", tmp_path / "rows.csv"]
+    for path in reports:
+        path.write_text("keep")
+    code, out, err = run(argv + ["--json", str(reports[0]),
+                                 "--csv", str(reports[1])], capsys)
+    assert code == 2 and out == "" and err.startswith("usage error:")
+    assert [path.read_text() for path in reports] == ["keep", "keep"]
 
 
 # ===== ckn ===================================================================

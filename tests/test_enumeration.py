@@ -110,7 +110,8 @@ def test_children_rejected_before_canonical_form(monkeypatch):
     level = enumeration._next_level(parents, map)
     assert len(level) == KNOWN_CONNECTED_COUNTS[7]
     assert {real(g) for g in level} == {real(g) for g in connected_graphs(7)}
-    assert children == 7056 and calls <= children // 3
+    # only children with a tied deletion vertex are keyed: 281 of 7,056
+    assert children == 7056 and calls <= children // 24
 
 
 def test_pooled_level_matches_serial():
@@ -122,6 +123,75 @@ def test_pooled_level_matches_serial():
         pooled = enumeration._next_level(parents, pool.imap)
     assert len(serial) == KNOWN_CONNECTED_COUNTS[7]
     assert [g.adj for g in pooled] == [g.adj for g in serial]
+
+
+def _graph_kernel():
+    """The package's colours and key as (n, adj) functions, for the oracle."""
+    def colors(n, adj):
+        return enumeration._refined_colors(Graph.from_adj(n, adj))
+
+    def key(n, adj):
+        return canonical_form(Graph.from_adj(n, adj))
+
+    return colors, key
+
+
+def test_levels_match_keyed_oracle():
+    # orbit pruning and the unkeyed children change nothing: the keyed
+    # enumerator builds the same classes, representatives and order
+    level = [Graph(1).adj]
+    for n in range(2, 8):
+        level = oracles.next_level(level)
+        assert level == [g.adj for g in connected_graphs(n)], n
+    # level 8 through the package's kernel, which
+    # test_kernel_matches_plain_oracle ties to the plain one
+    level = oracles.next_level(level, *_graph_kernel())
+    assert level == [g.adj for g in connected_graphs(8)]
+
+
+def test_children_keyed_only_when_tied(connected_upto):
+    # a child's key is None exactly when its new vertex is the only vertex
+    # that passes the canonical-deletion test (level 8 is covered by
+    # test_levels_match_keyed_oracle: a wrong None would add a class)
+    keyed = unkeyed = 0
+    for parent in connected_upto(1, 6):
+        for mask, key in enumeration._children(parent):
+            child = enumeration._child(parent, mask)
+            passing = oracles.deletion_candidates(child.n, child.adj)
+            assert parent.n in passing
+            if key is None:
+                assert passing == [parent.n], graph6_encode(child)
+                unkeyed += 1
+            else:
+                assert len(passing) > 1 and key == canonical_form(child)
+                keyed += 1
+    assert keyed + unkeyed == 854 + 112 + 21 + 6 + 2 + 1
+    assert keyed == 281 + 58 + 13 + 5 + 2 + 1
+
+
+def test_generators_give_brute_force_orbits(connected_upto):
+    # the leaf maps of the canonical search and the twin transpositions
+    # generate Aut(g): their orbits on the vertex masks are those of every
+    # automorphism, found by brute force
+    graphs = connected_upto(1, 6)
+    for n in range(2, 9):
+        graphs += [complete_graph(n), star_graph(n - 1)]
+        graphs += [_complete_bipartite(a, n - a) for a in range(1, n // 2 + 1)]
+        if n >= 3:
+            graphs.append(cycle_graph(n))
+    for g in graphs:
+        auts = oracles.automorphisms(g.n, g.adj)
+        gens = enumeration._generators(g)
+        assert all(image in auts for image in gens), graph6_encode(g)
+        covered = 0
+        for mask in range(1, 1 << g.n):
+            if covered >> mask & 1:
+                continue
+            members = [v for v in range(g.n) if mask >> v & 1]
+            orbit = {sum(1 << a[v] for v in members) for a in auts}
+            assert enumeration._orbit(mask, gens) == orbit, (graph6_encode(g), mask)
+            for m in orbit:
+                covered |= 1 << m
 
 
 def _relabelled(g: Graph, rng: random.Random) -> Graph:
