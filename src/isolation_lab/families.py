@@ -38,6 +38,16 @@ computes it by depth-first branch and bound:
   branches in the same order and returns the same value and witness.
   Only the tables on the current path of the search are alive, at most n
   entries per level.
+* a node with cap 0 can neither pack nor branch: it returns (0, 0) when
+  g[alive] is F-free and None otherwise, so it builds no table and asks
+  only for one witness.  For E_k an entry of the parent's table with a
+  hood and with W inside alive is one (W still spans k edges); failing
+  that, trees are grown until one has a hood.  For cycles the components'
+  edge counts answer.  Where the table would have stored its packing, the
+  node stores the bound 1.  This changes nothing: a later call on the same
+  alive set with cap 0 returns None at once under either bound, and one
+  with a larger cap builds the table, packs the same hoods to the same
+  bound and returns what it returned before.
 
 ``alive`` is not split into its components below the top level.  A vertex
 outside ``alive`` can be adjacent to two of its components and isolate both
@@ -256,6 +266,25 @@ class _Search:
             return chosen, 0
         return chosen, hood
 
+    def holds(self, alive: int, trees: Optional[dict]) -> bool:
+        """Does g[alive] contain an F-graph?  For E_k, an entry of the parent
+        node's ``trees`` with a hood and with W inside ``alive`` is still a
+        k-edge witness; failing that, trees are grown until one has a hood."""
+        if self.fam.kind != "edges":
+            return _contains_within(self.g, alive, self.fam)
+        if trees is not None:
+            gone = ~alive
+            for w, hood in trees.values():
+                if hood and not w & gone:
+                    return True
+        rest = alive
+        while rest:
+            w, hood = self.tree_hood(alive, (rest & -rest).bit_length() - 1)
+            if hood:
+                return True
+            rest &= ~w  # w is the root's whole component, and it is F-free
+        return False
+
     def solve(self, alive: int, cap: int,
               trees: Optional[dict] = None) -> Optional[tuple[int, int]]:
         """(value, mask) of a minimum isolating set of g[alive] if its size
@@ -266,6 +295,13 @@ class _Search:
             return known if known[0] <= cap else None
         if known > cap:
             return None
+        if cap == 0:
+            # no packing and no branching: only whether an F-graph is left
+            if self.holds(alive, trees):
+                self.memo[alive] = 1
+                return None
+            self.memo[alive] = (0, 0)
+            return 0, 0
         hoods, trees = self.hoods(alive, trees)
         if not hoods:
             self.memo[alive] = (0, 0)

@@ -186,13 +186,17 @@ def _searched(g: Graph, fam: FamilySpec, within: int) -> IsolationResult:
 def test_exact_iota_agrees_with_the_search(fam, connected_upto):
     # the whole graph and the pieces G - N[v] that a proof step leaves: the
     # same value and witness from the search alone and from the plain
-    # solver that regrows every tree
+    # solver that regrows every tree; at budget 0, where every node searched
+    # has cap 0, None exactly when the piece holds an F-graph
     for g in connected_upto(1, 7):
         pieces = [g.vertex_mask] + [g.vertex_mask & ~closed_neighborhood(g, 1 << v)
                                     for v in range(g.n)]
         for piece in pieces:
             got = exact_iota(g, fam, within=piece)
             assert got == _searched(g, fam, piece) == _regrown(g, fam, within=piece)
+            free = exact_iota(g, fam, budget=0, within=piece)
+            assert (free is None) == families._contains_within(g, piece, fam)
+            assert free in (None, IsolationResult(0, 0))
 
 
 def test_monotonicity_helper():
@@ -249,7 +253,8 @@ def test_exact_iota_matches_checker_on_large_sparse_graphs():
 def test_solve_large_matches_the_regrowing_search():
     for adj in graphgen.solve_large(1):
         g = Graph.from_adj(len(adj), adj)
-        assert exact_iota(g, E2) == _regrown(g, E2)
+        for fam in (E1, E2, E3, CYCLES):
+            assert exact_iota(g, fam) == _regrown(g, fam), (fam, adj)
 
 
 def test_large_sparse_graphs_match_the_regrowing_search():
@@ -271,7 +276,8 @@ def test_large_sparse_graphs_match_the_regrowing_search():
 def test_kept_trees_equal_fresh_ones():
     # down random chains alive > alive' > ..., by N[u] as the search drops
     # vertices or by random sets, every entry a node keeps or regrows equals
-    # the tree grown afresh in its alive set
+    # the tree grown afresh in its alive set, and the parent's trees answer
+    # whether an F-graph is left as the component edge counts do
     rng = random.Random(2029)
     kept = regrown = 0
     for _ in range(30):
@@ -286,6 +292,7 @@ def test_kept_trees_equal_fresh_ones():
                     alive &= ~search.closed[rng.choice(list(bits(alive)))]
                 else:
                     alive &= ~mask_of(v for v in bits(alive) if rng.random() < 0.2)
+                assert search.holds(alive, trees) == families._contains_within(g, alive, fam)
                 child = search.hoods(alive, trees)[1]
                 assert child == {root: search.tree_hood(alive, root) for root in bits(alive)}
                 same = sum(child[root] is trees[root] for root in child)
@@ -301,12 +308,21 @@ SOLVE_LARGE_42 = ("i@?A????Gc??@OO?_????????O@AGa?G@??oOC????OIGB@@??KSL_BC@C???
 
 
 def test_search_keeps_most_trees(monkeypatch):
-    nodes = visits = grown = 0
-    hoods, tree_hood = families._Search.hoods, families._Search.tree_hood
+    calls = visits = grown = 0
+    cap = None
+    solve, hoods, tree_hood = (families._Search.solve, families._Search.hoods,
+                               families._Search.tree_hood)
+
+    def counted_solve(self, alive, cap_, trees=None):
+        nonlocal calls, cap
+        calls += 1
+        cap = cap_
+        return solve(self, alive, cap_, trees)
 
     def counted_hoods(self, alive, trees=None):
-        nonlocal nodes, visits
-        nodes += 1
+        nonlocal visits
+        # a node asks for its table before it calls any child
+        assert cap > 0, "a cap-0 node only asks whether an F-graph is left"
         visits += alive.bit_count()
         return hoods(self, alive, trees)
 
@@ -315,13 +331,14 @@ def test_search_keeps_most_trees(monkeypatch):
         grown += 1
         return tree_hood(self, alive, root)
 
+    monkeypatch.setattr(families._Search, "solve", counted_solve)
     monkeypatch.setattr(families._Search, "hoods", counted_hoods)
     monkeypatch.setattr(families._Search, "tree_hood", counted_tree_hood)
     g = graph6_decode(SOLVE_LARGE_42)
     assert exact_iota(g, E2).value == 5
-    # the plain solver's node count, which grows a tree per alive root at
-    # each node; reuse must not change the search, only skip regrowths
-    assert nodes == 7933
+    # the plain solver's call count; reusing trees and skipping the table at
+    # cap-0 nodes must not change the search, only the work per node
+    assert calls == 9334
     assert grown < visits / 3
 
 
