@@ -468,15 +468,28 @@ def cmd_emit(args) -> int:
 # ===== solve =================================================================
 
 
-def _input_graphs(args) -> Iterator[Graph]:
-    """Graphs for solve/certify: a positional graph6 line or a --source."""
+def _given_graph(args) -> Optional[Graph]:
+    """Check the input of solve/certify before their reports are opened.
+
+    Returns the decoded graph6 argument, or None when --source, which must
+    be readable, gives the graphs.
+    """
     if args.graph6 is not None and args.source is not None:
         raise UsageError("give either one graph6 argument or --source, not both")
     if args.graph6 is not None:
-        yield graph6_decode(args.graph6)
-        return
+        return graph6_decode(args.graph6)
     if args.source is None:
         raise UsageError("need a graph6 argument or --source")
+    _source_range(args.source, 1, 1 << 30)
+    return None
+
+
+def _input_graphs(args, given: Optional[Graph]) -> Iterator[Graph]:
+    """Graphs for solve/certify: the graph6 argument that ``_given_graph``
+    decoded, or those that --source reads."""
+    if given is not None:
+        yield given
+        return
     yield from iter_source(args.source, 1, 1 << 30, args.strict_parse,
                            connected_only=False)
 
@@ -487,8 +500,9 @@ def _vertex_list(mask: int) -> str:
 
 def cmd_solve(args) -> int:
     label, fam, theorem = parse_family(args.family)
+    given = _given_graph(args)
     with _writers(args.json, args.csv, fields=ROW_FIELDS[:7] + ("witness",)) as write:
-        for g in _input_graphs(args):
+        for g in _input_graphs(args, given):
             # the bounds, and so their exceptions, cover connected graphs only
             if theorem is not None and is_connected(g):
                 rec = check_bound(g, theorem, budget=args.budget)
@@ -517,8 +531,9 @@ def cmd_certify(args) -> int:
     k = args.k
     prove = isolate_k2 if k == 2 else isolate_k3
     refused = 0
+    given = _given_graph(args)
     with _writers(args.json, args.csv, fields=ROW_FIELDS + ("certificate",)) as write:
-        for g in _input_graphs(args):
+        for g in _input_graphs(args, given):
             try:
                 cert = prove(g)
             except NotCovered as exc:

@@ -63,7 +63,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .graphs import Graph, bits, closed_neighborhood, component_masks
+from .graphs import Graph, bits, closed_neighborhood, component_masks, mask_of
 
 EDGE_FAMILY_MAX_K = 16
 
@@ -134,54 +134,41 @@ def is_isolating(g: Graph, d: int, fam: FamilySpec, within: Optional[int] = None
 
 
 def _short_cycle(g: Graph, comp: int) -> int:
-    """Vertex set of a short cycle in the component ``comp`` (which has one)."""
-    best: Optional[int] = None
+    """Vertex set of a short cycle in the component ``comp``, which has one.
+
+    A breadth-first search from each root stops at the first edge outside
+    its tree, which exists since the component is not a tree; the shortest
+    cycle closed that way wins, the first root's on ties."""
+    best = 0
     for root in bits(comp):
         parent = {root: -1}
-        depth = {root: 0}
-        queue = [root]
+        queue = [root]  # read while it grows
         edge = None
-        while queue and edge is None:
-            nxt = []
-            for u in queue:
-                for w in bits(g.adj[u] & comp):
-                    if w == parent[u]:
-                        continue
-                    if w in depth:
-                        edge = (u, w)
-                        break
+        for u in queue:
+            for w in bits(g.adj[u] & comp):
+                if w not in parent:
                     parent[w] = u
-                    depth[w] = depth[u] + 1
-                    nxt.append(w)
-                if edge:
+                    queue.append(w)
+                elif w != parent[u]:
+                    edge = u, w
                     break
-            queue = nxt
-        if edge is None:
-            continue
-        u, w = edge
-        # climb to the first common ancestor; the two tree paths plus the
-        # edge u-w form a simple cycle
-        path_u = []
-        x = u
-        while x != -1:
-            path_u.append(x)
-            x = parent[x]
-        on_u = set(path_u)
-        cyc = 0
-        x = w
-        while x not in on_u:
-            cyc |= 1 << x
-            x = parent[x]
-        lca = x
-        for y in path_u:
-            cyc |= 1 << y
-            if y == lca:
+            if edge:
                 break
-        if best is None or cyc.bit_count() < best.bit_count():
+        u, w = edge
+        # u's path up to the root, then w's up to the first vertex on it:
+        # the two paths and the edge u-w form a simple cycle
+        up = [u]
+        while parent[up[-1]] != -1:
+            up.append(parent[up[-1]])
+        cyc = 0
+        while w not in up:
+            cyc |= 1 << w
+            w = parent[w]
+        cyc |= mask_of(up[:up.index(w) + 1])
+        if not best or cyc.bit_count() < best.bit_count():
             best = cyc
-        if best.bit_count() == 3:
-            break
-    assert best is not None, "no cycle found in a component that was said to have one"
+            if best.bit_count() == 3:
+                break
     return best
 
 
@@ -190,24 +177,20 @@ def _short_cycle(g: Graph, comp: int) -> int:
 
 class _Search:
     """Branch and bound over the alive sets of g induced on ``within``, for
-    one family.  Closed neighbourhoods are cut to ``within``: a vertex
-    outside it neither isolates nor witnesses anything."""
+    one family.  Closed neighbourhoods are cut to ``within``, and only its
+    members have table entries: a vertex outside it neither isolates nor
+    witnesses anything."""
 
     def __init__(self, g: Graph, fam: FamilySpec, within: int):
         self.g = g
         self.fam = fam
         self.within = within
-        members = list(bits(within))
-        self.closed = closed = [0] * g.n
-        size = [0] * g.n
-        for v in members:
-            closed[v] = hood = (g.adj[v] | 1 << v) & within
-            size[v] = hood.bit_count()
+        self.closed = closed = {v: (g.adj[v] | 1 << v) & within for v in bits(within)}
+        size = {v: hood.bit_count() for v, hood in closed.items()}
         # neighbours with small closed neighbourhoods first: witnesses
         # grown from them have small hitting sets, which pack better
-        self.ranked = ranked = [[]] * g.n
-        for v in members:
-            ranked[v] = sorted(bits(g.adj[v] & within), key=size.__getitem__)
+        self.ranked = {v: sorted(bits(g.adj[v] & within), key=size.__getitem__)
+                       for v in closed}
         # alive -> (value, mask) once solved, or a proven lower bound (int)
         self.memo: dict = {}
 

@@ -82,9 +82,6 @@ class Graph:
     def vertex_mask(self) -> int:
         return (1 << self.n) - 1
 
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
-
     def edges(self) -> Iterator[tuple[int, int]]:
         for u in range(self.n):
             rest = self.adj[u] >> (u + 1)

@@ -128,6 +128,10 @@ class InductionContext:
 # ===== Bad-component geometry ===============================================
 
 
+# the cycle length of each exception that is a cycle with or without pendants
+_CYCLE_LENGTH = {"C6": 6, "C6P": 6, "C6PP": 6, "C7": 7}
+
+
 def _cycle_through(g: Graph, within: int, start: int, length: int) -> list[int]:
     """Vertices of a simple cycle of the given length through ``start``."""
 
@@ -166,9 +170,9 @@ def residual_set_for_bad(g: Graph, comp: int, tag: str, y_attach: int) -> int:
     """
     if tag in ("K13", "C6P", "C6PP") and (g.adj[y_attach] & comp).bit_count() == 1:
         raise ValueError("attachment vertex of a leafy bad component must not be its leaf")
-    if tag in ("P3", "K3", "K13"):
+    if tag not in _CYCLE_LENGTH:
         return 0
-    return _far_vertex(g, comp, y_attach, 7 if tag == "C7" else 6)
+    return _far_vertex(g, comp, y_attach, _CYCLE_LENGTH[tag])
 
 
 # ===== Shared machinery ======================================================
@@ -338,14 +342,14 @@ def _case_lone_anchor(prover: _Prover, g: Graph, ctx: InductionContext, comp: in
     pieces, _ = _carve(g, ctx, (1 << x1) | comp, ctx.v)
     home = pieces[-1]
     tag = bad_piece(g, home, prover.theorem, within=home)
-    if tag in ("P3", "K3", "K13"):
-        # the remainder is already dominated through x1's neighbourhood
-        return "lone-anchor-small-rescue", d, pieces[:-1]
-    if tag in ("C6", "C6P", "C6PP", "C7"):
+    if tag in _CYCLE_LENGTH:
         # the remainder is a near-cycle through v: v is covered via x1, and
         # the vertex at cycle-distance 3 finishes the job
-        d |= _far_vertex(g, home, ctx.v, 7 if tag == "C7" else 6)
+        d |= _far_vertex(g, home, ctx.v, _CYCLE_LENGTH[tag])
         return "lone-anchor-cycle-rescue", d, pieces[:-1]
+    if tag is not None:
+        # a 3-vertex remainder is already dominated through x1's neighbourhood
+        return "lone-anchor-small-rescue", d, pieces[:-1]
     return "lone-anchor", d, pieces
 
 
@@ -359,8 +363,7 @@ def _case_single(prover: _Prover, g: Graph, ctx: InductionContext, comp: int) ->
     y_top = (1 << ctx.v) | ctx.nbrs | comp  # N[v] plus the bad component
     tag = ctx.bad[comp]
     if tag in ("C6", "C7"):
-        length = 7 if tag == "C7" else 6
-        return _single_cycle(prover, g, ctx, comp, x1, x1p, w, y_top, length)
+        return _single_cycle(prover, g, ctx, comp, x1, x1p, w, y_top, _CYCLE_LENGTH[tag])
     return prover.single(prover, g, ctx, comp, x1, x1p, w, y_top)
 
 
@@ -429,18 +432,12 @@ def _single_cycle(
 
 
 def _p3_parts(g: Graph, comp: int) -> tuple[int, int, int]:
-    """(midpoint, endpoint, endpoint) of a 3-path component, ascending ends."""
+    """(midpoint, endpoint, endpoint) of a 3-path or triangle component: a
+    vertex adjacent to the other two (the lowest one on a triangle), then
+    those two in ascending order."""
     mid = next(u for u in bits(comp) if (g.adj[u] & comp).bit_count() == 2)
     ends = [u for u in bits(comp) if u != mid]
     return mid, ends[0], ends[1]
-
-
-def _centre_parts(g: Graph, comp: int, tag: str) -> tuple[int, int, int]:
-    """A dominating vertex of a 3-vertex component, plus the other two."""
-    if tag == "K3":
-        verts = list(bits(comp))
-        return verts[0], verts[1], verts[2]
-    return _p3_parts(g, comp)
 
 
 def _k2_pair_carve(g: Graph, ctx: InductionContext, comp: int) -> _Step:
@@ -511,7 +508,7 @@ def _k2_single(
         d = (1 << v) | (1 << y1) | residual_set_for_bad(g, comp, tag, y1)
         return "single-attached", d, ctx.good
 
-    mid, e1, e2 = _centre_parts(g, comp, tag)
+    mid, e1, e2 = _p3_parts(g, comp)
     lg = leaves(g, ctx.piece)
 
     if lg & y_top == 0:

@@ -324,19 +324,28 @@ def test_sweep_opens_reports_before_enumerating(tmp_path, monkeypatch, capsys):
     assert err.startswith("usage error: cannot write")
 
 
-@pytest.mark.parametrize("argv", [
-    ["sweep", "--family", "e2", "--n-max", "12"],
-    ["ckn", "--family", "e2", "--source", "nope"],
-    ["sweep", "--family", "e1", "--source", "file:/does/not/exist.g6"],
-], ids=["builtin-cap", "unknown-source", "missing-file"])
-def test_source_error_keeps_existing_reports(argv, tmp_path, capsys):
-    # the source is checked before the reports are opened for writing
+@pytest.mark.parametrize("argv, code", [
+    (["sweep", "--family", "e2", "--n-max", "12"], 2),
+    (["ckn", "--family", "e2", "--source", "nope"], 2),
+    (["sweep", "--family", "e1", "--source", "file:/does/not/exist.g6"], 2),
+    (["solve", "--family", "e2", "--source", "file:/does/not/exist.g6"], 2),
+    (["certify", "--k", "2", "--source", "bogus"], 2),
+    (["certify", "--k", "3", "--source", "file:/does/not/exist.g6"], 2),
+    (["certify", "--k", "2", "Bw", "--source", "-"], 2),
+    (["solve", "--family", "e2"], 2),
+    (["solve", "B", "--family", "e2"], 3),
+], ids=["builtin-cap", "unknown-source", "missing-file", "solve-missing-file",
+        "certify-unknown-source", "certify-missing-file", "certify-both-inputs",
+        "solve-no-input", "solve-malformed-line"])
+def test_source_error_keeps_existing_reports(argv, code, tmp_path, capsys):
+    # the input is checked before the reports are opened for writing
     reports = [tmp_path / "rows.json", tmp_path / "rows.csv"]
     for path in reports:
         path.write_text("keep")
-    code, out, err = run(argv + ["--json", str(reports[0]),
-                                 "--csv", str(reports[1])], capsys)
-    assert code == 2 and out == "" and err.startswith("usage error:")
+    got, out, err = run(argv + ["--json", str(reports[0]),
+                                "--csv", str(reports[1])], capsys)
+    error = "usage error:" if code == 2 else "parse error:"
+    assert got == code and out == "" and err.startswith(error)
     assert [path.read_text() for path in reports] == ["keep", "keep"]
 
 

@@ -1,7 +1,8 @@
 """Every public name of the package has a caller inside the package.
 
-A name in ``isolation_lab.__all__`` that only the tests use is a helper the
-package does not need; the scan below finds one.
+A name in ``isolation_lab.__all__``, or a public method of a class in it,
+that only the tests use is a helper the package does not need; the scans
+below find one.
 """
 
 from __future__ import annotations
@@ -48,3 +49,21 @@ def test_every_export_has_a_package_caller():
             used |= _referenced(stmt) - _defined_by(stmt)
     unused = sorted(set(isolation_lab.__all__) - used)
     assert not unused, f"exported but never used by the package: {unused}"
+
+
+def test_every_public_method_has_a_package_caller():
+    # a public method or property of an exported class must be read as an
+    # attribute (``x.name``) somewhere in the package; a bare name does not
+    # count, since a local variable may share the method's name
+    read: set[str] = set()
+    methods: set[tuple[str, str]] = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.ClassDef) and node.name in isolation_lab.__all__:
+                methods |= {(node.name, item.name) for item in node.body
+                            if isinstance(item, ast.FunctionDef)
+                            and not item.name.startswith("_")}
+    unread = sorted(f"{cls}.{name}" for cls, name in methods if name not in read)
+    assert not unread, f"public methods no package code reads: {unread}"

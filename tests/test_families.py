@@ -199,6 +199,20 @@ def test_exact_iota_agrees_with_the_search(fam, connected_upto):
             assert free in (None, IsolationResult(0, 0))
 
 
+def test_short_cycle_matches_the_oracle(connected_upto):
+    # the same cycle as the layered search of the oracle, on every cyclic
+    # component of every class n <= 8 and of each G - N[v]
+    checked = 0
+    for g in connected_upto(3, 8):
+        for piece in [g.vertex_mask] + [g.vertex_mask & ~closed_neighborhood(g, 1 << v)
+                                        for v in range(g.n)]:
+            for comp in component_masks(g, piece):
+                if families._comp_contains(g, comp, CYCLES):
+                    assert families._short_cycle(g, comp) == oracles._short_cycle(g.adj, comp)
+                    checked += 1
+    assert checked > 10000
+
+
 def test_monotonicity_helper():
     # more edges required means an easier family: iota_3 <= iota_2
     g = cycle_graph(7)
@@ -409,3 +423,12 @@ def test_within_matches_the_induced_subgraph():
             _check_piece(rng, g, piece, tags)
     # the bad-piece comparison met some exceptions, not only good pieces
     assert {"K2", "P3", "K13"} <= tags
+
+
+def test_search_tables_hold_the_piece_only():
+    # a 3-vertex piece of a 64-vertex host gets 3-entry tables, each cut to
+    # the piece
+    piece = 0b111 << 30
+    search = families._Search(path_graph(64), E2, piece)
+    assert search.closed == {30: 0b11 << 30, 31: piece, 32: 0b110 << 30}
+    assert search.ranked == {30: [31], 31: [30, 32], 32: [31]}
