@@ -38,16 +38,34 @@ computes it by depth-first branch and bound:
   branches in the same order and returns the same value and witness.
   Only the tables on the current path of the search are alive, at most n
   entries per level.
+* ``_Search.hood`` finds one witness and returns its hood, or 0 when
+  g[alive] is F-free.  For E_k an entry of the parent's table with a hood
+  and with W inside alive is one (W still spans k edges); failing that,
+  trees are grown from the lowest unvisited roots until one has a hood.
+  For cycles it is the cycle that one breadth-first search closes from the
+  lowest vertex of the first cyclic component.  Nodes with a table keep the
+  shortest cycle over all roots, since their first smallest hood sets the
+  branching order.
 * a node with cap 0 can neither pack nor branch: it returns (0, 0) when
-  g[alive] is F-free and None otherwise, so it builds no table and asks
-  only for one witness.  For E_k an entry of the parent's table with a
-  hood and with W inside alive is one (W still spans k edges); failing
-  that, trees are grown until one has a hood.  For cycles the components'
-  edge counts answer.  Where the table would have stored its packing, the
-  node stores the bound 1.  This changes nothing: a later call on the same
-  alive set with cap 0 returns None at once under either bound, and one
-  with a larger cap builds the table, packs the same hoods to the same
-  bound and returns what it returned before.
+  ``hood`` is 0 and None otherwise, so it builds no table.  Where the
+  table would have stored its packing, the node stores the bound 1.  This
+  changes nothing: a later call on the same alive set with cap 0 returns
+  None at once under either bound, and one with a larger cap builds the
+  table, packs the same hoods to the same bound and returns what it
+  returned before.
+* a node with cap 1 only asks whether one vertex u is enough, that is,
+  whether g[alive - N[u]] is F-free.  Such a u lies in every hood of the
+  node, since deleting N[u] for u outside a hood leaves its W whole.  So
+  the node takes one hood h and, while h is not empty, tries its lowest
+  vertex u: it returns (1, {u}) when ``hood`` finds nothing in
+  alive - N[u], and otherwise cuts h down to that hood h', which misses u
+  because its W avoids N[u].  Every vertex that h loses is not enough, so
+  the first u that is enough is the least one, which is the witness the
+  table path returned after branching over its first smallest hood in
+  ascending order.  When h runs empty, no vertex is enough, and the node
+  stores the bound 2 and returns None, as the table path did; a stored
+  bound only ends calls whose answer is None, so later nodes return what
+  they returned before.
 
 ``alive`` is not split into its components below the top level.  A vertex
 outside ``alive`` can be adjacent to two of its components and isolate both
@@ -63,7 +81,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .graphs import Graph, bits, closed_neighborhood, component_masks, mask_of
+from .graphs import (Graph, bits, closed_neighborhood, component_masks, iter_components,
+                     mask_of)
 
 EDGE_FAMILY_MAX_K = 16
 
@@ -115,9 +134,16 @@ def _comp_contains(g: Graph, comp: int, fam: FamilySpec) -> bool:
     return _edges_within(g, comp) >= comp.bit_count()
 
 
+def _holding(g: Graph, alive: int, fam: FamilySpec) -> int:
+    """The first component of g induced on ``alive`` that contains an
+    F-graph, or 0; the components after it are never grown."""
+    return next((comp for comp in iter_components(g, alive)
+                 if _comp_contains(g, comp, fam)), 0)
+
+
 def _contains_within(g: Graph, alive: int, fam: FamilySpec) -> bool:
     """Does g induced on ``alive`` contain an F-graph?"""
-    return any(_comp_contains(g, comp, fam) for comp in component_masks(g, alive))
+    return bool(_holding(g, alive, fam))
 
 
 def is_isolating(g: Graph, d: int, fam: FamilySpec, within: Optional[int] = None) -> bool:
@@ -133,38 +159,42 @@ def is_isolating(g: Graph, d: int, fam: FamilySpec, within: Optional[int] = None
 # ===== Witnesses =============================================================
 
 
-def _short_cycle(g: Graph, comp: int) -> int:
-    """Vertex set of a short cycle in the component ``comp``, which has one.
+def _bfs_cycle(g: Graph, comp: int, root: int) -> int:
+    """Vertex set of the cycle closed by the first edge outside the
+    breadth-first tree of the component ``comp`` from ``root``; that edge
+    exists since the component is not a tree."""
+    parent = {root: -1}
+    queue = [root]  # read while it grows
+    edge = None
+    for u in queue:
+        for w in bits(g.adj[u] & comp):
+            if w not in parent:
+                parent[w] = u
+                queue.append(w)
+            elif w != parent[u]:
+                edge = u, w
+                break
+        if edge:
+            break
+    u, w = edge
+    # u's path up to the root, then w's up to the first vertex on it:
+    # the two paths and the edge u-w form a simple cycle
+    up = [u]
+    while parent[up[-1]] != -1:
+        up.append(parent[up[-1]])
+    cyc = 0
+    while w not in up:
+        cyc |= 1 << w
+        w = parent[w]
+    return cyc | mask_of(up[:up.index(w) + 1])
 
-    A breadth-first search from each root stops at the first edge outside
-    its tree, which exists since the component is not a tree; the shortest
-    cycle closed that way wins, the first root's on ties."""
+
+def _short_cycle(g: Graph, comp: int) -> int:
+    """Vertex set of a short cycle in the component ``comp``, which has one:
+    the shortest ``_bfs_cycle`` over the roots, the first root's on ties."""
     best = 0
     for root in bits(comp):
-        parent = {root: -1}
-        queue = [root]  # read while it grows
-        edge = None
-        for u in queue:
-            for w in bits(g.adj[u] & comp):
-                if w not in parent:
-                    parent[w] = u
-                    queue.append(w)
-                elif w != parent[u]:
-                    edge = u, w
-                    break
-            if edge:
-                break
-        u, w = edge
-        # u's path up to the root, then w's up to the first vertex on it:
-        # the two paths and the edge u-w form a simple cycle
-        up = [u]
-        while parent[up[-1]] != -1:
-            up.append(parent[up[-1]])
-        cyc = 0
-        while w not in up:
-            cyc |= 1 << w
-            w = parent[w]
-        cyc |= mask_of(up[:up.index(w) + 1])
+        cyc = _bfs_cycle(g, comp, root)
         if not best or cyc.bit_count() < best.bit_count():
             best = cyc
             if best.bit_count() == 3:
@@ -249,24 +279,33 @@ class _Search:
             return chosen, 0
         return chosen, hood
 
-    def holds(self, alive: int, trees: Optional[dict]) -> bool:
-        """Does g[alive] contain an F-graph?  For E_k, an entry of the parent
-        node's ``trees`` with a hood and with W inside ``alive`` is still a
-        k-edge witness; failing that, trees are grown until one has a hood."""
+    def hood(self, alive: int, trees: Optional[dict]) -> int:
+        """N_G[V(W)] cut to ``within`` for one F-graph W in g[alive], or 0
+        when g[alive] is F-free.  For E_k, an entry of ``trees`` (a table of
+        a node whose alive set contains ``alive``) with a hood and with W
+        inside ``alive`` is still a k-edge witness; failing that, trees are
+        grown from the lowest unvisited roots until one has a hood.  For
+        cycles, W is the cycle that one breadth-first search closes from the
+        lowest vertex of the first cyclic component."""
         if self.fam.kind != "edges":
-            return _contains_within(self.g, alive, self.fam)
+            g = self.g
+            comp = _holding(g, alive, self.fam)
+            if not comp:
+                return 0
+            cyc = _bfs_cycle(g, comp, (comp & -comp).bit_length() - 1)
+            return closed_neighborhood(g, cyc) & self.within
         if trees is not None:
             gone = ~alive
             for w, hood in trees.values():
                 if hood and not w & gone:
-                    return True
+                    return hood
         rest = alive
         while rest:
             w, hood = self.tree_hood(alive, (rest & -rest).bit_length() - 1)
             if hood:
-                return True
+                return hood
             rest &= ~w  # w is the root's whole component, and it is F-free
-        return False
+        return 0
 
     def solve(self, alive: int, cap: int,
               trees: Optional[dict] = None) -> Optional[tuple[int, int]]:
@@ -278,13 +317,25 @@ class _Search:
             return known if known[0] <= cap else None
         if known > cap:
             return None
-        if cap == 0:
-            # no packing and no branching: only whether an F-graph is left
-            if self.holds(alive, trees):
+        if cap <= 1:
+            # no packing and no table: one hood, and for cap 1 the least
+            # vertex that meets every hood
+            hood = self.hood(alive, trees)
+            if not hood:
+                self.memo[alive] = (0, 0)
+                return 0, 0
+            if cap == 0:
                 self.memo[alive] = 1
                 return None
-            self.memo[alive] = (0, 0)
-            return 0, 0
+            while hood:
+                u = (hood & -hood).bit_length() - 1
+                other = self.hood(alive & ~self.closed[u], trees)
+                if not other:
+                    self.memo[alive] = best = 1, 1 << u
+                    return best
+                hood &= other  # u is not in it: its W avoids N[u]
+            self.memo[alive] = 2
+            return None
         hoods, trees = self.hoods(alive, trees)
         if not hoods:
             self.memo[alive] = (0, 0)

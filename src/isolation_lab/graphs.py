@@ -135,13 +135,10 @@ def induced_subgraph(g: Graph, keep: int) -> Graph:
     return Graph.from_adj(len(old), tuple(adj))
 
 
-def component_masks(g: Graph, within: Optional[int] = None) -> list[int]:
-    """Vertex masks of the components of ``g`` (or of g induced on ``within``).
-
-    Sorted by smallest member, which is the natural scan order.
-    """
+def iter_components(g: Graph, within: Optional[int] = None) -> Iterator[int]:
+    """Yield the vertex masks of the components of ``g`` (or of g induced on
+    ``within``) by smallest member, each one as soon as it is grown."""
     todo = g.vertex_mask if within is None else within
-    comps = []
     while todo:
         start = todo & -todo
         comp = start
@@ -153,9 +150,16 @@ def component_masks(g: Graph, within: Optional[int] = None) -> list[int]:
             grow &= todo & ~comp
             comp |= grow
             frontier = grow
-        comps.append(comp)
+        yield comp
         todo &= ~comp
-    return comps
+
+
+def component_masks(g: Graph, within: Optional[int] = None) -> list[int]:
+    """Vertex masks of the components of ``g`` (or of g induced on ``within``).
+
+    Sorted by smallest member, which is the natural scan order.
+    """
+    return list(iter_components(g, within))
 
 
 def is_connected(g: Graph) -> bool:

@@ -187,7 +187,9 @@ def test_exact_iota_agrees_with_the_search(fam, connected_upto):
     # the whole graph and the pieces G - N[v] that a proof step leaves: the
     # same value and witness from the search alone and from the plain
     # solver that regrows every tree; at budget 0, where every node searched
-    # has cap 0, None exactly when the piece holds an F-graph
+    # has cap 0, None exactly when the piece holds an F-graph; at budget 1,
+    # where a node takes the least vertex that meets every hood, the plain
+    # solver's answer
     for g in connected_upto(1, 7):
         pieces = [g.vertex_mask] + [g.vertex_mask & ~closed_neighborhood(g, 1 << v)
                                     for v in range(g.n)]
@@ -197,6 +199,8 @@ def test_exact_iota_agrees_with_the_search(fam, connected_upto):
             free = exact_iota(g, fam, budget=0, within=piece)
             assert (free is None) == families._contains_within(g, piece, fam)
             assert free in (None, IsolationResult(0, 0))
+            assert exact_iota(g, fam, budget=1, within=piece) == \
+                _regrown(g, fam, budget=1, within=piece)
 
 
 def test_short_cycle_matches_the_oracle(connected_upto):
@@ -290,8 +294,9 @@ def test_large_sparse_graphs_match_the_regrowing_search():
 def test_kept_trees_equal_fresh_ones():
     # down random chains alive > alive' > ..., by N[u] as the search drops
     # vertices or by random sets, every entry a node keeps or regrows equals
-    # the tree grown afresh in its alive set, and the parent's trees answer
-    # whether an F-graph is left as the component edge counts do
+    # the tree grown afresh in its alive set, and the hood found with the
+    # parent's trees is 0 exactly when the component edge counts find no
+    # F-graph, and holds every vertex u for which alive - N[u] is F-free
     rng = random.Random(2029)
     kept = regrown = 0
     for _ in range(30):
@@ -306,7 +311,10 @@ def test_kept_trees_equal_fresh_ones():
                     alive &= ~search.closed[rng.choice(list(bits(alive)))]
                 else:
                     alive &= ~mask_of(v for v in bits(alive) if rng.random() < 0.2)
-                assert search.holds(alive, trees) == families._contains_within(g, alive, fam)
+                hood = search.hood(alive, trees)
+                assert bool(hood) == families._contains_within(g, alive, fam)
+                for u in bits(hood and g.vertex_mask & ~hood):
+                    assert families._contains_within(g, alive & ~search.closed[u], fam)
                 child = search.hoods(alive, trees)[1]
                 assert child == {root: search.tree_hood(alive, root) for root in bits(alive)}
                 same = sum(child[root] is trees[root] for root in child)
@@ -336,7 +344,7 @@ def test_search_keeps_most_trees(monkeypatch):
     def counted_hoods(self, alive, trees=None):
         nonlocal visits
         # a node asks for its table before it calls any child
-        assert cap > 0, "a cap-0 node only asks whether an F-graph is left"
+        assert cap > 1, "a node with cap 0 or 1 builds no table"
         visits += alive.bit_count()
         return hoods(self, alive, trees)
 
@@ -350,9 +358,10 @@ def test_search_keeps_most_trees(monkeypatch):
     monkeypatch.setattr(families._Search, "tree_hood", counted_tree_hood)
     g = graph6_decode(SOLVE_LARGE_42)
     assert exact_iota(g, E2).value == 5
-    # the plain solver's call count; reusing trees and skipping the table at
-    # cap-0 nodes must not change the search, only the work per node
-    assert calls == 9334
+    # 9,334 calls while every cap-1 node branched over its first hood with
+    # cap-0 calls; a cap-1 node now makes none, and a lost cap-1 rule shows
+    # here
+    assert calls == 1282
     assert grown < visits / 3
 
 
