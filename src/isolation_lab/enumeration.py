@@ -8,8 +8,10 @@ canonical-deletion test, checked before any canonical form is computed:
 among the child's non-cut vertices it has minimum degree, and among the
 non-cut vertices of that degree it has the largest refined colour.  Of
 one parent's children only the least mask of each Aut(P)-orbit is tried,
-and only a child in which another vertex passes the test as well gets a
-canonical key; the survivors are deduplicated by that key.
+and a child in which another vertex passes the test as well is kept only
+when its new vertex lies in the orbit of its canonical deletion vertex
+(below).  Each child is kept or rejected by its parent alone: no child is
+compared with another.
 
 The test loses no class.  Every connected graph X has a vertex x that passes
 it (non-cut vertices exist, and the rule picks some of them).  X - x is
@@ -22,7 +24,7 @@ The test is cheap.  Per parent, the components of P - u are computed once
 for every u; u is then a non-cut vertex of the child iff the mask meets
 every component of P - u.  The refinement runs only when another non-cut
 vertex ties with the new one on degree, and its colours are handed on to
-``canonical_form``.
+the canonical search.
 
 Orbit pruning is the within-parent half of McKay's canonical augmentation
 ("Isomorph-free exhaustive generation", J. Algorithms 1998).  An
@@ -30,30 +32,37 @@ automorphism sigma of P, extended by fixing the new vertex, maps the child
 with mask m onto the child with mask sigma(m).  So the masks of one orbit
 give isomorphic children, and all of them pass the test or none does.
 
-A child X whose new vertex x is the only vertex that passes the test needs
-no key: no other kept child Y is isomorphic to it.  An isomorphism Y -> X
-maps passing vertices onto passing vertices, so Y too has one, its new
-vertex y, and it goes to x.  Then Y - y and X - x are isomorphic, so Y and
-X share their parent P (the parents are distinct classes), and the
-isomorphism restricted to P is an automorphism of P taking Y's mask to X's.
-The two masks share an orbit, and only one mask of it is tried.  The
-number of passing vertices is an isomorphism invariant, so X is not
-isomorphic to a keyed child either.  ``_next_level`` therefore keeps such
-a child as it is, and ``seen`` holds only the keys of children with a tied
-deletion vertex.
+The canonical deletion vertex settles the rest: McKay's other half.  When
+another vertex of a child X passes the test, the canonical search of X
+(below) returns the ordering beta that gives X's key, and generators of
+Aut(X).  Let c be the first passing vertex of beta; X is kept iff its new
+vertex x lies in the Aut(X)-orbit of c.  A child in which x alone passes
+has c = x and is kept without a search.
 
-The output is the one every child keyed would give.  That keeps the first
-passing child of each class in (parent, mask) order.  The other masks of
-its orbit give passing children of the same class, later in mask order,
-so its mask is the least of its orbit and is tried; it is then kept,
-unkeyed or as the first child of its key.  So the classes, their
-representatives and their order are unchanged.
+The orbit of c is invariant under isomorphism.  Two orderings of X that
+give the same string differ by an automorphism, which maps passing
+vertices onto passing vertices (passing is an isomorphism invariant), so
+their first passing vertices, at one position, share an orbit.  An isomorphism phi: X -> Y maps beta onto an
+ordering of Y with the same least string, so phi(c) lies in the orbit of
+Y's vertex c.
+
+So exactly one (parent, mask orbit) gives each class.  At least one: X - c
+is connected, so it is isomorphic to a parent P under a map psi.  The
+child of P with mask psi(N(c)), and so the one with the least mask of its
+orbit, is isomorphic to X by a map that takes its new vertex to c.  That
+child passes the test, and its new vertex lies in the image of c's orbit,
+its own canonical orbit: it is kept.  At most one: if kept children X and Y are isomorphic, some
+isomorphism maps the orbit of X's c onto that of Y's, and, composed with
+an automorphism of Y, maps x to y.  Then X - x and Y - y are isomorphic, so
+X and Y share their parent P (the parents are distinct classes), and the
+isomorphism restricted to P is an automorphism of P taking X's mask to
+Y's.  The two masks share an orbit, and only one mask of it is tried.
 
 Aut(P) comes from the search behind ``canonical_form`` (below), run by
-``_generators``: it collects a transposition (u v) for each twin pair that
-the search prunes, and, for each leaf whose string equals the best leaf's,
-the map from the best leaf's ordering beta to that leaf's.  These generate
-Aut(P).  Take sigma in Aut(P): the ordering sigma(beta) gives the same
+``_generators``, and Aut(X) of a child from the same search: it collects
+a transposition (u v) for each twin pair that the search prunes, and, for
+each leaf whose string equals the best leaf's, the map from the best
+leaf's ordering beta to that leaf's.  These generate Aut(P).  Take sigma in Aut(P): the ordering sigma(beta) gives the same
 string as beta.  Walk it position by position; where its vertex v has a
 lower twin u not yet placed, swap u and v by their transposition, which
 fixes the earlier positions (being twins is an equivalence, so u may be
@@ -64,13 +73,11 @@ tied with beta whose map beta -> gamma, which is t sigma, was collected.
 Either way sigma is in the group generated.  The search collects nothing
 when it only computes a canonical form.
 
-A level is generated per parent: ``_children`` tests and keys the children
-of one parent, and is mapped over the parents by a caller-supplied ordered
-map (the builtin ``map``, or a pool's ``imap``).  The survivors are merged
-in parent order, then mask order, through one ``seen`` set in the calling
-process, keeping the first child of each canonical key and every unkeyed
-child.  So the classes, their representatives and their order do not
-depend on the map.
+A level is generated per parent: ``_children`` decides the children of
+one parent, and is mapped over the parents by a caller-supplied ordered
+map (the builtin ``map``, or a pool's ``imap``).  The kept children are
+concatenated in parent order, then mask order.  So the classes, their
+representatives and their order do not depend on the map.
 
 The canonical form is the lexicographically smallest adjacency bit string
 (upper triangle, column by column) over vertex orderings, restricted to
@@ -145,8 +152,10 @@ def _refined_colors(g: Graph) -> list[int]:
     return colors
 
 
-def _search(g: Graph, colors: list[int], gens: Optional[list] = None) -> tuple:
-    """The canonical key of ``g`` under the refined ``colors``.
+def _search(g: Graph, colors: list[int],
+            gens: Optional[list] = None) -> tuple[tuple, list[int]]:
+    """The canonical key of ``g`` under the refined ``colors``, and the
+    first vertex ordering that gives it.
 
     When ``gens`` is a list, generators of Aut(g) are appended to it as
     vertex maps (v -> image): a transposition per twin pair the search
@@ -180,7 +189,7 @@ def _search(g: Graph, colors: list[int], gens: Optional[list] = None) -> tuple:
     chosen = [0] * n
     cols = [0] * n  # cols[pos]: the adjacency of chosen[pos] to chosen[:pos]
     best: list[int] = []
-    best_order: list[int] = []  # the ordering that gave best (kept for gens)
+    best_order: list[int] = []  # the ordering that gave best
 
     def rec(pos: int, used: int, tied: bool) -> None:
         # tied: cols[1:pos] equals best[:pos - 1]; otherwise it is smaller,
@@ -189,8 +198,7 @@ def _search(g: Graph, colors: list[int], gens: Optional[list] = None) -> tuple:
         if pos == n:
             if not tied:
                 best = cols[1:]
-                if gens is not None:
-                    best_order = chosen[:]
+                best_order = chosen[:]
             elif gens is not None:
                 # two orderings with one adjacency string: mapping the one
                 # onto the other is an automorphism
@@ -224,19 +232,18 @@ def _search(g: Graph, colors: list[int], gens: Optional[list] = None) -> tuple:
         if not lower_twins[v] & first:
             chosen[0] = v
             rec(1, 1 << v, bool(best))
-    return (n, *best)
+    return (n, *best), best_order
 
 
-def canonical_form(g: Graph, colors: Optional[list[int]] = None) -> tuple:
+def canonical_form(g: Graph) -> tuple:
     """A canonical key: equal keys iff isomorphic graphs.
 
     The key is (n, columns...) where columns is the minimal upper-triangle
-    encoding over colour-compatible vertex orderings.  ``colors``, when
-    given, must be ``_refined_colors(g)``, already computed by the caller.
+    encoding over colour-compatible vertex orderings.
     """
     if g.n <= 1:
         return (g.n,)
-    return _search(g, _refined_colors(g) if colors is None else colors)
+    return _search(g, _refined_colors(g))[0]
 
 
 def _generators(g: Graph) -> list[list[int]]:
@@ -274,12 +281,12 @@ def _child(parent: Graph, mask: int) -> Graph:
     return Graph.from_adj(new + 1, tuple(adj))
 
 
-def _children(parent: Graph) -> list[tuple[int, Optional[tuple]]]:
-    """(mask, key) of each child of ``parent`` whose new vertex passes the
-    canonical-deletion test and whose mask is the least of its Aut(parent)
-    orbit, in mask order; the key is the canonical form when another vertex
-    ties with the new one on the test, else None.  Runs inside worker
-    processes."""
+def _children(parent: Graph) -> list[int]:
+    """The masks of the kept children of ``parent``, in mask order: the
+    least mask of each Aut(parent) orbit whose child's new vertex passes
+    the canonical-deletion test and lies in the Aut(child) orbit of the
+    first passing vertex of the child's canonical ordering.  Runs inside
+    worker processes."""
     new = parent.n
     degree = [a.bit_count() for a in parent.adj]
     # low degrees first: a rejecting vertex is found sooner
@@ -309,34 +316,32 @@ def _children(parent: Graph) -> list[tuple[int, Optional[tuple]]]:
                 if mask in tried:
                     continue
                 tried |= _orbit(mask, gens)
-            child = _child(parent, mask)
-            key = None
             if ties:
+                child = _child(parent, mask)
                 colors = _refined_colors(child)
                 top = max(colors[u] for u in ties)
                 if top > colors[new]:
                     continue
                 if top == colors[new]:  # another vertex passes as well
-                    key = canonical_form(child, colors)
-            out.append((mask, key))
+                    # keep the child iff its new vertex shares an
+                    # Aut(child) orbit with the canonical deletion vertex
+                    auts: list[list[int]] = []
+                    _, best = _search(child, colors, auts)
+                    first = next(v for v in best if colors[v] == top
+                                 and (v == new or v in ties))
+                    if 1 << new not in _orbit(1 << first, auts):
+                        continue
+            out.append(mask)
     return out
 
 
 def _next_level(parents: tuple[Graph, ...], imap) -> tuple[Graph, ...]:
-    """The classes one vertex above ``parents``, from ``_children`` mapped
-    over them by ``imap`` (an ordered map, such as a pool's); the survivors
-    are merged in parent order, the first of each canonical key kept, and
-    every unkeyed child kept."""
-    out = []
-    seen = set()
-    for parent, kids in zip(parents, imap(_children, parents)):
-        for mask, key in kids:
-            if key is not None:
-                if key in seen:
-                    continue
-                seen.add(key)
-            out.append(_child(parent, mask))
-    return tuple(out)
+    """The classes one vertex above ``parents``: the kept children of each,
+    from ``_children`` mapped over them by ``imap`` (an ordered map, such as
+    a pool's), in parent order, then mask order."""
+    return tuple(_child(parent, mask)
+                 for parent, masks in zip(parents, imap(_children, parents))
+                 for mask in masks)
 
 
 # _LEVELS[n] holds the classes on n vertices; levels are added on demand

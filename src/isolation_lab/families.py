@@ -161,8 +161,8 @@ def is_isolating(g: Graph, d: int, fam: FamilySpec, within: Optional[int] = None
 
 def _bfs_cycle(g: Graph, comp: int, root: int) -> int:
     """Vertex set of the cycle closed by the first edge outside the
-    breadth-first tree of the component ``comp`` from ``root``; that edge
-    exists since the component is not a tree."""
+    breadth-first tree of the component ``comp`` from ``root``, or 0 when
+    the component is a tree."""
     parent = {root: -1}
     queue = [root]  # read while it grows
     edge = None
@@ -176,6 +176,8 @@ def _bfs_cycle(g: Graph, comp: int, root: int) -> int:
                 break
         if edge:
             break
+    if edge is None:
+        return 0
     u, w = edge
     # u's path up to the root, then w's up to the first vertex on it:
     # the two paths and the edge u-w form a simple cycle
@@ -289,11 +291,11 @@ class _Search:
         lowest vertex of the first cyclic component."""
         if self.fam.kind != "edges":
             g = self.g
-            comp = _holding(g, alive, self.fam)
-            if not comp:
-                return 0
-            cyc = _bfs_cycle(g, comp, (comp & -comp).bit_length() - 1)
-            return closed_neighborhood(g, cyc) & self.within
+            for comp in iter_components(g, alive):
+                cyc = _bfs_cycle(g, comp, (comp & -comp).bit_length() - 1)
+                if cyc:
+                    return closed_neighborhood(g, cyc) & self.within
+            return 0
         if trees is not None:
             gone = ~alive
             for w, hood in trees.values():

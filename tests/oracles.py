@@ -15,8 +15,8 @@ kernel must return the same colour values and the same keys.
 ``keyed_children`` and ``next_level`` are the builtin enumerator in its
 keyed form: every child that passes the canonical-deletion test gets a
 canonical key, and one ``seen`` set keeps the first child of each key.
-The package's orbit-pruned enumerator must build the same levels, the same
-representatives in the same order.  ``deletion_candidates`` lists the
+The package's enumerator, which keeps or rejects each child within its
+parent, must build the same classes.  ``deletion_candidates`` lists the
 vertices that pass that test, straight from its definition, and
 ``automorphisms`` lists a graph's automorphisms by backtracking.
 

@@ -98,20 +98,21 @@ def test_refined_colors_follow_relabelling(connected_upto):
 def test_children_rejected_before_canonical_form(monkeypatch):
     parents = tuple(connected_graphs(6))
     children = len(parents) * (2 ** 6 - 1)  # every parent by every mask
-    real = enumeration.canonical_form
+    real = enumeration._search
     calls = 0
 
-    def counted(*args, **kwargs):
+    def counted(g, *args):
         nonlocal calls
-        calls += 1
-        return real(*args, **kwargs)
+        calls += g.n == 7  # a child's search, not a parent's generators
+        return real(g, *args)
 
-    monkeypatch.setattr(enumeration, "canonical_form", counted)
+    monkeypatch.setattr(enumeration, "_search", counted)
     level = enumeration._next_level(parents, map)
-    assert len(level) == KNOWN_CONNECTED_COUNTS[7]
-    assert {real(g) for g in level} == {real(g) for g in connected_graphs(7)}
-    # only children with a tied deletion vertex are keyed: 281 of 7,056
+    # only children with a tied deletion vertex are searched: 281 of 7,056
     assert children == 7056 and calls <= children // 24
+    assert len(level) == KNOWN_CONNECTED_COUNTS[7]
+    assert ({canonical_form(g) for g in level}
+            == {canonical_form(g) for g in connected_graphs(7)})
 
 
 def test_pooled_level_matches_serial():
@@ -136,37 +137,71 @@ def _graph_kernel():
     return colors, key
 
 
+def _keys(level, key=oracles.canonical_form) -> set:
+    return {key(len(adj), adj) for adj in level}
+
+
 def test_levels_match_keyed_oracle():
-    # orbit pruning and the unkeyed children change nothing: the keyed
-    # enumerator builds the same classes, representatives and order
+    # the keyed enumerator, which merges every passing child through one
+    # set of canonical keys, builds the same classes
     level = [Graph(1).adj]
     for n in range(2, 8):
         level = oracles.next_level(level)
-        assert level == [g.adj for g in connected_graphs(n)], n
+        assert _keys(level) == _keys(g.adj for g in connected_graphs(n)), n
     # level 8 through the package's kernel, which
     # test_kernel_matches_plain_oracle ties to the plain one
-    level = oracles.next_level(level, *_graph_kernel())
-    assert level == [g.adj for g in connected_graphs(8)]
+    colors, key = _graph_kernel()
+    level = oracles.next_level(level, colors, key)
+    assert _keys(level, key) == _keys((g.adj for g in connected_graphs(8)), key)
 
 
-def test_children_keyed_only_when_tied(connected_upto):
-    # a child's key is None exactly when its new vertex is the only vertex
-    # that passes the canonical-deletion test (level 8 is covered by
-    # test_levels_match_keyed_oracle: a wrong None would add a class)
-    keyed = unkeyed = 0
+def test_children_keep_one_per_class(connected_upto):
+    # each kept child's new vertex passes the canonical-deletion test, and
+    # a child in which it is the only passing vertex is kept when its mask
+    # is the least of its Aut(parent) orbit (level 8 is covered by
+    # test_levels_match_keyed_oracle: a wrong keep would add a class)
+    kept = tied = 0
     for parent in connected_upto(1, 6):
-        for mask, key in enumeration._children(parent):
+        masks = set(enumeration._children(parent))
+        auts = oracles.automorphisms(parent.n, parent.adj)
+        for mask in range(1, 1 << parent.n):
             child = enumeration._child(parent, mask)
             passing = oracles.deletion_candidates(child.n, child.adj)
-            assert parent.n in passing
-            if key is None:
-                assert passing == [parent.n], graph6_encode(child)
-                unkeyed += 1
-            else:
-                assert len(passing) > 1 and key == canonical_form(child)
-                keyed += 1
-    assert keyed + unkeyed == 854 + 112 + 21 + 6 + 2 + 1
-    assert keyed == 281 + 58 + 13 + 5 + 2 + 1
+            if mask in masks:
+                assert parent.n in passing, graph6_encode(child)
+                kept += 1
+                tied += len(passing) > 1
+            elif passing == [parent.n]:
+                members = [v for v in range(parent.n) if mask >> v & 1]
+                assert mask > min(sum(1 << a[v] for v in members)
+                                  for a in auts), graph6_encode(child)
+    assert kept == sum(KNOWN_CONNECTED_COUNTS[2:8])
+    # of the 281 children searched at n = 7, one is rejected
+    assert tied == 280 + 58 + 13 + 5 + 2 + 1
+
+
+def test_search_ordering_gives_the_key(connected_upto):
+    # the keep rule reads the first passing vertex off the ordering that
+    # _search returns, so relabelling g by it must give the key's columns
+    rng = random.Random(10)
+    for g in connected_upto(1, 7):
+        for h in (g, _relabelled(g, rng), _relabelled(g, rng)):
+            colors = enumeration._refined_colors(h)
+            key, order = enumeration._search(h, colors)
+            assert enumeration._search(h, colors, []) == (key, order)
+            assert sorted(order) == list(range(h.n))
+            label = {v: i for i, v in enumerate(order)}
+            adj = [0] * h.n
+            for u, v in h.edges():
+                adj[label[u]] |= 1 << label[v]
+                adj[label[v]] |= 1 << label[u]
+            cols = []
+            for pos in range(1, h.n):
+                col = 0
+                for i in range(pos):
+                    col = col << 1 | (adj[pos] >> i & 1)
+                cols.append(col)
+            assert key == (h.n, *cols), graph6_encode(h)
 
 
 def test_generators_give_brute_force_orbits(connected_upto):
