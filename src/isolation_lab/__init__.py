@@ -22,7 +22,6 @@ from .graphs import (
     graph6_encode,
     induced_subgraph,
     is_connected,
-    leaf_count,
     leaves,
     mask_of,
     named_graph,

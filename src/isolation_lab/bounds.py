@@ -33,7 +33,7 @@ from typing import Optional
 
 from .enumeration import canonical_form
 from .families import CYCLES, FamilySpec, edge_family, exact_iota
-from .graphs import Graph, bits, induced_subgraph, named_graph
+from .graphs import Graph, induced_subgraph, leaves, named_graph
 
 
 @dataclass(frozen=True)
@@ -54,9 +54,7 @@ class Theorem:
         where G is g (or g induced on ``within``)."""
         value = self.per_vertex * piece.bit_count()
         if self.per_leaf:
-            host = g.vertex_mask if within is None else within
-            value -= self.per_leaf * sum(
-                1 for u in bits(piece) if (g.adj[u] & host).bit_count() == 1)
+            value -= self.per_leaf * (leaves(g, within) & piece).bit_count()
         return value
 
     def bound(self, g: Graph) -> int:
@@ -103,8 +101,7 @@ def bad_piece(g: Graph, piece: int, theorem: str, within: Optional[int] = None) 
     exception gets an induced subgraph and a canonical form.
     """
     by_edges = _exception_keys(theorem).get(piece.bit_count())
-    candidates = by_edges and by_edges.get(
-        sum((g.adj[u] & piece).bit_count() for u in bits(piece)) // 2)
+    candidates = by_edges and by_edges.get(g.edge_count(piece))
     if not candidates:
         return None
     h = g if piece == g.vertex_mask else induced_subgraph(g, piece)

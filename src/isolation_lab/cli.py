@@ -52,13 +52,14 @@ from .constructions import build_B, build_B_prime_7r_C6, build_B_prime_P3
 from .enumeration import BUILTIN_MAX_N, connected_graphs, read_graph6_stream
 from .families import CYCLES, EDGE_FAMILY_MAX_K, edge_family, exact_iota
 from .graphs import (
+    MAX_VERTICES,
     Graph,
     Graph6Error,
     bits,
     graph6_decode,
     graph6_encode,
     is_connected,
-    leaf_count,
+    leaves,
 )
 from .prover import InternalConsistencyError, NotCovered, isolate_k2, isolate_k3
 
@@ -150,6 +151,11 @@ def _source_range(source: str, n_min: int, n_max: int) -> tuple[int, int]:
     return n_min, n_max
 
 
+def _whole_source(source: str) -> tuple[int, int]:
+    """``_source_range`` for every size of graph a --source value holds."""
+    return _source_range(source, 1, BUILTIN_MAX_N if source == "builtin" else MAX_VERTICES)
+
+
 def iter_source(
     source: str,
     n_min: int,
@@ -230,7 +236,7 @@ def _row(g: Graph, iota: Optional[int] = None, bound: Optional[int] = None,
 
     This is where a row's graph6 is encoded, once per row.
     """
-    return {"graph6": graph6_encode(g), "n": g.n, "leaves": leaf_count(g),
+    return {"graph6": graph6_encode(g), "n": g.n, "leaves": leaves(g).bit_count(),
             "iota": iota, "bound": bound, "exception": exception,
             "tight": tight}
 
@@ -480,7 +486,7 @@ def _given_graph(args) -> Optional[Graph]:
         return graph6_decode(args.graph6)
     if args.source is None:
         raise UsageError("need a graph6 argument or --source")
-    _source_range(args.source, 1, 1 << 30)
+    _whole_source(args.source)
     return None
 
 
@@ -490,7 +496,7 @@ def _input_graphs(args, given: Optional[Graph]) -> Iterator[Graph]:
     if given is not None:
         yield given
         return
-    yield from iter_source(args.source, 1, 1 << 30, args.strict_parse,
+    yield from iter_source(args.source, *_whole_source(args.source), args.strict_parse,
                            connected_only=False)
 
 

@@ -5,6 +5,10 @@ The families of interest are
 * ``edge_family(k)``: all connected graphs with at least k edges,
 * ``CYCLES``: all cycles.
 
+A connected vertex set holds an F-graph iff it spans at least k edges for
+E_k, or for cycles at least as many edges as vertices; ``_comp_contains``
+is the one test of that rule.
+
 A vertex set D is F-isolating for G when G - N[D] contains no subgraph from
 F, and iota(G, F) is the minimum size of an F-isolating set.  ``exact_iota``
 computes it by depth-first branch and bound:
@@ -122,28 +126,19 @@ class IsolationResult:
 # ===== Membership ============================================================
 
 
-def _edges_within(g: Graph, mask: int) -> int:
-    return sum((g.adj[v] & mask).bit_count() for v in bits(mask)) // 2
-
-
 def _comp_contains(g: Graph, comp: int, fam: FamilySpec) -> bool:
-    """Does the component ``comp`` of g (connected) contain an F-graph?"""
+    """Does the connected vertex set ``comp`` of g hold an F-graph?"""
+    m = comp.bit_count()
     if fam.kind == "edges":
-        return _edges_within(g, comp) >= fam.k
-    # a connected graph has a cycle iff it has >= |V| edges
-    return _edges_within(g, comp) >= comp.bit_count()
-
-
-def _holding(g: Graph, alive: int, fam: FamilySpec) -> int:
-    """The first component of g induced on ``alive`` that contains an
-    F-graph, or 0; the components after it are never grown."""
-    return next((comp for comp in iter_components(g, alive)
-                 if _comp_contains(g, comp, fam)), 0)
+        # it spans between m - 1 and m(m - 1)/2 edges
+        return m > fam.k or (m * (m - 1) // 2 >= fam.k and g.edge_count(comp) >= fam.k)
+    return g.edge_count(comp) >= m
 
 
 def _contains_within(g: Graph, alive: int, fam: FamilySpec) -> bool:
-    """Does g induced on ``alive`` contain an F-graph?"""
-    return bool(_holding(g, alive, fam))
+    """Does g induced on ``alive`` contain an F-graph?  The components after
+    the first that does are never grown."""
+    return any(_comp_contains(g, comp, fam) for comp in iter_components(g, alive))
 
 
 def is_isolating(g: Graph, d: int, fam: FamilySpec, within: Optional[int] = None) -> bool:
@@ -192,11 +187,14 @@ def _bfs_cycle(g: Graph, comp: int, root: int) -> int:
 
 
 def _short_cycle(g: Graph, comp: int) -> int:
-    """Vertex set of a short cycle in the component ``comp``, which has one:
-    the shortest ``_bfs_cycle`` over the roots, the first root's on ties."""
+    """Vertex set of a short cycle in the component ``comp``: the shortest
+    ``_bfs_cycle`` over the roots, the first root's on ties, or 0 when the
+    component is a tree."""
     best = 0
     for root in bits(comp):
         cyc = _bfs_cycle(g, comp, root)
+        if not cyc:
+            return 0  # the first root's search closes no cycle: a tree
         if not best or cyc.bit_count() < best.bit_count():
             best = cyc
             if best.bit_count() == 3:
@@ -218,11 +216,12 @@ class _Search:
         self.fam = fam
         self.within = within
         self.closed = closed = {v: (g.adj[v] | 1 << v) & within for v in bits(within)}
-        size = {v: hood.bit_count() for v, hood in closed.items()}
-        # neighbours with small closed neighbourhoods first: witnesses
-        # grown from them have small hitting sets, which pack better
-        self.ranked = {v: sorted(bits(g.adj[v] & within), key=size.__getitem__)
-                       for v in closed}
+        if fam.kind == "edges":
+            size = {v: hood.bit_count() for v, hood in closed.items()}
+            # neighbours with small closed neighbourhoods first: witnesses
+            # grown from them have small hitting sets, which pack better
+            self.ranked = {v: sorted(bits(g.adj[v] & within), key=size.__getitem__)
+                           for v in closed}
         # alive -> (value, mask) once solved, or a proven lower bound (int)
         self.memo: dict = {}
 
@@ -239,9 +238,8 @@ class _Search:
         """
         if self.fam.kind != "edges":
             g = self.g
-            found = [closed_neighborhood(g, _short_cycle(g, comp)) & self.within
-                     for comp in component_masks(g, alive)
-                     if _edges_within(g, comp) >= comp.bit_count()]
+            cycles = (_short_cycle(g, comp) for comp in iter_components(g, alive))
+            found = [closed_neighborhood(g, cyc) & self.within for cyc in cycles if cyc]
             return sorted(found, key=int.bit_count), None
         tree_hood = self.tree_hood
         if trees is None:
@@ -275,9 +273,8 @@ class _Search:
                             return chosen, hood
                         nxt.append(w)
             layer = nxt
-        # the component of root has at most k vertices: it is a witness
-        # itself if it has k edges
-        if size * (size - 1) // 2 < k or _edges_within(self.g, chosen) < k:
+        # the root's whole component, on at most k vertices, may be a witness
+        if not _comp_contains(self.g, chosen, self.fam):
             return chosen, 0
         return chosen, hood
 

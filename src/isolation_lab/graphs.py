@@ -88,8 +88,10 @@ class Graph:
             for d in bits(rest):
                 yield (u, u + 1 + d)
 
-    def edge_count(self) -> int:
-        return sum(m.bit_count() for m in self.adj) // 2
+    def edge_count(self, within: Optional[int] = None) -> int:
+        """The number of edges (of the graph induced on ``within``)."""
+        mask = self.vertex_mask if within is None else within
+        return sum((self.adj[v] & mask).bit_count() for v in bits(mask)) // 2
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -162,8 +164,10 @@ def component_masks(g: Graph, within: Optional[int] = None) -> list[int]:
     return list(iter_components(g, within))
 
 
-def is_connected(g: Graph) -> bool:
-    return len(component_masks(g)) <= 1
+def is_connected(g: Graph, within: Optional[int] = None) -> bool:
+    """Is ``g`` (or g induced on ``within``) connected?  The empty graph is."""
+    todo = g.vertex_mask if within is None else within
+    return next(iter_components(g, todo), 0) == todo
 
 
 def leaves(g: Graph, within: Optional[int] = None) -> int:
@@ -174,10 +178,6 @@ def leaves(g: Graph, within: Optional[int] = None) -> int:
         if (g.adj[v] & todo).bit_count() == 1:
             m |= 1 << v
     return m
-
-
-def leaf_count(g: Graph) -> int:
-    return leaves(g).bit_count()
 
 
 # ===== graph6 encoding =======================================================

@@ -399,7 +399,7 @@ def _single_cycle(
         # the piece is N[v] plus the cycle: a 2-element set built around x1
         y1, cyc, y_carve = around(x1)
         imask = y_top & ~y_carve
-        if len(component_masks(g, imask)) != 1:
+        if not is_connected(g, imask):
             d = (1 << x1) | (1 << cyc[3])
             for y in sorted((cyc[1], cyc[-1])):
                 if g.adj[y] & ((1 << x1p) | (1 << w)):
@@ -419,7 +419,7 @@ def _single_cycle(
 
     c, cp = _carve_anchor(g, ctx, y_top, x1, x1p, w)
     y1, _, y_carve = around(c)
-    if len(component_masks(g, y_top & ~y_carve)) == 1:
+    if is_connected(g, y_top & ~y_carve):
         pieces, _ = _carve(g, ctx, y_carve, v)
         return f"{case}-carve", 1 << y1, pieces
     # the middle of the cycle is attached to nothing but its anchors: keep

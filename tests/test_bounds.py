@@ -17,7 +17,7 @@ from isolation_lab.graphs import (
     Graph,
     complete_graph,
     cycle_graph,
-    leaf_count,
+    leaves,
     named_graph,
     path_graph,
     star_graph,
@@ -36,7 +36,7 @@ def test_bound_formulas():
     # a 10-vertex path with a pendant at each of vertices 1..4
     leafy = Graph(14, [(i, i + 1) for i in range(9)]
                   + [(i, i + 9) for i in range(1, 5)])
-    assert leaf_count(leafy) == 6
+    assert leaves(leafy).bit_count() == 6
     assert theorem_bound(leafy, "k2") == 3  # leaves lower the k=2 bound
     assert bounds("k3", map(path_graph, (4, 7, 16))) == [1, 1, 4]
     assert bounds("cycles", map(cycle_graph, (3, 4, 16))) == [0, 1, 4]

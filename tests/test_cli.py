@@ -166,6 +166,21 @@ def test_sweep_builtin_range_cap(capsys):
     assert code == 2 and "builtin enumeration stops" in err
 
 
+def test_solve_certify_read_the_builtin_source(tmp_path, monkeypatch, capsys):
+    # solve and certify read every size the builtin source holds, which is
+    # no usage error; a smaller cap keeps the run short
+    monkeypatch.setattr(cli, "BUILTIN_MAX_N", 4)
+    jpath = tmp_path / "rows.json"
+    code, _, err = run(["solve", "--family", "e2", "--source", "builtin",
+                        "--json", str(jpath)], capsys)
+    assert code == 0 and err == ""
+    assert len(jpath.read_text().splitlines()) == 1 + 1 + 2 + 6
+    code, _, err = run(["certify", "--k", "3", "--source", "builtin"], capsys)
+    assert code == 1
+    assert err == ("certify refused: Bw is the triangle exception; "
+                   "the E_3 bound does not hold for it\n")
+
+
 @pytest.mark.parametrize("argv", [["sweep", "--family", "e1"],
                                   ["ckn", "--family", "e2"],
                                   ["emit", "builtin"]], ids=["sweep", "ckn", "emit"])

@@ -18,7 +18,7 @@ from isolation_lab.families import edge_family, exact_iota, is_isolating
 from isolation_lab.graphs import (
     cycle_graph,
     is_connected,
-    leaf_count,
+    leaves,
     named_graph,
     path_graph,
 )
@@ -65,7 +65,7 @@ def test_build_B_prime_P3_shape_and_value():
         assert g.n == n and is_connected(g)
         a, b = spine_count(n, 3), base_count(n, 3)
         # leaves: the extras hanging off the spine plus both copy endpoints
-        assert leaf_count(g) == (b - a) + 2 * a
+        assert leaves(g).bit_count() == (b - a) + 2 * a
         assert exact_iota(g, E2).value == theorem_bound(g, "k2") == n // 4
 
 
@@ -78,7 +78,7 @@ def test_build_B_prime_7r_C6():
     g1 = build_B_prime_7r_C6(1)
     assert canonical_form(g1) == canonical_form(named_graph("C6P"))
     g2 = build_B_prime_7r_C6(2)
-    assert g2.n == 14 and is_connected(g2) and leaf_count(g2) == 0
+    assert g2.n == 14 and is_connected(g2) and leaves(g2).bit_count() == 0
     assert exact_iota(g2, E2).value == 4
     with pytest.raises(ValueError):
         build_B_prime_7r_C6(0)

@@ -1,8 +1,10 @@
-"""Every public name of the package has a caller inside the package.
+"""Every public name of the package has a caller inside the package, and
+every private module-level name is read there.
 
 A name in ``isolation_lab.__all__``, or a public method of a class in it,
-that only the tests use is a helper the package does not need; the scans
-below find one.
+that only the tests use is a helper the package does not need, and a
+private function, class or constant that nothing reads is left over from
+an edit; the scans below find them.
 """
 
 from __future__ import annotations
@@ -67,3 +69,18 @@ def test_every_public_method_has_a_package_caller():
                             and not item.name.startswith("_")}
     unread = sorted(f"{cls}.{name}" for cls, name in methods if name not in read)
     assert not unread, f"public methods no package code reads: {unread}"
+
+
+def test_every_private_name_is_read():
+    # a module-level private function, class or constant that no package
+    # code reads outside its own definition is left over from a change
+    defined: set[tuple[str, str]] = set()
+    used: set[str] = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+            names = _defined_by(stmt)
+            defined |= {(path.stem, name) for name in names
+                        if name.startswith("_") and not name.startswith("__")}
+            used |= _referenced(stmt) - names
+    unread = sorted(f"{module}.{name}" for module, name in defined if name not in used)
+    assert not unread, f"private names the package never reads: {unread}"

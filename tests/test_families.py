@@ -28,6 +28,7 @@ from isolation_lab.graphs import (
     cycle_graph,
     graph6_decode,
     induced_subgraph,
+    is_connected,
     leaves,
     mask_of,
     named_graph,
@@ -396,6 +397,7 @@ def _check_piece(rng: random.Random, g: Graph, piece: int, tags: set) -> None:
         return mask_of(old[i] for i in bits(local))
 
     assert leaves(g, piece) == host(leaves(h))
+    assert g.edge_count(piece) == h.edge_count()
     for fam in (E1, E2, E3, CYCLES):
         got, ref = exact_iota(g, fam, within=piece), exact_iota(h, fam)
         assert (got.value, got.witness) == (ref.value, host(ref.witness))
@@ -408,6 +410,7 @@ def _check_piece(rng: random.Random, g: Graph, piece: int, tags: set) -> None:
         # N[u], whose potential counts the leaves of the piece
         u = old[rng.randrange(h.n)]
         rest = piece & ~closed_neighborhood(g, 1 << u)
+        assert is_connected(g, rest) == is_connected(induced_subgraph(g, rest))
         for comp in component_masks(g, rest):
             tag = bad_piece(g, comp, theorem, within=piece)
             assert tag == bad_piece(h, mask_of(old.index(w) for w in bits(comp)), theorem)
@@ -441,3 +444,5 @@ def test_search_tables_hold_the_piece_only():
     search = families._Search(path_graph(64), E2, piece)
     assert search.closed == {30: 0b11 << 30, 31: piece, 32: 0b110 << 30}
     assert search.ranked == {30: [31], 31: [30, 32], 32: [31]}
+    # a cycles search grows no trees, so it ranks no neighbours
+    assert not hasattr(families._Search(path_graph(64), CYCLES, piece), "ranked")

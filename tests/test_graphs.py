@@ -23,7 +23,6 @@ from isolation_lab.graphs import (
     graph6_encode,
     induced_subgraph,
     is_connected,
-    leaf_count,
     leaves,
     mask_of,
     named_graph,
@@ -109,14 +108,17 @@ def test_components():
     assert is_connected(path_graph(4))
     assert is_connected(Graph(1))
     assert is_connected(Graph(0))
+    # a piece is connected when g induced on it is; the empty one is
+    assert is_connected(g, within=mask_of([0, 1, 2]))
+    assert not is_connected(g, within=mask_of([0, 2, 3, 4]))
+    assert is_connected(g, within=0)
 
 
 def test_leaves_and_degrees():
     g = star_graph(3)
     assert leaves(g) == mask_of([1, 2, 3])
-    assert leaf_count(g) == 3
     assert g.adj[0].bit_count() == 3 and g.adj[1].bit_count() == 1
-    assert leaf_count(cycle_graph(5)) == 0
+    assert leaves(cycle_graph(5)) == 0
     # leaves of a piece count only the neighbours inside it
     assert leaves(cycle_graph(5), mask_of([0, 1, 2])) == mask_of([0, 2])
 
@@ -133,7 +135,7 @@ def test_builders():
 
 def test_named_graphs():
     assert named_graph("C6").n == 6
-    assert named_graph("C6P").n == 7 and leaf_count(named_graph("C6P")) == 1
+    assert named_graph("C6P").n == 7 and leaves(named_graph("C6P")).bit_count() == 1
     c6pp = named_graph("C6PP")
     assert c6pp.n == 7 and c6pp.edge_count() == 8
     assert named_graph("K5").edge_count() == 10
