@@ -124,42 +124,49 @@ def _resolve_jobs(value: str) -> int:
     return jobs
 
 
-def _source_range(source: str, n_min: int, n_max: int) -> tuple[int, int]:
+def _resolve_budget(budget: Optional[int]) -> Optional[int]:
+    if budget is not None and budget < 0:
+        raise UsageError(f"--budget must be >= 0, got {budget}")
+    return budget
+
+
+def _source_range(source: str, n_min: int = 1,
+                  n_max: Optional[int] = None) -> tuple[int, int]:
     """The range of n that a --source value reads, or its usage error.
 
-    ``builtin`` starts at n = 1 and stops at ``BUILTIN_MAX_N``; a ``file:``
-    must be readable.  The commands that write reports call this before
-    opening them, so a bad source leaves an existing report as it was.
+    This is the CLI's one size rule.  Every source starts at n = 1: the
+    bounds speak about graphs with at least one vertex.  ``n_max`` None
+    means every size the source holds, ``BUILTIN_MAX_N`` for builtin and
+    ``MAX_VERTICES`` for a file or stdin; a larger one is a usage error for
+    builtin.  A ``file:`` must be readable.  The commands that write
+    reports call this before opening them, so a bad source leaves an
+    existing report as it was.
     """
-    if source == "builtin":
-        if n_max > BUILTIN_MAX_N:
-            raise UsageError(
-                f"builtin enumeration stops at n = {BUILTIN_MAX_N}; larger "
-                f"graphs must be read from a graph6 file"
-            )
-        return max(n_min, 1), n_max
     if source.startswith("file:"):
         path = source[5:]
         try:
             open(path, "rb").close()
         except OSError as exc:
             raise UsageError(f"cannot read {path}: {exc}")
-    elif source != "-":
+    elif source not in ("builtin", "-"):
         raise UsageError(
             f"unknown source {source!r} (choose builtin, file:PATH, or -)"
         )
-    return n_min, n_max
-
-
-def _whole_source(source: str) -> tuple[int, int]:
-    """``_source_range`` for every size of graph a --source value holds."""
-    return _source_range(source, 1, BUILTIN_MAX_N if source == "builtin" else MAX_VERTICES)
+    largest = BUILTIN_MAX_N if source == "builtin" else MAX_VERTICES
+    if n_max is None:
+        n_max = largest
+    elif source == "builtin" and n_max > largest:
+        raise UsageError(
+            f"builtin enumeration stops at n = {BUILTIN_MAX_N}; larger "
+            f"graphs must be read from a graph6 file"
+        )
+    return max(n_min, 1), n_max
 
 
 def iter_source(
     source: str,
     n_min: int,
-    n_max: int,
+    n_max: Optional[int],
     strict: bool,
     connected_only: bool = True,
     imap=map,
@@ -313,6 +320,7 @@ def cmd_sweep(args) -> int:
             f"e3, and cycles do)"
         )
     jobs = _resolve_jobs(args.jobs)
+    budget = _resolve_budget(args.budget)
     n_min, n_max = _source_range(args.source, args.n_min, args.n_max)
     start = time.monotonic()
     exceptions: dict[str, int] = {}
@@ -320,7 +328,7 @@ def cmd_sweep(args) -> int:
     with _writers(args.json, args.csv) as write, _ordered_map(jobs) as imap:
         tasks = list(iter_source(args.source, n_min, n_max, args.strict_parse,
                                  imap=imap))
-        check = functools.partial(_sweep_one, theorem=theorem, budget=args.budget)
+        check = functools.partial(_sweep_one, theorem=theorem, budget=budget)
         for row, problems in imap(check, tasks):
             write(row)
             stats = per_n.setdefault(row["n"], [0, 0, 0, 0])
@@ -420,6 +428,9 @@ def cmd_extremal(args) -> int:
             f"no extremal family rows for {label!r} (choose e1, e2, e3, "
             f"or cycles)"
         )
+    if args.n_max > MAX_VERTICES:
+        raise UsageError(f"extremal rows stop at n = {MAX_VERTICES}, the largest "
+                         f"graph this package holds")
     failures = 0
     with _writers(args.json, args.csv,
                   fields=("construction", "n", "expected", "iota", "equal")) as write:
@@ -486,7 +497,7 @@ def _given_graph(args) -> Optional[Graph]:
         return graph6_decode(args.graph6)
     if args.source is None:
         raise UsageError("need a graph6 argument or --source")
-    _whole_source(args.source)
+    _source_range(args.source)
     return None
 
 
@@ -496,8 +507,7 @@ def _input_graphs(args, given: Optional[Graph]) -> Iterator[Graph]:
     if given is not None:
         yield given
         return
-    yield from iter_source(args.source, *_whole_source(args.source), args.strict_parse,
-                           connected_only=False)
+    yield from iter_source(args.source, 1, None, args.strict_parse, connected_only=False)
 
 
 def _vertex_list(mask: int) -> str:
@@ -506,16 +516,17 @@ def _vertex_list(mask: int) -> str:
 
 def cmd_solve(args) -> int:
     label, fam, theorem = parse_family(args.family)
+    budget = _resolve_budget(args.budget)
     given = _given_graph(args)
     with _writers(args.json, args.csv, fields=ROW_FIELDS[:7] + ("witness",)) as write:
         for g in _input_graphs(args, given):
             # the bounds, and so their exceptions, cover connected graphs only
             if theorem is not None and is_connected(g):
-                rec = check_bound(g, theorem, budget=args.budget)
+                rec = check_bound(g, theorem, budget=budget)
                 row = _row(g, rec.iota, rec.bound, rec.exception, rec.tight)
                 witness = rec.witness
             else:
-                got = exact_iota(g, fam, budget=args.budget)
+                got = exact_iota(g, fam, budget=budget)
                 row = _row(g, None if got is None else got.value)
                 witness = None if got is None else got.witness
             row["witness"] = None if witness is None else sorted(bits(witness))

@@ -241,13 +241,11 @@ class _Search:
             cycles = (_short_cycle(g, comp) for comp in iter_components(g, alive))
             found = [closed_neighborhood(g, cyc) & self.within for cyc in cycles if cyc]
             return sorted(found, key=int.bit_count), None
-        tree_hood = self.tree_hood
-        if trees is None:
-            table = {root: tree_hood(alive, root) for root in bits(alive)}
-        else:
-            gone = ~alive
-            table = {root: tree if not tree[0] & gone else tree_hood(alive, root)
-                     for root, tree in trees.items() if alive >> root & 1}
+        tree_hood, gone = self.tree_hood, ~alive
+        # with no parent table every root regrows: a W of -1 meets ``gone``
+        kept = trees or dict.fromkeys(bits(alive), (-1, 0))
+        table = {root: tree if not tree[0] & gone else tree_hood(alive, root)
+                 for root, tree in kept.items() if alive >> root & 1}
         found = [hood for _, hood in table.values() if hood]
         return sorted(found, key=int.bit_count), table
 

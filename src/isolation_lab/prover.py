@@ -263,29 +263,27 @@ _Step = tuple[str, int, list[int]]
 
 
 def _carve(g: Graph, ctx: InductionContext, removed: int, home: int,
-           leftover_ok: int = 0) -> tuple[list[int], list[int]]:
-    """Split the piece minus ``removed`` into pieces to recurse on.
+           leftover_ok: int = 0) -> list[int]:
+    """Split the piece minus ``removed`` into the pieces to recurse on: the
+    stray components in component order, then the home component.
 
-    Returns (the stray components in component order followed by the home
-    component, the leftover components inside ``leftover_ok``).  Stray
-    components must be components of G - N[v] that lost their only anchors;
-    anything else is an accounting bug.
+    Stray components must be components of G - N[v] that lost their only
+    anchors.  Components inside ``leftover_ok`` are allowed too, but the
+    step isolates them itself, so they are not returned; anything else is
+    an accounting bug.
     """
     home_mask = 0
     strays: list[int] = []
-    leftovers: list[int] = []
     for c in component_masks(g, ctx.piece & ~removed):
         if c >> home & 1:
             home_mask = c
-        elif c & leftover_ok and not c & ~leftover_ok:
-            leftovers.append(c)
         elif c in ctx.good:
             strays.append(c)
-        else:
+        elif c & ~leftover_ok:  # not inside ``leftover_ok`` either
             raise InternalConsistencyError("unexpected stray component after a carve")
     if not home_mask:
         raise InternalConsistencyError("the carve removed the home vertex")
-    return strays + [home_mask], leftovers
+    return strays + [home_mask]
 
 
 def _walk_order(g: Graph, piece: int, start: int) -> list[int]:
@@ -339,7 +337,7 @@ def _case_lone_anchor(prover: _Prover, g: Graph, ctx: InductionContext, comp: in
     """A bad component linked to a single anchor: carve both out, recurse."""
     x1 = _anchor(ctx.links[comp])
     d = (1 << x1) | residual_set_for_bad(g, comp, ctx.bad[comp], _attach(g, x1, comp))
-    pieces, _ = _carve(g, ctx, (1 << x1) | comp, ctx.v)
+    pieces = _carve(g, ctx, (1 << x1) | comp, ctx.v)
     home = pieces[-1]
     tag = bad_piece(g, home, prover.theorem, within=home)
     if tag in _CYCLE_LENGTH:
@@ -420,12 +418,11 @@ def _single_cycle(
     c, cp = _carve_anchor(g, ctx, y_top, x1, x1p, w)
     y1, _, y_carve = around(c)
     if is_connected(g, y_top & ~y_carve):
-        pieces, _ = _carve(g, ctx, y_carve, v)
-        return f"{case}-carve", 1 << y1, pieces
+        return f"{case}-carve", 1 << y1, _carve(g, ctx, y_carve, v)
     # the middle of the cycle is attached to nothing but its anchors: keep
     # v and w, carve everything else around the component
-    pieces, _ = _carve(g, ctx, y_top & ~((1 << v) | (1 << w)), v)
-    return f"{case}-split", (1 << y1) | (1 << _attach(g, cp, comp)), pieces
+    return (f"{case}-split", (1 << y1) | (1 << _attach(g, cp, comp)),
+            _carve(g, ctx, y_top & ~((1 << v) | (1 << w)), v))
 
 
 # ===== E_2-only cases ========================================================
@@ -445,18 +442,15 @@ def _k2_pair_carve(g: Graph, ctx: InductionContext, comp: int) -> _Step:
     x1 = _anchor(ctx.links[comp])
     y1 = _attach(g, x1, comp)
     d = (1 << y1) | residual_set_for_bad(g, comp, ctx.bad[comp], y1)
-    pieces, _ = _carve(g, ctx, (1 << x1) | comp, ctx.v)
-    return "pair-carve", d, pieces
+    return "pair-carve", d, _carve(g, ctx, (1 << x1) | comp, ctx.v)
 
 
 def _k2_pair(g: Graph, ctx: InductionContext) -> _Step:
+    for comp, tag in ctx.bad.items():
+        if tag in ("K3", "K13", "C6P", "C6PP"):
+            return _k2_pair_carve(g, ctx, comp)
     h1, h2 = ctx.bad
     tags = (ctx.bad[h1], ctx.bad[h2])
-    carveable = ("K3", "K13", "C6P", "C6PP")
-    if tags[0] in carveable:
-        return _k2_pair_carve(g, ctx, h1)
-    if tags[1] in carveable:
-        return _k2_pair_carve(g, ctx, h2)
     # both components are 3-paths or 6-cycles now
     if tags == ("C6", "C6"):
         return _k2_pair_carve(g, ctx, h1)
@@ -479,8 +473,7 @@ def _k2_pair(g: Graph, ctx: InductionContext) -> _Step:
         # linked end and recurse on the remainder
         yi = e1 if not lg >> e1 & 1 else e2
         x = _anchor(g.adj[yi] & ctx.nbrs)
-        pieces, _ = _carve(g, ctx, (1 << x) | hp, ctx.v)
-        return "pair-p3-halfleaf", 1 << yi, pieces
+        return "pair-p3-halfleaf", 1 << yi, _carve(g, ctx, (1 << x) | hp, ctx.v)
     # two 3-paths
     mid1, e11, e12 = _p3_parts(g, h1)
     mid2, e21, e22 = _p3_parts(g, h2)
@@ -492,8 +485,8 @@ def _k2_pair(g: Graph, ctx: InductionContext) -> _Step:
     if (lg >> e11 & 1) + (lg >> e12 & 1) == 2 and (lg >> e21 & 1) + (lg >> e22 & 1) < 2:
         h1 = h2
     x1 = _anchor(ctx.links[h1])
-    pieces, _ = _carve(g, ctx, (1 << x1) | h1, ctx.v)
-    return "pair-p3p3-shedleaf", 1 << _attach(g, x1, h1), pieces
+    return ("pair-p3p3-shedleaf", 1 << _attach(g, x1, h1),
+            _carve(g, ctx, (1 << x1) | h1, ctx.v))
 
 
 def _k2_single(
@@ -520,18 +513,16 @@ def _k2_single(
         # w is a true leaf: carve v, the anchor, its attachment, and w; the
         # other anchor keeps the remainder connected to the outside
         removed = (1 << v) | (1 << c) | (1 << _attach(g, c, comp)) | (1 << w)
-        pieces, _ = _carve(g, ctx, removed, cp, leftover_ok=comp)
-        return "single-small-wleaf", 1 << c, pieces
+        return "single-small-wleaf", 1 << c, _carve(g, ctx, removed, cp, leftover_ok=comp)
 
     # some end of the 3-path is a true leaf (triangles cannot reach here)
     if tag != "P3" or not (lg >> e1 & 1 or lg >> e2 & 1):
         raise InternalConsistencyError("leafy single-component case without a leafy path end")
     ystar = _attach(g, c, comp)
     if ystar != _attach(g, cp, comp):
-        pieces, _ = _carve(g, ctx, (1 << c) | comp, v)
-        return "single-small-splitattach", 1 << ystar, pieces
-    pieces, _ = _carve(g, ctx, (1 << c) | (1 << cp) | comp, v)
-    return "single-small-sharedattach", 1 << ystar, pieces
+        return "single-small-splitattach", 1 << ystar, _carve(g, ctx, (1 << c) | comp, v)
+    return ("single-small-sharedattach", 1 << ystar,
+            _carve(g, ctx, (1 << c) | (1 << cp) | comp, v))
 
 
 # ===== E_3-only cases ========================================================
@@ -542,9 +533,9 @@ def _k3_pair(g: Graph, ctx: InductionContext) -> _Step:
     x1 = _anchor(ctx.links[h1])
     y1 = _attach(g, x1, h1)
     removed = (g.adj[y1] | 1 << y1) & ((1 << x1) | h1)
-    pieces, leftovers = _carve(g, ctx, removed, ctx.v, leftover_ok=h1)
+    pieces = _carve(g, ctx, removed, ctx.v, leftover_ok=h1)
     d = 1 << y1
-    if leftovers:
+    if h1 & ~removed & ~pieces[-1]:
         # only a 7-cycle leaves anything behind: a 4-path that the vertex at
         # cycle-distance 3 from the attachment finishes off
         d |= residual_set_for_bad(g, h1, ctx.bad[h1], y1)
@@ -558,7 +549,7 @@ def _k3_single(
     """The lone bad component is a triangle."""
     v = ctx.v
     c, cp = _carve_anchor(g, ctx, y_top, x1, x1p, w)
-    pieces, _ = _carve(g, ctx, (1 << c) | comp, v)
+    pieces = _carve(g, ctx, (1 << c) | comp, v)
     home = pieces[-1]
     if bad_piece(g, home, prover.theorem, within=home) == "C7":
         # the remainder closed into a 7-cycle: v with the other anchor
@@ -620,8 +611,9 @@ def _step(prover: _Prover, g: Graph, piece: int, v: int) -> _Step:
 def _dispatch(prover: _Prover, g: Graph, piece: int) -> int:
     """Take one proof step on a connected piece, solve the pieces it recurses
     on in order, and verify the assembled set."""
-    # a vertex of maximum degree in the piece, the lowest on ties
-    v = max(bits(piece), key=lambda u: (g.adj[u] & piece).bit_count())
+    # a vertex of maximum degree in the piece, the lowest on ties (none in
+    # the empty graph, which the exact base case isolates with no vertex)
+    v = max(bits(piece), key=lambda u: (g.adj[u] & piece).bit_count(), default=-1)
     case, d, pieces = _step(prover, g, piece, v)
     for child in pieces:
         d |= prover.solve_piece(g, child)

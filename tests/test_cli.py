@@ -197,6 +197,25 @@ def test_builtin_range_starts_at_one(argv, tmp_path, capsys):
     assert outputs[0] == outputs[1] != ""
 
 
+@pytest.mark.parametrize("argv", [["sweep", "--family", "e2"],
+                                  ["sweep", "--family", "e3"],
+                                  ["ckn", "--family", "e2"]], ids=["sweep-e2", "sweep-e3", "ckn"])
+def test_file_range_starts_at_one(argv, tmp_path, capsys):
+    # a file's 0-vertex graph lies below every source's range, so a
+    # --n-min below 1 reads the same graphs as --n-min 1
+    source = tmp_path / "tiny.g6"
+    source.write_text("?\n@\nA_\n")
+    outputs = []
+    for n_min in ("-1", "0", "1"):
+        path = tmp_path / f"rows{n_min}.json"
+        code, out, err = run(argv + ["--source", f"file:{source}", "--n-min", n_min,
+                                     "--json", str(path)], capsys)
+        assert code == 0 and err == ""
+        outputs.append(path.read_text())
+    assert outputs[0] == outputs[1] == outputs[2] != ""
+    assert "?" not in outputs[0]
+
+
 def test_sweep_header_prints_the_range_read(capsys):
     code, out, _ = run(["sweep", "--family", "e1", "--n-min", "-1",
                         "--n-max", "3"], capsys)
@@ -349,9 +368,13 @@ def test_sweep_opens_reports_before_enumerating(tmp_path, monkeypatch, capsys):
     (["certify", "--k", "2", "Bw", "--source", "-"], 2),
     (["solve", "--family", "e2"], 2),
     (["solve", "B", "--family", "e2"], 3),
+    (["extremal", "--family", "e3", "--n-min", "63", "--n-max", "65"], 2),
+    (["sweep", "--family", "e2", "--n-max", "3", "--budget", "-1"], 2),
+    (["solve", "Bw", "--family", "e2", "--budget", "-1"], 2),
 ], ids=["builtin-cap", "unknown-source", "missing-file", "solve-missing-file",
         "certify-unknown-source", "certify-missing-file", "certify-both-inputs",
-        "solve-no-input", "solve-malformed-line"])
+        "solve-no-input", "solve-malformed-line", "extremal-past-64",
+        "sweep-negative-budget", "solve-negative-budget"])
 def test_source_error_keeps_existing_reports(argv, code, tmp_path, capsys):
     # the input is checked before the reports are opened for writing
     reports = [tmp_path / "rows.json", tmp_path / "rows.csv"]

@@ -292,6 +292,15 @@ def test_exact_base_below_eight():
     assert cert.trace[-1].case == "exact-base" and cert.d == 0
 
 
+def test_empty_graph_is_certified():
+    # the empty graph is connected and covered: it has no pivot, and the
+    # exact base case isolates it with no vertex within the bound 0
+    for prove in (isolate_k2, isolate_k3):
+        cert = prove(Graph(0))
+        assert (cert.d, cert.bound) == (0, 0)
+        assert [e.line() for e in cert.trace] == ["case=exact-base n=0 v=-1 |d|=0"]
+
+
 # ===== soundness and shape ===================================================
 
 
