@@ -27,17 +27,15 @@ charges the components of a piece in that piece.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .enumeration import canonical_form
 from .families import CYCLES, FamilySpec, edge_family, exact_iota
 from .graphs import Graph, induced_subgraph, leaves, named_graph
 
 
-@dataclass(frozen=True)
-class Theorem:
+class Theorem(NamedTuple):
     """iota(G, family) <= bound(G) for every connected G that is not one of
     the graphs tagged in ``exceptions`` (tags as in ``named_graph``), with
     bound(G) the floor of the potential at H = G.
@@ -125,8 +123,7 @@ def classify_exception(g: Graph, theorem: str) -> Optional[str]:
 # ===== Bound checking ========================================================
 
 
-@dataclass(frozen=True)
-class VerificationRecord:
+class VerificationRecord(NamedTuple):
     """One graph checked against one bound.
 
     ``iota`` and ``witness`` (an optimal isolating set, as a mask) are None

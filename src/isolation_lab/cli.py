@@ -31,20 +31,22 @@ every N.
 graph6 is the I/O format only: a line is decoded where it is read, a graph
 is encoded where its row (``_row``) or an error message is written, and
 workers receive ``Graph`` objects.
+
+Each run pays for its imports at start-up, so a CLI process loads only the
+standard-library modules its command uses: ``multiprocessing`` only with
+``--jobs`` > 1, ``csv`` only with ``--csv``, and ``fractions`` only in
+``ckn``.  Every package module is still loaded on import.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import functools
 import json
-import multiprocessing
 import os
 import sys
 import time
-from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .bounds import THEOREMS, check_bound, theorem_bound
@@ -209,23 +211,29 @@ def _writers(json_path: Optional[str], csv_path: Optional[str],
              fields: tuple[str, ...] = ROW_FIELDS) -> Iterator[Callable[[dict], None]]:
     """Optional JSON-lines and CSV side outputs for per-row reports.
 
-    Yields ``write(row)``.  Both files are opened on one stack, so whatever
-    is open is closed when the block ends or the other open fails; a path
-    that cannot be opened is a usage error.
+    Yields ``write(row)``.  A path that cannot be opened is a usage error,
+    and leaves every existing report as it was: each path is first opened
+    for appending, which empties nothing.  Both files are then opened on one
+    stack, so whatever is open is closed when the block ends or the other
+    open fails.
     """
-    with contextlib.ExitStack() as stack:
-        def open_report(path: str, **kwargs):
-            try:
-                return stack.enter_context(open(path, "w", encoding="ascii", **kwargs))
-            except OSError as exc:
-                raise UsageError(f"cannot write {path}: {exc}")
+    def open_report(path: str, mode: str, **kwargs):
+        try:
+            return open(path, mode, encoding="ascii", **kwargs)
+        except OSError as exc:
+            raise UsageError(f"cannot write {path}: {exc}")
 
+    for path in filter(None, (json_path, csv_path)):
+        open_report(path, "a").close()
+    with contextlib.ExitStack() as stack:
         sinks: list[Callable[[dict], None]] = []
         if json_path:
-            out = open_report(json_path)
+            out = stack.enter_context(open_report(json_path, "w"))
             sinks.append(lambda row: out.write(json.dumps(row) + "\n"))
         if csv_path:
-            table = csv.DictWriter(open_report(csv_path, newline=""),
+            import csv
+
+            table = csv.DictWriter(stack.enter_context(open_report(csv_path, "w", newline="")),
                                    fieldnames=fields, restval="")
             table.writeheader()
             sinks.append(table.writerow)
@@ -304,6 +312,8 @@ def _ordered_map(jobs: int):
     if jobs == 1:
         yield map
         return
+    import multiprocessing
+
     processes = min(jobs, os.cpu_count() or 1)
     with multiprocessing.Pool(processes=processes) as pool:
         def imap(worker, tasks: Sequence) -> Iterator:
@@ -369,6 +379,8 @@ def _ckn_one(g: Graph, k: int) -> int:
 
 
 def cmd_ckn(args) -> int:
+    from fractions import Fraction
+
     label, fam, _theorem = parse_family(args.family)
     if fam.kind != "edges":
         raise UsageError(

@@ -82,8 +82,7 @@ ascending index order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .graphs import (Graph, bits, closed_neighborhood, component_masks, iter_components,
                      mask_of)
@@ -91,34 +90,25 @@ from .graphs import (Graph, bits, closed_neighborhood, component_masks, iter_com
 EDGE_FAMILY_MAX_K = 16
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    """One of the supported forbidden families."""
+class FamilySpec(NamedTuple):
+    """One of the supported forbidden families; build one with
+    ``edge_family`` or take ``CYCLES``."""
 
     kind: str  # "edges" | "cycles"
     k: int = 0
 
-    def __post_init__(self):
-        if self.kind == "edges":
-            if not 1 <= self.k <= EDGE_FAMILY_MAX_K:
-                raise ValueError(f"edge family k={self.k} outside 1..{EDGE_FAMILY_MAX_K}")
-        elif self.kind == "cycles":
-            if self.k:
-                raise ValueError("the cycle family takes no parameter")
-        else:
-            raise ValueError(f"unknown family kind {self.kind!r}")
-
 
 def edge_family(k: int) -> FamilySpec:
     """Connected graphs with at least ``k`` edges."""
+    if not 1 <= k <= EDGE_FAMILY_MAX_K:
+        raise ValueError(f"edge family k={k} outside 1..{EDGE_FAMILY_MAX_K}")
     return FamilySpec("edges", k)
 
 
 CYCLES = FamilySpec("cycles")
 
 
-@dataclass(frozen=True)
-class IsolationResult:
+class IsolationResult(NamedTuple):
     value: int
     witness: int  # bitmask of a minimum isolating set
 

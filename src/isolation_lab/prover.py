@@ -47,8 +47,7 @@ failure is an implementation bug, not a property of the input graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .bounds import THEOREMS, bad_piece, classify_exception
 from .constructions import pattern_isolating_set
@@ -85,8 +84,7 @@ class InternalConsistencyError(RuntimeError):
     """
 
 
-@dataclass(frozen=True)
-class TraceEntry:
+class TraceEntry(NamedTuple):
     """One dispatch decision: which case fired, on a piece of n vertices."""
 
     case: str
@@ -98,8 +96,7 @@ class TraceEntry:
         return f"case={self.case} n={self.n} v={self.v} |d|={self.d_size}"
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """An isolating set d together with the bound it satisfies.
 
     The trace records one entry per proof case used, innermost first: a case
@@ -112,8 +109,7 @@ class Certificate:
     trace: tuple[TraceEntry, ...]
 
 
-@dataclass
-class InductionContext:
+class InductionContext(NamedTuple):
     """The decomposition of a piece around its chosen max-degree vertex."""
 
     piece: int  # the vertex mask being solved

@@ -6,11 +6,12 @@ the module globals (the serial jobs=1 path calls workers directly).
 
 from __future__ import annotations
 
-import dataclasses
 import importlib
 import inspect
 import json
+import multiprocessing
 import os
+import subprocess
 import sys
 
 import pytest
@@ -98,8 +99,7 @@ def test_builtin_graphs_are_never_decoded(command, monkeypatch, capsys):
 
 def test_sweep_reports_violations(monkeypatch, capsys):
     def lying_check(g, theorem, budget=None):
-        return dataclasses.replace(check_bound(g, theorem, budget=budget),
-                                   violated=True)
+        return check_bound(g, theorem, budget=budget)._replace(violated=True)
 
     monkeypatch.setattr(cli, "check_bound", lying_check)
     code, out, _ = run(["sweep", "--family", "e1", "--n-min", "4",
@@ -113,11 +113,11 @@ def _failing_prover(g):
 
 
 def _whole_graph_prover(g):
-    return dataclasses.replace(isolate_k2(g), d=(1 << g.n) - 1)
+    return isolate_k2(g)._replace(d=(1 << g.n) - 1)
 
 
 def _empty_set_prover(g):
-    return dataclasses.replace(isolate_k2(g), d=0)
+    return isolate_k2(g)._replace(d=0)
 
 
 @pytest.mark.parametrize("prove,message", [
@@ -335,7 +335,7 @@ def test_jobs_capped_at_core_count(command, monkeypatch, capsys):
             workers.append(getattr(worker, "func", worker))
             return map(worker, tasks)
 
-    monkeypatch.setattr(cli.multiprocessing, "Pool", InlinePool)
+    monkeypatch.setattr(multiprocessing, "Pool", InlinePool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     code, out, _ = run([command, "--family", "e2", "--n-max", "5",
                         "--jobs", "100000"], capsys)
@@ -371,17 +371,19 @@ def test_sweep_opens_reports_before_enumerating(tmp_path, monkeypatch, capsys):
     (["extremal", "--family", "e3", "--n-min", "63", "--n-max", "65"], 2),
     (["sweep", "--family", "e2", "--n-max", "3", "--budget", "-1"], 2),
     (["solve", "Bw", "--family", "e2", "--budget", "-1"], 2),
+    (["solve", "Bw", "--family", "e2", "--csv", "/does/not/exist/rows.csv"], 2),
 ], ids=["builtin-cap", "unknown-source", "missing-file", "solve-missing-file",
         "certify-unknown-source", "certify-missing-file", "certify-both-inputs",
         "solve-no-input", "solve-malformed-line", "extremal-past-64",
-        "sweep-negative-budget", "solve-negative-budget"])
+        "sweep-negative-budget", "solve-negative-budget", "unwritable-csv"])
 def test_source_error_keeps_existing_reports(argv, code, tmp_path, capsys):
-    # the input is checked before the reports are opened for writing
+    # the input and every report path are checked before any report is
+    # opened for writing; a --csv in argv replaces the one given here
     reports = [tmp_path / "rows.json", tmp_path / "rows.csv"]
     for path in reports:
         path.write_text("keep")
-    got, out, err = run(argv + ["--json", str(reports[0]),
-                                "--csv", str(reports[1])], capsys)
+    got, out, err = run(argv[:1] + ["--json", str(reports[0]), "--csv", str(reports[1])]
+                        + argv[1:], capsys)
     error = "usage error:" if code == 2 else "parse error:"
     assert got == code and out == "" and err.startswith(error)
     assert [path.read_text() for path in reports] == ["keep", "keep"]
@@ -646,6 +648,37 @@ def test_trace_hooks_exist():
     # resume of _input_graphs
     assert inspect.isgeneratorfunction(cli.iter_source)
     assert inspect.isgeneratorfunction(cli._input_graphs)
+
+
+# Standard-library modules that only some commands use: records are
+# NamedTuples, the pool starts only with --jobs > 1, the CSV writer only
+# with --csv, and Fraction only in ckn.
+UNUSED_AT_START = {"dataclasses", "inspect", "multiprocessing", "csv", "fractions"}
+
+
+def _loaded_after(code: str) -> set[str]:
+    """The modules a fresh interpreter holds after running ``code``."""
+    src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", f"{code}\nimport sys\nprint(*sys.modules)"],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, check=True)
+    return set(done.stdout.splitlines()[-1].split())
+
+
+@pytest.mark.parametrize("argv", [None, ["solve", "--family", "e2", "Bw"],
+                                  ["certify", "--k", "2", "Bw"]],
+                         ids=["import", "solve", "certify"])
+def test_cli_loads_only_the_stdlib_it_uses(argv):
+    # each CLI process starts a fresh interpreter, so every module it
+    # imports and does not use is start-up time spent for nothing
+    code = "import isolation_lab.cli as cli"
+    if argv is not None:
+        code += f"\ncli.main({argv!r})"
+    loaded = _loaded_after(code)
+    assert (UNUSED_AT_START & loaded) - _loaded_after("pass") == set()
+    # the tracer rebinds its layer functions only in modules already loaded
+    assert {f"isolation_lab.{module}" for module, _ in tracing.LAYERS} <= loaded
 
 
 def test_argparse_usage_exit():
