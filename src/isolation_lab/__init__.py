@@ -16,12 +16,12 @@ from .graphs import (
     bits,
     closed_neighborhood,
     complete_graph,
-    component_masks,
     cycle_graph,
     graph6_decode,
     graph6_encode,
     induced_subgraph,
     is_connected,
+    iter_components,
     leaves,
     mask_of,
     named_graph,

@@ -67,10 +67,6 @@ THEOREMS: dict[str, Theorem] = {
 }
 
 
-def theorem_bound(g: Graph, theorem: str) -> int:
-    return THEOREMS[theorem].bound(g)
-
-
 # ===== Exception recognition =================================================
 
 

@@ -49,7 +49,7 @@ import sys
 import time
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .bounds import THEOREMS, check_bound, theorem_bound
+from .bounds import THEOREMS, check_bound
 from .constructions import build_B, build_B_prime_7r_C6, build_B_prime_P3
 from .enumeration import BUILTIN_MAX_N, connected_graphs, read_graph6_stream
 from .families import CYCLES, EDGE_FAMILY_MAX_K, edge_family, exact_iota
@@ -102,12 +102,10 @@ def parse_family(text: str):
         fam = edge_family(int(text[1]))
     elif text.startswith("k:"):
         try:
-            k = int(text[2:])
-        except ValueError:
-            raise UsageError(f"bad family {text!r}: k:K needs an integer K")
-        if not 1 <= k <= EDGE_FAMILY_MAX_K:
-            raise UsageError(f"k:K needs 1 <= K <= {EDGE_FAMILY_MAX_K}")
-        fam = edge_family(k)
+            fam = edge_family(int(text[2:]))
+        except ValueError:  # K is not an integer, or out of range
+            raise UsageError(f"bad family {text!r}: k:K needs an integer "
+                             f"1 <= K <= {EDGE_FAMILY_MAX_K}")
     else:
         raise UsageError(
             f"unknown family {text!r} (choose e1, e2, e3, cycles, or k:K)"
@@ -116,20 +114,11 @@ def parse_family(text: str):
     return text, fam, theorem
 
 
-def _resolve_jobs(value: str) -> int:
-    try:
-        jobs = int(value)
-    except ValueError:
-        raise UsageError(f"--jobs must be an integer, got {value!r}")
-    if jobs < 1:
-        raise UsageError(f"--jobs must be >= 1, got {jobs}")
-    return jobs
-
-
-def _resolve_budget(budget: Optional[int]) -> Optional[int]:
-    if budget is not None and budget < 0:
-        raise UsageError(f"--budget must be >= 0, got {budget}")
-    return budget
+def _at_least(flag: str, value: Optional[int], least: int) -> Optional[int]:
+    """``value`` of an integer option, which must be None or >= ``least``."""
+    if value is not None and value < least:
+        raise UsageError(f"{flag} must be >= {least}, got {value}")
+    return value
 
 
 def _source_range(source: str, n_min: int = 1,
@@ -212,10 +201,11 @@ def _writers(json_path: Optional[str], csv_path: Optional[str],
     """Optional JSON-lines and CSV side outputs for per-row reports.
 
     Yields ``write(row)``.  A path that cannot be opened is a usage error,
-    and leaves every existing report as it was: each path is first opened
-    for appending, which empties nothing.  Both files are then opened on one
-    stack, so whatever is open is closed when the block ends or the other
-    open fails.
+    and leaves every report path as it was: each path is first opened for
+    appending, which empties nothing, and a file that this check created is
+    removed again when a later path fails.  Both files are then opened on
+    one stack, so whatever is open is closed when the block ends or the
+    other open fails.
     """
     def open_report(path: str, mode: str, **kwargs):
         try:
@@ -223,8 +213,17 @@ def _writers(json_path: Optional[str], csv_path: Optional[str],
         except OSError as exc:
             raise UsageError(f"cannot write {path}: {exc}")
 
+    created: list[str] = []
     for path in filter(None, (json_path, csv_path)):
-        open_report(path, "a").close()
+        new = not os.path.lexists(path)
+        try:
+            open_report(path, "a").close()
+        except UsageError:
+            for made in created:
+                os.remove(made)
+            raise
+        if new:
+            created.append(path)
     with contextlib.ExitStack() as stack:
         sinks: list[Callable[[dict], None]] = []
         if json_path:
@@ -329,8 +328,8 @@ def cmd_sweep(args) -> int:
             f"family {label!r} has no proven bound to sweep (only e1, e2, "
             f"e3, and cycles do)"
         )
-    jobs = _resolve_jobs(args.jobs)
-    budget = _resolve_budget(args.budget)
+    jobs = _at_least("--jobs", args.jobs, 1)
+    budget = _at_least("--budget", args.budget, 0)
     n_min, n_max = _source_range(args.source, args.n_min, args.n_max)
     start = time.monotonic()
     exceptions: dict[str, int] = {}
@@ -387,7 +386,7 @@ def cmd_ckn(args) -> int:
             f"c_{{k,n}} is defined for the edge families only, not {label!r}"
         )
     k = fam.k
-    jobs = _resolve_jobs(args.jobs)
+    jobs = _at_least("--jobs", args.jobs, 1)
     n_min, n_max = _source_range(args.source, args.n_min, args.n_max)
     with (_writers(args.json, args.csv, fields=("k", "n", "c", "witness")) as write,
           _ordered_map(jobs) as imap):
@@ -418,24 +417,22 @@ def _extremal_rows(theorem: str, n_min: int, n_max: int):
     if theorem == "k2":
         for n in range(max(n_min, 5), n_max + 1):
             g = build_B_prime_P3(n)
-            yield f"B'({n},P3)", n, g, theorem_bound(g, theorem)
+            yield f"B'({n},P3)", n, g, THEOREMS[theorem].bound(g)
         for r in range(1, n_max // 7 + 1):
             if n_min <= 7 * r <= n_max:
                 g = build_B_prime_7r_C6(r)
-                expected = 2 if r == 1 else theorem_bound(g, theorem)
+                expected = 2 if r == 1 else THEOREMS[theorem].bound(g)
                 yield f"B'(7r,C6) r={r}", 7 * r, g, expected
         return
     f, n_low = ("K2", 3) if theorem == "k1" else ("K3", 4)
     for n in range(max(n_min, n_low), n_max + 1):
         g = build_B(n, f)
-        yield f"B({n},{f})", n, g, theorem_bound(g, theorem)
+        yield f"B({n},{f})", n, g, THEOREMS[theorem].bound(g)
 
 
 def cmd_extremal(args) -> int:
     label, fam, theorem = parse_family(args.family)
-    if theorem is None:
-        raise UsageError(f"family {label!r} has no extremal rows")
-    if label.startswith("k:"):
+    if label.startswith("k:"):  # this includes every family with no bound
         raise UsageError(
             f"no extremal family rows for {label!r} (choose e1, e2, e3, "
             f"or cycles)"
@@ -528,7 +525,7 @@ def _vertex_list(mask: int) -> str:
 
 def cmd_solve(args) -> int:
     label, fam, theorem = parse_family(args.family)
-    budget = _resolve_budget(args.budget)
+    budget = _at_least("--budget", args.budget, 0)
     given = _given_graph(args)
     with _writers(args.json, args.csv, fields=ROW_FIELDS[:7] + ("witness",)) as write:
         for g in _input_graphs(args, given):
@@ -608,7 +605,7 @@ def _add_common(sub, *, n_defaults=(1, 8), source=True, budget=True,
         sub.add_argument("--budget", type=int, metavar="S",
                          help="cap the exact solver at sets of size S")
     if jobs:
-        sub.add_argument("--jobs", metavar="N", default="1",
+        sub.add_argument("--jobs", type=int, metavar="N", default=1,
                          help="worker processes (default 1)")
 
 

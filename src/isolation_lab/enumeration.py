@@ -59,7 +59,7 @@ isomorphism restricted to P is an automorphism of P taking X's mask to
 Y's.  The two masks share an orbit, and only one mask of it is tried.
 
 Aut(P) comes from the search behind ``canonical_form`` (below), run by
-``_generators``, and Aut(X) of a child from the same search: it collects
+``_children``, and Aut(X) of a child from the same search: it collects
 a transposition (u v) for each twin pair that the search prunes, and, for
 each leaf whose string equals the best leaf's, the map from the best
 leaf's ordering beta to that leaf's.  These generate Aut(P).  Take sigma in Aut(P): the ordering sigma(beta) gives the same
@@ -106,14 +106,10 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Optional
 
-from .graphs import (ASCII_WHITESPACE, Graph, Graph6Error, bits, component_masks,
-                     graph6_decode, is_connected)
+from .graphs import (ASCII_WHITESPACE, Graph, Graph6Error, bits, graph6_decode,
+                     is_connected, iter_components)
 
 BUILTIN_MAX_N = 9
-
-# connected graphs per isomorphism class, n = 0..9 (reproduced by tests
-# against a labelled brute-force oracle for n <= 6)
-KNOWN_CONNECTED_COUNTS = (0, 1, 1, 2, 6, 21, 112, 853, 11117, 261080)
 
 
 # ===== Canonical form ========================================================
@@ -246,14 +242,6 @@ def canonical_form(g: Graph) -> tuple:
     return _search(g, _refined_colors(g))[0]
 
 
-def _generators(g: Graph) -> list[list[int]]:
-    """Vertex maps (v -> image) that generate Aut(g)."""
-    gens: list[list[int]] = []
-    if g.n > 1:
-        _search(g, _refined_colors(g), gens)
-    return gens
-
-
 def _orbit(mask: int, gens: list[list[int]]) -> set[int]:
     """The orbit of a vertex mask under the group generated by ``gens``."""
     orbit = {mask}
@@ -293,9 +281,10 @@ def _children(parent: Graph) -> list[int]:
     order = sorted(range(new), key=degree.__getitem__)
     # u is a non-cut vertex of the child iff the mask meets every
     # component of parent - u
-    splits = [component_masks(parent, parent.vertex_mask & ~(1 << u))
+    splits = [list(iter_components(parent, parent.vertex_mask & ~(1 << u)))
               for u in range(new)]
-    gens = _generators(parent)
+    gens: list[list[int]] = []  # vertex maps (v -> image) generating Aut(parent)
+    _search(parent, _refined_colors(parent), gens)
     tried: set[int] = set()  # the orbits of the passing masks met so far
     out = []
     for mask in range(1, 1 << new):

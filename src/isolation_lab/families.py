@@ -84,8 +84,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .graphs import (Graph, bits, closed_neighborhood, component_masks, iter_components,
-                     mask_of)
+from .graphs import Graph, bits, closed_neighborhood, iter_components, mask_of
 
 EDGE_FAMILY_MAX_K = 16
 
@@ -362,7 +361,7 @@ def exact_iota(g: Graph, fam: FamilySpec, budget: Optional[int] = None,
     search = None
     value = 0
     mask = 0
-    for comp in component_masks(g, host):
+    for comp in iter_components(g, host):
         # taking every vertex always isolates
         cap = comp.bit_count() if budget is None else budget - value
         if cap < 0:

@@ -156,14 +156,6 @@ def iter_components(g: Graph, within: Optional[int] = None) -> Iterator[int]:
         todo &= ~comp
 
 
-def component_masks(g: Graph, within: Optional[int] = None) -> list[int]:
-    """Vertex masks of the components of ``g`` (or of g induced on ``within``).
-
-    Sorted by smallest member, which is the natural scan order.
-    """
-    return list(iter_components(g, within))
-
-
 def is_connected(g: Graph, within: Optional[int] = None) -> bool:
     """Is ``g`` (or g induced on ``within``) connected?  The empty graph is."""
     todo = g.vertex_mask if within is None else within

@@ -55,9 +55,9 @@ from .families import exact_iota, is_isolating
 from .graphs import (
     Graph,
     bits,
-    component_masks,
     graph6_encode,
     is_connected,
+    iter_components,
     leaves,
     mask_of,
 )
@@ -179,7 +179,7 @@ def _build_context(g: Graph, piece: int, v: int, theorem: str) -> InductionConte
     good: list[int] = []
     links: dict[int, int] = {}
     bad: dict[int, str] = {}
-    for comp in component_masks(g, piece & ~nbrs & ~(1 << v)):
+    for comp in iter_components(g, piece & ~nbrs & ~(1 << v)):
         lk = 0
         for x in bits(nbrs):
             if g.adj[x] & comp:
@@ -241,17 +241,6 @@ class _Prover:
         raise InternalConsistencyError(
             f"case {case}: {problem} on piece {piece:#x} of {graph6_encode(g)}")
 
-    def solve_piece(self, g: Graph, piece: int) -> int:
-        """Isolating mask for a connected piece of g.
-
-        Small pieces are solved exactly — this is also what keeps the
-        exceptional graphs out of the recursion, since they all have at most
-        7 vertices.  Larger pieces recurse through the full dispatch.
-        """
-        if piece.bit_count() <= _SMALL_EXACT:
-            return exact_iota(g, self.fam, within=piece).witness
-        return _dispatch(self, g, piece)
-
 
 # A proof step: (case name, the vertices it takes itself, the connected
 # pieces it recurses on, in solve order).
@@ -270,7 +259,7 @@ def _carve(g: Graph, ctx: InductionContext, removed: int, home: int,
     """
     home_mask = 0
     strays: list[int] = []
-    for c in component_masks(g, ctx.piece & ~removed):
+    for c in iter_components(g, ctx.piece & ~removed):
         if c >> home & 1:
             home_mask = c
         elif c in ctx.good:
@@ -612,7 +601,12 @@ def _dispatch(prover: _Prover, g: Graph, piece: int) -> int:
     v = max(bits(piece), key=lambda u: (g.adj[u] & piece).bit_count(), default=-1)
     case, d, pieces = _step(prover, g, piece, v)
     for child in pieces:
-        d |= prover.solve_piece(g, child)
+        # small children are solved exactly, which also keeps every
+        # exception graph out of the recursion: all have at most 7 vertices
+        if child.bit_count() <= _SMALL_EXACT:
+            d |= exact_iota(g, prover.fam, within=child).witness
+        else:
+            d |= _dispatch(prover, g, child)
     return prover.finish(g, piece, d, case, -1 if case in _PIVOTLESS else v)
 
 

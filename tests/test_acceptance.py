@@ -19,7 +19,7 @@ from typing import NamedTuple, Optional
 import pytest
 
 from conftest import record_result
-from isolation_lab.bounds import classify_exception, theorem_bound
+from isolation_lab.bounds import THEOREMS, classify_exception
 from isolation_lab.constructions import (
     build_B,
     build_B_prime_7r_C6,
@@ -30,12 +30,12 @@ from isolation_lab.enumeration import canonical_form, connected_graphs
 from isolation_lab.families import CYCLES, edge_family, exact_iota, is_isolating
 from isolation_lab.graphs import (
     Graph,
-    component_masks,
     cycle_graph,
     graph6_decode,
     graph6_encode,
     induced_subgraph,
     is_connected,
+    iter_components,
     leaves,
     named_graph,
     path_graph,
@@ -126,7 +126,7 @@ def sweep(connected_upto) -> SweepData:
     recs = [
         Rec(graph6_encode(g), g.n, v1, v2, v3, vc,
             classify_exception(g, "k2"), classify_exception(g, "k3"),
-            theorem_bound(g, "k2"), theorem_bound(g, "k3"),
+            THEOREMS["k2"].bound(g), THEOREMS["k3"].bound(g),
             s2[0], s3[0], s2[1], s3[1])
         for g, v1, v2, v3, vc, s2, s3 in zip(graphs, i1, i2, i3, ic, c2, c3)
     ]
@@ -235,7 +235,7 @@ def test_criterion_5_extremal_equalities():
         rows.append((f"B({n},K3)", build_B(n, "K3"), E3, n // 4))
     for n in range(5, 17):
         g = build_B_prime_P3(n)
-        expected = theorem_bound(g, "k2")
+        expected = THEOREMS["k2"].bound(g)
         assert expected == n // 4  # the leaf count is tuned to make these meet
         rows.append((f"B'({n},P3)", g, E2, expected))
     for r in (1, 2, 3):
@@ -414,7 +414,7 @@ def test_criterion_8c_potential_partition_and_subgraph():
         for v in range(g.n):
             if rng.random() < keep_p:
                 mask |= 1 << v
-        comps = [c for c in component_masks(g, mask) if c.bit_count() >= 2]
+        comps = [c for c in iter_components(g, mask) if c.bit_count() >= 2]
         if not comps:
             u, v = next(g.edges())
             comps = [(1 << u) | (1 << v)]

@@ -11,7 +11,6 @@ from isolation_lab.bounds import (
     THEOREMS,
     check_bound,
     classify_exception,
-    theorem_bound,
 )
 from isolation_lab.graphs import (
     Graph,
@@ -29,7 +28,7 @@ S_TAGS = ("P3", "K3", "K13", "C6", "C6P", "C6PP")
 
 def test_bound_formulas():
     def bounds(theorem, graphs):
-        return [theorem_bound(g, theorem) for g in graphs]
+        return [THEOREMS[theorem].bound(g) for g in graphs]
 
     assert bounds("k1", map(path_graph, (1, 3, 8, 15))) == [0, 1, 2, 5]
     assert bounds("k2", (cycle_graph(6), cycle_graph(14))) == [1, 4]
@@ -37,17 +36,17 @@ def test_bound_formulas():
     leafy = Graph(14, [(i, i + 1) for i in range(9)]
                   + [(i, i + 9) for i in range(1, 5)])
     assert leaves(leafy).bit_count() == 6
-    assert theorem_bound(leafy, "k2") == 3  # leaves lower the k=2 bound
+    assert THEOREMS["k2"].bound(leafy) == 3  # leaves lower the k=2 bound
     assert bounds("k3", map(path_graph, (4, 7, 16))) == [1, 1, 4]
     assert bounds("cycles", map(cycle_graph, (3, 4, 16))) == [0, 1, 4]
 
 
 def test_theorem_bound_dispatch():
     g = star_graph(4)  # n=5, 4 leaves
-    assert theorem_bound(g, "k1") == 1
-    assert theorem_bound(g, "k2") == (4 * 5 - 4) // 14
-    assert theorem_bound(g, "k3") == 1
-    assert theorem_bound(g, "cycles") == 1
+    assert THEOREMS["k1"].bound(g) == 1
+    assert THEOREMS["k2"].bound(g) == (4 * 5 - 4) // 14
+    assert THEOREMS["k3"].bound(g) == 1
+    assert THEOREMS["cycles"].bound(g) == 1
     assert THEOREMS["k2"].family.k == 2
 
 

@@ -372,10 +372,13 @@ def test_sweep_opens_reports_before_enumerating(tmp_path, monkeypatch, capsys):
     (["sweep", "--family", "e2", "--n-max", "3", "--budget", "-1"], 2),
     (["solve", "Bw", "--family", "e2", "--budget", "-1"], 2),
     (["solve", "Bw", "--family", "e2", "--csv", "/does/not/exist/rows.csv"], 2),
+    (["extremal", "--family", "k:4"], 2),
+    (["sweep", "--family", "k:x"], 2),
 ], ids=["builtin-cap", "unknown-source", "missing-file", "solve-missing-file",
         "certify-unknown-source", "certify-missing-file", "certify-both-inputs",
         "solve-no-input", "solve-malformed-line", "extremal-past-64",
-        "sweep-negative-budget", "solve-negative-budget", "unwritable-csv"])
+        "sweep-negative-budget", "solve-negative-budget", "unwritable-csv",
+        "extremal-unbounded-family", "sweep-k-not-integer"])
 def test_source_error_keeps_existing_reports(argv, code, tmp_path, capsys):
     # the input and every report path are checked before any report is
     # opened for writing; a --csv in argv replaces the one given here
@@ -387,6 +390,17 @@ def test_source_error_keeps_existing_reports(argv, code, tmp_path, capsys):
     error = "usage error:" if code == 2 else "parse error:"
     assert got == code and out == "" and err.startswith(error)
     assert [path.read_text() for path in reports] == ["keep", "keep"]
+
+
+def test_unwritable_report_creates_no_other(tmp_path, capsys):
+    # the JSON path is tried first; when the CSV path then fails, the JSON
+    # file that the try created is removed again
+    jpath = tmp_path / "new.jsonl"
+    code, out, err = run(["solve", "Bw", "--family", "e2", "--json", str(jpath),
+                          "--csv", str(tmp_path / "missing" / "rows.csv")], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("usage error: cannot write")
+    assert not jpath.exists()
 
 
 # ===== ckn ===================================================================
@@ -483,6 +497,26 @@ def test_emit_missing_args(capsys):
 def test_emit_bad_params(capsys):
     code, _, err = run(["emit", "bp-c6", "--r", "0"], capsys)
     assert code == 2
+
+
+def test_emit_bp_p3(capsys):
+    code, out, _ = run(["emit", "bp-p3", "--n", "11"], capsys)
+    assert code == 0 and out == "JiOCGC?OG?_\n"
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["emit", "bp-p3"], "--n"),
+    (["emit", "bp-c6"], "--r"),
+    (["sweep", "--family", "e1", "--jobs", "x"], "--jobs"),
+], ids=["bp-p3-without-n", "bp-c6-without-r", "jobs-not-integer"])
+def test_missing_or_malformed_option(argv, option, capsys):
+    # a usage error of the command or of argparse: exit 2, naming the option
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and option in err
 
 
 # ===== solve =================================================================

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from isolation_lab.bounds import theorem_bound
+from isolation_lab.bounds import THEOREMS
 from isolation_lab.constructions import (
     base_count,
     build_B,
@@ -66,7 +66,7 @@ def test_build_B_prime_P3_shape_and_value():
         a, b = spine_count(n, 3), base_count(n, 3)
         # leaves: the extras hanging off the spine plus both copy endpoints
         assert leaves(g).bit_count() == (b - a) + 2 * a
-        assert exact_iota(g, E2).value == theorem_bound(g, "k2") == n // 4
+        assert exact_iota(g, E2).value == THEOREMS["k2"].bound(g) == n // 4
 
 
 def test_build_B_prime_P3_small():
@@ -116,4 +116,4 @@ def test_pattern_sizes_match_bounds():
     for n in range(8, 40):
         d = pattern_isolating_set("cycle", n, 2)
         assert d.bit_count() == (n + 4) // 5
-        assert d.bit_count() <= theorem_bound(cycle_graph(n), "k2")
+        assert d.bit_count() <= THEOREMS["k2"].bound(cycle_graph(n))

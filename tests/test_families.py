@@ -24,11 +24,11 @@ from isolation_lab.graphs import (
     bits,
     closed_neighborhood,
     complete_graph,
-    component_masks,
     cycle_graph,
     graph6_decode,
     induced_subgraph,
     is_connected,
+    iter_components,
     leaves,
     mask_of,
     named_graph,
@@ -175,7 +175,7 @@ def _searched(g: Graph, fam: FamilySpec, within: int) -> IsolationResult:
     """exact_iota's answer taken from the search alone, component by component."""
     search = families._Search(g, fam, within)
     value = mask = 0
-    for comp in component_masks(g, within):
+    for comp in iter_components(g, within):
         got = search.solve(comp, comp.bit_count())
         value += got[0]
         mask |= got[1]
@@ -211,7 +211,7 @@ def test_short_cycle_matches_the_oracle(connected_upto):
     for g in connected_upto(3, 8):
         for piece in [g.vertex_mask] + [g.vertex_mask & ~closed_neighborhood(g, 1 << v)
                                         for v in range(g.n)]:
-            for comp in component_masks(g, piece):
+            for comp in iter_components(g, piece):
                 if families._comp_contains(g, comp, CYCLES):
                     assert families._short_cycle(g, comp) == oracles._short_cycle(g.adj, comp)
                     checked += 1
@@ -378,7 +378,7 @@ def _host_pieces(rng: random.Random, g: Graph) -> list[int]:
     pieces grown from random roots to random sizes."""
     out = []
     for v in rng.sample(range(g.n), 3):
-        out += component_masks(g, g.vertex_mask & ~closed_neighborhood(g, 1 << v))
+        out += iter_components(g, g.vertex_mask & ~closed_neighborhood(g, 1 << v))
     for _ in range(6):
         piece, size = 1 << rng.randrange(g.n), rng.randint(2, 14)
         while piece.bit_count() < size:
@@ -411,7 +411,7 @@ def _check_piece(rng: random.Random, g: Graph, piece: int, tags: set) -> None:
         u = old[rng.randrange(h.n)]
         rest = piece & ~closed_neighborhood(g, 1 << u)
         assert is_connected(g, rest) == is_connected(induced_subgraph(g, rest))
-        for comp in component_masks(g, rest):
+        for comp in iter_components(g, rest):
             tag = bad_piece(g, comp, theorem, within=piece)
             assert tag == bad_piece(h, mask_of(old.index(w) for w in bits(comp)), theorem)
             tags.add(tag)

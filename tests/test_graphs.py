@@ -17,12 +17,12 @@ from isolation_lab.graphs import (
     bits,
     closed_neighborhood,
     complete_graph,
-    component_masks,
     cycle_graph,
     graph6_decode,
     graph6_encode,
     induced_subgraph,
     is_connected,
+    iter_components,
     leaves,
     mask_of,
     named_graph,
@@ -99,10 +99,10 @@ def test_delete_vertices_and_closed_neighborhood():
 
 def test_components():
     g = Graph(7, [(0, 1), (1, 2), (3, 4), (5, 6)])
-    comps = component_masks(g)
+    comps = list(iter_components(g))
     assert sorted(comps) == sorted([mask_of([0, 1, 2]), mask_of([3, 4]),
                                     mask_of([5, 6])])
-    assert component_masks(g, within=mask_of([0, 2, 3, 4])) == [
+    assert list(iter_components(g, within=mask_of([0, 2, 3, 4]))) == [
         1 << 0, 1 << 2, mask_of([3, 4])]
     assert not is_connected(g)
     assert is_connected(path_graph(4))

@@ -17,7 +17,7 @@ from collections import Counter
 import pytest
 
 from isolation_lab import bounds, graphs, prover
-from isolation_lab.bounds import THEOREMS, bad_piece, theorem_bound
+from isolation_lab.bounds import THEOREMS, bad_piece
 from isolation_lab.families import edge_family, exact_iota, is_isolating
 from isolation_lab.graphs import Graph, bits, graph6_decode, named_graph
 from isolation_lab.prover import (
@@ -179,7 +179,7 @@ def test_case_fixture(k, case, d_size, bound, n, edges):
     cert = _prove(k, g)
     assert cert.trace[-1].case == case
     assert cert.d.bit_count() == d_size
-    assert cert.bound == bound == theorem_bound(g, f"k{k}")
+    assert cert.bound == bound == THEOREMS[f"k{k}"].bound(g)
     fam = E2 if k == 2 else E3
     assert is_isolating(g, cert.d, fam)
     assert exact_iota(g, fam).value <= d_size <= bound
@@ -314,7 +314,7 @@ def test_sandwich_all_small_graphs(connected_upto):
             value = exact_iota(g, fam).value
             assert is_isolating(g, cert.d, fam)
             assert value <= cert.d.bit_count() <= cert.bound
-            assert cert.bound == theorem_bound(g, f"k{k}")
+            assert cert.bound == THEOREMS[f"k{k}"].bound(g)
 
 
 def test_refuses_exception_graphs():
