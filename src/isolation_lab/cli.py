@@ -196,16 +196,17 @@ def iter_source(
 
 
 @contextlib.contextmanager
-def _writers(json_path: Optional[str], csv_path: Optional[str],
-             fields: tuple[str, ...] = ROW_FIELDS) -> Iterator[Callable[[dict], None]]:
+def _writers(args, fields: tuple[str, ...] = ROW_FIELDS) -> Iterator[Callable[[dict], None]]:
     """Optional JSON-lines and CSV side outputs for per-row reports.
 
-    Yields ``write(row)``.  A path that cannot be opened is a usage error,
-    and leaves every report path as it was: each path is first opened for
-    appending, which empties nothing, and a file that this check created is
-    removed again when a later path fails.  Both files are then opened on
-    one stack, so whatever is open is closed when the block ends or the
-    other open fails.
+    Yields ``write(row)`` for the reports that ``args.json`` and ``args.csv``
+    name.  A path that cannot be opened, or that names the same file as the
+    other report or as a ``file:`` source, is a usage error, and leaves
+    every report path and the source as they were: each path is first
+    opened for appending, which empties nothing, and a file that this check
+    created is removed again when the check fails.  Both files are then
+    opened on one stack, so whatever is open is closed when the block ends
+    or the other open fails.
     """
     def open_report(path: str, mode: str, **kwargs):
         try:
@@ -213,17 +214,24 @@ def _writers(json_path: Optional[str], csv_path: Optional[str],
         except OSError as exc:
             raise UsageError(f"cannot write {path}: {exc}")
 
+    json_path, csv_path = args.json, args.csv
+    source = getattr(args, "source", None) or ""
+    taken = [(source[5:], "the --source file")] if source.startswith("file:") else []
     created: list[str] = []
-    for path in filter(None, (json_path, csv_path)):
-        new = not os.path.lexists(path)
-        try:
+    try:
+        for path in filter(None, (json_path, csv_path)):
+            new = not os.path.lexists(path)
             open_report(path, "a").close()
-        except UsageError:
-            for made in created:
-                os.remove(made)
-            raise
-        if new:
-            created.append(path)
+            if new:
+                created.append(path)
+            for other, name in taken:
+                if os.path.samefile(path, other):
+                    raise UsageError(f"cannot write {path}: it is {name}")
+            taken.append((path, "the other report"))
+    except UsageError:
+        for made in created:
+            os.remove(made)
+        raise
     with contextlib.ExitStack() as stack:
         sinks: list[Callable[[dict], None]] = []
         if json_path:
@@ -334,7 +342,7 @@ def cmd_sweep(args) -> int:
     start = time.monotonic()
     exceptions: dict[str, int] = {}
     per_n: dict[int, list[int]] = {}  # graphs, violations, tight, skipped
-    with _writers(args.json, args.csv) as write, _ordered_map(jobs) as imap:
+    with _writers(args) as write, _ordered_map(jobs) as imap:
         tasks = list(iter_source(args.source, n_min, n_max, args.strict_parse,
                                  imap=imap))
         check = functools.partial(_sweep_one, theorem=theorem, budget=budget)
@@ -388,7 +396,7 @@ def cmd_ckn(args) -> int:
     k = fam.k
     jobs = _at_least("--jobs", args.jobs, 1)
     n_min, n_max = _source_range(args.source, args.n_min, args.n_max)
-    with (_writers(args.json, args.csv, fields=("k", "n", "c", "witness")) as write,
+    with (_writers(args, fields=("k", "n", "c", "witness")) as write,
           _ordered_map(jobs) as imap):
         tasks = list(iter_source(args.source, n_min, n_max, args.strict_parse,
                                  imap=imap))
@@ -441,8 +449,7 @@ def cmd_extremal(args) -> int:
         raise UsageError(f"extremal rows stop at n = {MAX_VERTICES}, the largest "
                          f"graph this package holds")
     failures = 0
-    with _writers(args.json, args.csv,
-                  fields=("construction", "n", "expected", "iota", "equal")) as write:
+    with _writers(args, fields=("construction", "n", "expected", "iota", "equal")) as write:
         for name, n, g, expected in _extremal_rows(theorem, args.n_min,
                                                    args.n_max):
             # A cap at the expected value decides equality exactly: the solver
@@ -467,25 +474,23 @@ def cmd_extremal(args) -> int:
 # ===== emit ==================================================================
 
 
+# emit's constructions: kind -> (builder, its options in argument order)
+_EMIT = {"b": (build_B, ("n", "f")), "bp-p3": (build_B_prime_P3, ("n",)),
+         "bp-c6": (build_B_prime_7r_C6, ("r",))}
+
+
 def cmd_emit(args) -> int:
     kind = args.construction
     if kind == "builtin":
         for g in iter_source("builtin", args.n_min, args.n_max, strict=True):
             print(graph6_encode(g))
         return 0
+    build, options = _EMIT[kind]
+    values = [getattr(args, option) for option in options]
+    if None in values:
+        raise UsageError(f"emit {kind} needs " + " and ".join("--" + o for o in options))
     try:
-        if kind == "b":
-            if args.n is None or args.f is None:
-                raise UsageError("emit b needs --n and --f (a named graph tag)")
-            print(graph6_encode(build_B(args.n, args.f)))
-        elif kind == "bp-p3":
-            if args.n is None:
-                raise UsageError("emit bp-p3 needs --n")
-            print(graph6_encode(build_B_prime_P3(args.n)))
-        else:  # bp-c6; argparse rules out anything else
-            if args.r is None:
-                raise UsageError("emit bp-c6 needs --r")
-            print(graph6_encode(build_B_prime_7r_C6(args.r)))
+        print(graph6_encode(build(*values)))
     except ValueError as exc:  # bad tag or out-of-range parameter
         raise UsageError(str(exc))
     return 0
@@ -527,7 +532,7 @@ def cmd_solve(args) -> int:
     label, fam, theorem = parse_family(args.family)
     budget = _at_least("--budget", args.budget, 0)
     given = _given_graph(args)
-    with _writers(args.json, args.csv, fields=ROW_FIELDS[:7] + ("witness",)) as write:
+    with _writers(args, fields=ROW_FIELDS[:7] + ("witness",)) as write:
         for g in _input_graphs(args, given):
             # the bounds, and so their exceptions, cover connected graphs only
             if theorem is not None and is_connected(g):
@@ -558,7 +563,7 @@ def cmd_certify(args) -> int:
     prove = isolate_k2 if k == 2 else isolate_k3
     refused = 0
     given = _given_graph(args)
-    with _writers(args.json, args.csv, fields=ROW_FIELDS + ("certificate",)) as write:
+    with _writers(args, fields=ROW_FIELDS + ("certificate",)) as write:
         for g in _input_graphs(args, given):
             try:
                 cert = prove(g)
@@ -637,7 +642,7 @@ def build_parser() -> argparse.ArgumentParser:
     extremal.set_defaults(func=cmd_extremal)
 
     emit = subs.add_parser("emit", help="print constructions as graph6")
-    emit.add_argument("construction", choices=("b", "bp-p3", "bp-c6", "builtin"))
+    emit.add_argument("construction", choices=(*_EMIT, "builtin"))
     emit.add_argument("--n", type=int, help="vertex count for b / bp-p3")
     emit.add_argument("--f", metavar="TAG",
                       help="copied graph for b (e.g. K2, K3, P3)")

@@ -1,23 +1,21 @@
 """Extremal families attaining the isolation bounds, and pattern sets.
 
-The spine construction ``build_B(n, F)`` with |V(F)| = k: a path on
+One construction, ``build_B(n, F, joins)`` with |V(F)| = k: a path on
 a = floor(n/(k+1)) spine vertices, b - a extra vertices hanging off the last
 spine vertex (b = n - k*a), and for each spine vertex a private copy of F
-completely joined to it.  Any isolating set must spend a vertex near each
-F-copy, so iota comes out to a, which meets the bounds with equality for the
-right F:
+whose ``joins`` vertices (by default all of them) are joined to it.  Any
+isolating set must spend a vertex near each F-copy, so iota comes out to a,
+and three specs meet the bounds with equality:
 
-* F = K_2: iota(B, E_1) = floor(n/3),
-* F = K_3: iota(B, E_3) = floor(n/4).
-
-``build_B_prime_P3`` thins B_{n,P_3} by joining each spine vertex only to the
-middle of its P_3 copy (the copy's endpoints stay leaves), which is what
-makes the leaf-sensitive E_2 bound floor((4n - leaves)/14) tight.
-
-``build_B_prime_7r_C6`` chains r copies of the pendant 6-cycle by a path
-through their pendant vertices; it needs 2 isolating vertices per copy, which
-shows the E_2 bound's coefficient 2/7 (= 4/14) cannot be improved for
-leafless graphs.
+* B(n, F), every copy vertex joined: F = K_2 gives iota(B, E_1) =
+  floor(n/3) and F = K_3 gives iota(B, E_3) = floor(n/4).
+* ``build_B_prime_P3``: F = P_3 joined at its middle only, so the copy's
+  endpoints stay leaves; this makes the leaf-sensitive E_2 bound
+  floor((4n - leaves)/14) tight.
+* ``build_B_prime_7r_C6``: n = 7r and F = C_6 joined at one vertex, so the
+  spine vertices are the pendant vertices of r pendant 6-cycles; it needs 2
+  isolating vertices per copy, which shows the E_2 bound's coefficient
+  2/7 (= 4/14) cannot be improved for leafless graphs.
 
 Vertex labelling is fixed and deterministic (spine first, then extras, then
 the copies in order) so encodings are stable across runs.
@@ -25,7 +23,7 @@ the copies in order) so encodings are stable across runs.
 
 from __future__ import annotations
 
-from typing import Union
+from typing import Optional, Sequence
 
 from .graphs import Graph, mask_of, named_graph, path_graph
 
@@ -40,18 +38,18 @@ def base_count(n: int, k: int) -> int:
     return n - k * spine_count(n, k)
 
 
-def build_B(n: int, f: Union[Graph, str]) -> Graph:
-    """The spine construction on n vertices over copies of ``f``.
+def build_B(n: int, f: str, joins: Optional[Sequence[int]] = None) -> Graph:
+    """The spine construction on n vertices over copies of ``named_graph(f)``.
 
     Labels: spine path 0..a-1, extras a..b-1 (attached to spine vertex a-1),
-    then the i-th copy of f occupies b + i*k .. b + (i+1)*k - 1 and is
-    completely joined to spine vertex i.
+    then the i-th copy of f occupies b + i*k .. b + (i+1)*k - 1, and its
+    vertices listed in ``joins`` (every one by default) are joined to spine
+    vertex i.
     """
-    if isinstance(f, str):
-        f = named_graph(f)
+    copy = named_graph(f)
     if n < 1:
         raise ValueError("need at least one vertex")
-    k = f.n
+    k = copy.n
     if k < 1:
         raise ValueError("the copied graph needs at least one vertex")
     if n <= k:
@@ -62,38 +60,32 @@ def build_B(n: int, f: Union[Graph, str]) -> Graph:
     edges += [(a - 1, j) for j in range(a, b)]
     for i in range(a):
         off = b + i * k
-        edges += [(off + u, off + v) for u, v in f.edges()]
-        edges += [(i, off + u) for u in range(k)]
+        edges += [(off + u, off + v) for u, v in copy.edges()]
+        edges += [(i, off + u) for u in (range(k) if joins is None else joins)]
     return Graph(n, edges)
 
 
 def build_B_prime_P3(n: int) -> Graph:
-    """``build_B(n, "P3")`` with each copy attached by its midpoint only.
+    """``build_B(n, "P3")`` with each copy joined by its midpoint only.
 
     For n <= 3 this is just P_n; n = 4 comes out as the 3-leaf star.  Leaves:
     the b - a extras plus both endpoints of every copy.
     """
-    g = build_B(n, "P3")
-    b = base_count(n, 3)
-    ends = {(i, b + 3 * i + j) for i in range(spine_count(n, 3)) for j in (0, 2)}
-    return Graph(n, (e for e in g.edges() if e not in ends))
+    return build_B(n, "P3", joins=(1,))
 
 
 def build_B_prime_7r_C6(r: int) -> Graph:
     """r pendant 6-cycles whose pendant vertices form a path.
 
-    Labels: path vertices 0..r-1 (vertex i doubles as the pendant vertex of
-    the i-th copy), then the i-th 6-cycle occupies r + 6i .. r + 6i + 5 with
-    the pendant edge from i to r + 6i.  r = 1 is exactly the pendant 6-cycle.
+    This is ``build_B(7r, "C6")`` with each copy joined at its vertex 0; there
+    a = b = r.  Labels: path vertices 0..r-1 (vertex i doubles as the pendant
+    vertex of the i-th copy), then the i-th 6-cycle occupies r + 6i ..
+    r + 6i + 5 with the pendant edge from i to r + 6i.  r = 1 is exactly the
+    pendant 6-cycle.
     """
     if r < 1:
         raise ValueError("need at least one copy")
-    edges = [(i, i + 1) for i in range(r - 1)]
-    for i in range(r):
-        off = r + 6 * i
-        edges += [(off + u, off + (u + 1) % 6) for u in range(6)]
-        edges.append((i, off))
-    return Graph(7 * r, edges)
+    return build_B(7 * r, "C6", joins=(0,))
 
 
 # ===== Pattern isolating sets for paths and cycles ===========================

@@ -299,23 +299,14 @@ def star_graph(nleaves: int) -> Graph:
     return Graph(nleaves + 1, ((0, i) for i in range(1, nleaves + 1)))
 
 
-def _c6_pendant() -> Graph:
-    # 6-cycle 0..5 plus a pendant vertex 6 attached at 0.
-    edges = list(cycle_graph(6).edges()) + [(0, 6)]
-    return Graph(7, edges)
-
-
-def _c6_pendant_chord() -> Graph:
-    # The pendant 6-cycle plus the chord joining the two vertices at
-    # distance 2 on either side of the attachment point.
-    edges = list(_c6_pendant().edges()) + [(2, 4)]
-    return Graph(7, edges)
-
+# The pendant 6-cycle C6P: the cycle 0..5 plus a pendant vertex 6 at 0.
+# C6PP adds the chord joining the two vertices at distance 2 from 0.
+_C6P_EDGES = [(i, (i + 1) % 6) for i in range(6)] + [(0, 6)]
 
 _NAMED_BUILDERS = {
     "K13": lambda: star_graph(3),
-    "C6P": _c6_pendant,
-    "C6PP": _c6_pendant_chord,
+    "C6P": lambda: Graph(7, _C6P_EDGES),
+    "C6PP": lambda: Graph(7, _C6P_EDGES + [(2, 4)]),
 }
 
 

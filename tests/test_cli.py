@@ -374,22 +374,32 @@ def test_sweep_opens_reports_before_enumerating(tmp_path, monkeypatch, capsys):
     (["solve", "Bw", "--family", "e2", "--csv", "/does/not/exist/rows.csv"], 2),
     (["extremal", "--family", "k:4"], 2),
     (["sweep", "--family", "k:x"], 2),
+    (["solve", "Bw", "--family", "e2", "--json", "{new}", "--csv", "{new}"], 2),
+    (["solve", "--family", "e2", "--source", "file:{src}", "--json", "{src}"], 2),
+    (["sweep", "--family", "e2", "--source", "file:{src}", "--csv", "{src}"], 2),
 ], ids=["builtin-cap", "unknown-source", "missing-file", "solve-missing-file",
         "certify-unknown-source", "certify-missing-file", "certify-both-inputs",
         "solve-no-input", "solve-malformed-line", "extremal-past-64",
         "sweep-negative-budget", "solve-negative-budget", "unwritable-csv",
-        "extremal-unbounded-family", "sweep-k-not-integer"])
+        "extremal-unbounded-family", "sweep-k-not-integer", "one-path-both-reports",
+        "solve-report-is-source", "sweep-report-is-source"])
 def test_source_error_keeps_existing_reports(argv, code, tmp_path, capsys):
     # the input and every report path are checked before any report is
-    # opened for writing; a --csv in argv replaces the one given here
+    # opened for writing; a --json or --csv in argv replaces the one given
+    # here, {src} names a graph6 source file and {new} a path not yet made
     reports = [tmp_path / "rows.json", tmp_path / "rows.csv"]
     for path in reports:
         path.write_text("keep")
+    source = tmp_path / "in.g6"
+    source.write_text("Bw\nCF\n")
+    before = sorted(tmp_path.iterdir())
+    argv = [arg.format(src=source, new=tmp_path / "new.out") for arg in argv]
     got, out, err = run(argv[:1] + ["--json", str(reports[0]), "--csv", str(reports[1])]
                         + argv[1:], capsys)
     error = "usage error:" if code == 2 else "parse error:"
     assert got == code and out == "" and err.startswith(error)
     assert [path.read_text() for path in reports] == ["keep", "keep"]
+    assert source.read_text() == "Bw\nCF\n" and sorted(tmp_path.iterdir()) == before
 
 
 def test_unwritable_report_creates_no_other(tmp_path, capsys):
@@ -497,11 +507,22 @@ def test_emit_missing_args(capsys):
 def test_emit_bad_params(capsys):
     code, _, err = run(["emit", "bp-c6", "--r", "0"], capsys)
     assert code == 2
+    code, _, err = run(["emit", "b", "--n", "5", "--f", "K0"], capsys)
+    assert code == 2 and "the copied graph needs at least one vertex" in err
 
 
-def test_emit_bp_p3(capsys):
-    code, out, _ = run(["emit", "bp-p3", "--n", "11"], capsys)
-    assert code == 0 and out == "JiOCGC?OG?_\n"
+@pytest.mark.parametrize("argv, label", [
+    (["b", "--n", "12", "--f", "K3"], "KkeYADBG@?cB"),
+    (["b", "--n", "13", "--f", "C6P"], "LsaCCE@_K?oP__"),
+    (["b", "--n", "15", "--f", "C6PP"], "NsaCCA?_K?o@_B_GoC?"),
+    (["bp-c6", "--r", "4"],
+     "[h_GGC@AI??@?@??_?G?PG????G??G??C??@??AG_?????@???@????_???G???P"),
+    (["bp-p3", "--n", "11"], "JiOCGC?OG?_"),
+], ids=["b-K3", "b-C6P", "b-C6PP", "bp-c6", "bp-p3"])
+def test_emit_bp_p3(argv, label, capsys):
+    # the vertex labels of each construction, and so its graph6 line, are fixed
+    code, out, _ = run(["emit"] + argv, capsys)
+    assert code == 0 and out == label + "\n"
 
 
 @pytest.mark.parametrize("argv, option", [

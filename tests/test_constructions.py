@@ -99,6 +99,11 @@ def test_pattern_masks_small():
         pattern_isolating_set("tree", 8, 2)
     with pytest.raises(ValueError):
         pattern_isolating_set("path", 8, 4)
+    # below its least n a pattern would not isolate, so it is refused
+    with pytest.raises(ValueError):
+        pattern_isolating_set("path", 3, 2)
+    with pytest.raises(ValueError):
+        pattern_isolating_set("cycle", 2, 3)
 
 
 @pytest.mark.parametrize("kind,k", [("path", 2), ("cycle", 2),

@@ -131,6 +131,11 @@ def test_is_isolating():
     assert is_isolating(g, 0, E2) is False
     # the empty set isolates anything family-free
     assert is_isolating(path_graph(2), 0, E2) is True
+    # a candidate outside the host, or outside ``within``, is an error
+    with pytest.raises(ValueError):
+        is_isolating(g, 1 << 6, E2)
+    with pytest.raises(ValueError):
+        is_isolating(g, 1 << 4, E2, within=mask_of([0, 1, 2]))
 
 
 def test_exact_iota_additive_over_components():

@@ -49,6 +49,10 @@ def test_graph_construction_and_queries():
     assert g.edge_count() == 3
     assert sorted((a.bit_count() for a in g.adj), reverse=True) == [2, 2, 1, 1]
     assert g.vertex_mask == 0b1111
+    # equal graphs hash alike and collapse in a set; the edge order is not kept
+    twin = Graph(4, [(3, 2), (1, 0), (2, 1)])
+    assert twin == g and hash(twin) == hash(g)
+    assert len({g, twin, path_graph(4), star_graph(3)}) == 2
 
 
 def test_graph_rejects_bad_edges():
