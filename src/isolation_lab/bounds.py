@@ -16,13 +16,14 @@ with a pendant vertex (here ``C6P``), and that graph with one extra chord
 The proofs charge each induced piece H of G a potential beta_G(H) =
 (per_vertex |V(H)| - per_leaf ell_G(H)) / denominator, where ell_G(H)
 counts the leaves of G in H; the bound is its floor at H = G, and only the
-integer numerator is computed.  H is *bad* when iota(H) > beta_G(H), and
-only an exception can be: a single vertex needs no isolating vertex, and
-for |V(H)| >= 2 a leaf of G in H is a leaf of H, so beta_G(H) >= beta_H(H)
->= iota(H) for any other H.  Every exception exceeds its own potential, so
-``classify_exception`` is ``bad_piece`` on the whole graph.  G itself may
-be a piece of a larger graph g, given as ``within``: the prover's recursion
-charges the components of a piece in that piece.
+integer numerator is computed, from the mask of G's leaves.  H is *bad*
+when iota(H) > beta_G(H), and only an exception can be: a single vertex
+needs no isolating vertex, and for |V(H)| >= 2 a leaf of G in H is a leaf
+of H, so beta_G(H) >= beta_H(H) >= iota(H) for any other H.  Every
+exception exceeds its own potential, so ``classify_exception`` is
+``bad_piece`` on the whole graph.  G itself may be a piece of a larger
+graph g: the prover's recursion charges the components of a piece in that
+piece, passing the piece's leaf mask, which it builds once per proof step.
 """
 
 from __future__ import annotations
@@ -47,16 +48,16 @@ class Theorem(NamedTuple):
     denominator: int
     exceptions: tuple[str, ...]
 
-    def potential(self, g: Graph, piece: int, within: Optional[int] = None) -> int:
-        """The numerator of beta_G(H) for the piece H given as a mask of g,
-        where G is g (or g induced on ``within``)."""
-        value = self.per_vertex * piece.bit_count()
-        if self.per_leaf:
-            value -= self.per_leaf * (leaves(g, within) & piece).bit_count()
-        return value
+    def potential(self, piece: int, leaf_mask: int) -> int:
+        """The numerator of beta_G(H) for the piece H given as a vertex mask,
+        where ``leaf_mask`` holds the leaves of G (those outside H do not
+        count)."""
+        return (self.per_vertex * piece.bit_count()
+                - self.per_leaf * (leaf_mask & piece).bit_count())
 
     def bound(self, g: Graph) -> int:
-        return self.potential(g, g.vertex_mask) // self.denominator
+        # the leaf scan only where leaves count
+        return self.potential(g.vertex_mask, self.per_leaf and leaves(g)) // self.denominator
 
 
 THEOREMS: dict[str, Theorem] = {
@@ -86,10 +87,13 @@ def _exception_keys(theorem: str) -> dict[int, dict[int, dict[tuple, tuple[str, 
     return keys
 
 
-def bad_piece(g: Graph, piece: int, theorem: str, within: Optional[int] = None) -> Optional[str]:
+def bad_piece(g: Graph, piece: int, theorem: str,
+              leaf_mask: Optional[int] = None) -> Optional[str]:
     """The exception tag of the connected piece H = g[piece] if
-    denominator * iota(H) exceeds its potential in G, where G is g (or g
-    induced on ``within``), else None.
+    denominator * iota(H) exceeds its potential in G, else None.
+    ``leaf_mask`` holds the leaves of G; without it H is charged in itself
+    (G = H), and its leaves are counted only for a piece that is an
+    exception.
 
     Only a piece with the vertex count and then the edge count of some
     exception gets an induced subgraph and a canonical form.
@@ -103,7 +107,9 @@ def bad_piece(g: Graph, piece: int, theorem: str, within: Optional[int] = None) 
     if hit is None:
         return None
     tag, need = hit
-    return tag if need > THEOREMS[theorem].potential(g, piece, within) else None
+    if leaf_mask is None:
+        leaf_mask = leaves(g, piece)
+    return tag if need > THEOREMS[theorem].potential(piece, leaf_mask) else None
 
 
 def classify_exception(g: Graph, theorem: str) -> Optional[str]:

@@ -104,12 +104,17 @@ depending on strictness.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, Iterator, Optional
 
 from .graphs import (ASCII_WHITESPACE, Graph, Graph6Error, bits, graph6_decode,
                      is_connected, iter_components)
 
 BUILTIN_MAX_N = 9
+
+# canonical forms kept: the prover asks for the same few small pieces over
+# and over, and a fixed bound keeps the memo's memory flat
+_CANONICAL_MEMO = 1024
 
 
 # ===== Canonical form ========================================================
@@ -231,11 +236,14 @@ def _search(g: Graph, colors: list[int],
     return (n, *best), best_order
 
 
+@lru_cache(maxsize=_CANONICAL_MEMO)
 def canonical_form(g: Graph) -> tuple:
     """A canonical key: equal keys iff isomorphic graphs.
 
     The key is (n, columns...) where columns is the minimal upper-triangle
-    encoding over colour-compatible vertex orderings.
+    encoding over colour-compatible vertex orderings.  Keys are memoised
+    per labelled graph (equal adjacency), for the last ``_CANONICAL_MEMO``
+    graphs asked for.
     """
     if g.n <= 1:
         return (g.n,)

@@ -116,9 +116,14 @@ class Graph:
 
 def closed_neighborhood(g: Graph, xs: int) -> int:
     """N[xs]: the vertices of ``xs`` plus all their neighbours."""
+    # the lowest-bit loop inline: a ``bits`` generator costs more than the
+    # loop body here
+    adj = g.adj
     m = xs
-    for v in bits(xs):
-        m |= g.adj[v]
+    while xs:
+        low = xs & -xs
+        m |= adj[low.bit_length() - 1]
+        xs ^= low
     return m
 
 
@@ -140,6 +145,7 @@ def induced_subgraph(g: Graph, keep: int) -> Graph:
 def iter_components(g: Graph, within: Optional[int] = None) -> Iterator[int]:
     """Yield the vertex masks of the components of ``g`` (or of g induced on
     ``within``) by smallest member, each one as soon as it is grown."""
+    adj = g.adj
     todo = g.vertex_mask if within is None else within
     while todo:
         start = todo & -todo
@@ -147,8 +153,10 @@ def iter_components(g: Graph, within: Optional[int] = None) -> Iterator[int]:
         frontier = start
         while frontier:
             grow = 0
-            for v in bits(frontier):
-                grow |= g.adj[v]
+            while frontier:  # the lowest-bit loop inline, as in closed_neighborhood
+                low = frontier & -frontier
+                grow |= adj[low.bit_length() - 1]
+                frontier ^= low
             grow &= todo & ~comp
             comp |= grow
             frontier = grow
@@ -164,11 +172,14 @@ def is_connected(g: Graph, within: Optional[int] = None) -> bool:
 
 def leaves(g: Graph, within: Optional[int] = None) -> int:
     """Bitmask of the degree-1 vertices of ``g`` (or of g induced on ``within``)."""
-    todo = g.vertex_mask if within is None else within
+    adj = g.adj
+    todo = rest = g.vertex_mask if within is None else within
     m = 0
-    for v in bits(todo):
-        if (g.adj[v] & todo).bit_count() == 1:
-            m |= 1 << v
+    while rest:  # the lowest-bit loop inline, as in closed_neighborhood
+        low = rest & -rest
+        if (adj[low.bit_length() - 1] & todo).bit_count() == 1:
+            m |= low
+        rest ^= low
     return m
 
 

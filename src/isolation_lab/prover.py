@@ -55,10 +55,10 @@ from .families import exact_iota, is_isolating
 from .graphs import (
     Graph,
     bits,
+    closed_neighborhood,
     graph6_encode,
     is_connected,
     iter_components,
-    leaves,
     mask_of,
 )
 
@@ -115,6 +115,7 @@ class InductionContext(NamedTuple):
     piece: int  # the vertex mask being solved
     v: int
     nbrs: int  # N(v) within the piece
+    leaves: int  # the leaves of G, the graph induced on the piece
     # the components of G - N[v] as masks, both in component order
     good: list[int]  # those that are not bad
     bad: dict[int, str]  # bad comp mask -> exception tag, as in ``bounds.bad_piece``
@@ -174,25 +175,22 @@ def residual_set_for_bad(g: Graph, comp: int, tag: str, y_attach: int) -> int:
 # ===== Shared machinery ======================================================
 
 
-def _build_context(g: Graph, piece: int, v: int, theorem: str) -> InductionContext:
+def _build_context(g: Graph, piece: int, v: int, lg: int, theorem: str) -> InductionContext:
     nbrs = g.adj[v] & piece
     good: list[int] = []
     links: dict[int, int] = {}
     bad: dict[int, str] = {}
     for comp in iter_components(g, piece & ~nbrs & ~(1 << v)):
-        lk = 0
-        for x in bits(nbrs):
-            if g.adj[x] & comp:
-                lk |= 1 << x
+        lk = closed_neighborhood(g, comp) & nbrs
         if not lk:
             raise InternalConsistencyError("component with no link to N(v) in a connected piece")
         links[comp] = lk
-        tag = bad_piece(g, comp, theorem, within=piece)
+        tag = bad_piece(g, comp, theorem, lg)
         if tag is None:
             good.append(comp)
         else:
             bad[comp] = tag
-    return InductionContext(piece, v, nbrs, good, bad, links)
+    return InductionContext(piece, v, nbrs, lg, good, bad, links)
 
 
 def _attach(g: Graph, x: int, comp: int) -> int:
@@ -224,9 +222,10 @@ class _Prover:
         self.fam = self.th.family
         self.trace: list[TraceEntry] = []
 
-    def finish(self, g: Graph, piece: int, d: int, case: str, v: int) -> int:
-        """Verify-then-return, once per proof step, from ``_dispatch``."""
-        limit = self.th.potential(g, piece, within=piece) // self.th.denominator
+    def finish(self, g: Graph, piece: int, lg: int, d: int, case: str, v: int) -> int:
+        """Verify-then-return, once per proof step, from ``_dispatch``; ``lg``
+        is the piece's leaf mask."""
+        limit = self.th.potential(piece, lg) // self.th.denominator
         if d & ~piece:
             problem = "set leaves the piece"
         elif not is_isolating(g, d, self.fam, within=piece):
@@ -284,10 +283,10 @@ def _walk_order(g: Graph, piece: int, start: int) -> list[int]:
         seen |= 1 << u
 
 
-def _pattern_case(prover: _Prover, g: Graph, piece: int) -> _Step:
+def _pattern_case(prover: _Prover, g: Graph, piece: int, ends: int) -> _Step:
     """Max degree 2: lay the periodic pattern along the walk order, from the
-    lowest end of a path or the lowest vertex of a cycle."""
-    ends = leaves(g, piece)
+    lowest end of a path or the lowest vertex of a cycle; ``ends`` is the
+    piece's leaf mask."""
     kind = "path" if ends else "cycle"
     first = ends or piece
     order = _walk_order(g, piece, (first & -first).bit_length() - 1)
@@ -311,7 +310,7 @@ def _case_wide_frontier(prover: _Prover, g: Graph, ctx: InductionContext, anchor
         d |= (1 << xc) | residual_set_for_bad(g, c, ctx.bad[c], _attach(g, xc, c))
     if prover.fam.k == 2:
         w_mask = ctx.nbrs & ~mask_of(anchors.values())
-        if w_mask.bit_count() == 3 and w_mask & leaves(g, ctx.piece) == w_mask:
+        if w_mask.bit_count() == 3 and w_mask & ctx.leaves == w_mask:
             # all three non-anchors are leaves: v is already dominated by
             # the anchors and its removal still leaves an isolating set
             return "wide-frontier-all-leaves", d & ~(1 << ctx.v), ctx.good
@@ -324,7 +323,7 @@ def _case_lone_anchor(prover: _Prover, g: Graph, ctx: InductionContext, comp: in
     d = (1 << x1) | residual_set_for_bad(g, comp, ctx.bad[comp], _attach(g, x1, comp))
     pieces = _carve(g, ctx, (1 << x1) | comp, ctx.v)
     home = pieces[-1]
-    tag = bad_piece(g, home, prover.theorem, within=home)
+    tag = bad_piece(g, home, prover.theorem)
     if tag in _CYCLE_LENGTH:
         # the remainder is a near-cycle through v: v is covered via x1, and
         # the vertex at cycle-distance 3 finishes the job
@@ -388,7 +387,7 @@ def _single_cycle(
                 if g.adj[y] & ((1 << x1p) | (1 << w)):
                     d = (1 << y1) | (1 << y)
                     break
-        elif bad_piece(g, imask, prover.theorem, within=imask) != f"C{length}":
+        elif bad_piece(g, imask, prover.theorem) != f"C{length}":
             return f"{case}-whole", 1 << y1, [imask]
         elif length == 6:
             d = (1 << x1) | (1 << cyc[3])
@@ -443,7 +442,7 @@ def _k2_pair(g: Graph, ctx: InductionContext) -> _Step:
         hp = h1 if tags[0] == "P3" else h2
         hc = h2 if hp is h1 else h1
         _, e1, e2 = _p3_parts(g, hp)
-        lg = leaves(g, ctx.piece)
+        lg = ctx.leaves
         n_leaf = (lg >> e1 & 1) + (lg >> e2 & 1)
         if n_leaf == 2:
             # both path ends are true leaves: the anchor attaches at the
@@ -462,7 +461,7 @@ def _k2_pair(g: Graph, ctx: InductionContext) -> _Step:
     # two 3-paths
     mid1, e11, e12 = _p3_parts(g, h1)
     mid2, e21, e22 = _p3_parts(g, h2)
-    lg = leaves(g, ctx.piece)
+    lg = ctx.leaves
     h = sum(lg >> e & 1 for e in (e11, e12, e21, e22))
     if h <= 2:
         return "pair-p3p3-dominate", (1 << ctx.v) | (1 << mid1) | (1 << mid2), ctx.good
@@ -487,7 +486,7 @@ def _k2_single(
         return "single-attached", d, ctx.good
 
     mid, e1, e2 = _p3_parts(g, comp)
-    lg = leaves(g, ctx.piece)
+    lg = ctx.leaves
 
     if lg & y_top == 0:
         return "single-small-dominate", (1 << v) | (1 << mid), ctx.good
@@ -536,7 +535,7 @@ def _k3_single(
     c, cp = _carve_anchor(g, ctx, y_top, x1, x1p, w)
     pieces = _carve(g, ctx, (1 << c) | comp, v)
     home = pieces[-1]
-    if bad_piece(g, home, prover.theorem, within=home) == "C7":
+    if bad_piece(g, home, prover.theorem) == "C7":
         # the remainder closed into a 7-cycle: v with the other anchor
         # breaks it and reaches the triangle through that anchor's link
         return "single-k3-cyclepatch", (1 << v) | (1 << cp), pieces[:-1]
@@ -558,16 +557,16 @@ _RULES = {
 _PIVOTLESS = ("exact-base", "path-pattern", "cycle-pattern")
 
 
-def _step(prover: _Prover, g: Graph, piece: int, v: int) -> _Step:
-    """The proof step for a connected piece with pivot v."""
+def _step(prover: _Prover, g: Graph, piece: int, v: int, lg: int) -> _Step:
+    """The proof step for a connected piece with pivot v and leaf mask lg."""
     if piece.bit_count() <= _SMALL_EXACT:
         return "exact-base", exact_iota(g, prover.fam, within=piece).witness, []
     nbrs = g.adj[v] & piece
     if nbrs.bit_count() <= 2:
-        return _pattern_case(prover, g, piece)
+        return _pattern_case(prover, g, piece, lg)
     if (nbrs | 1 << v) == piece:
         return "dominated", 1 << v, []
-    ctx = _build_context(g, piece, v, prover.theorem)
+    ctx = _build_context(g, piece, v, lg, prover.theorem)
 
     if not ctx.bad:
         return "no-bad", 1 << v, ctx.good
@@ -596,10 +595,23 @@ def _step(prover: _Prover, g: Graph, piece: int, v: int) -> _Step:
 def _dispatch(prover: _Prover, g: Graph, piece: int) -> int:
     """Take one proof step on a connected piece, solve the pieces it recurses
     on in order, and verify the assembled set."""
-    # a vertex of maximum degree in the piece, the lowest on ties (none in
-    # the empty graph, which the exact base case isolates with no vertex)
-    v = max(bits(piece), key=lambda u: (g.adj[u] & piece).bit_count(), default=-1)
-    case, d, pieces = _step(prover, g, piece, v)
+    # one degree pass over the piece: a vertex of maximum degree, the lowest
+    # on ties (none in the empty graph, which the exact base case isolates
+    # with no vertex), and the leaf mask that every potential of the step
+    # reads
+    adj = g.adj
+    v, top, lg = -1, -1, 0
+    rest = piece
+    while rest:
+        low = rest & -rest
+        u = low.bit_length() - 1
+        deg = (adj[u] & piece).bit_count()
+        if deg == 1:
+            lg |= low
+        if deg > top:
+            v, top = u, deg
+        rest ^= low
+    case, d, pieces = _step(prover, g, piece, v, lg)
     for child in pieces:
         # small children are solved exactly, which also keeps every
         # exception graph out of the recursion: all have at most 7 vertices
@@ -607,7 +619,7 @@ def _dispatch(prover: _Prover, g: Graph, piece: int) -> int:
             d |= exact_iota(g, prover.fam, within=child).witness
         else:
             d |= _dispatch(prover, g, child)
-    return prover.finish(g, piece, d, case, -1 if case in _PIVOTLESS else v)
+    return prover.finish(g, piece, lg, d, case, -1 if case in _PIVOTLESS else v)
 
 
 # ===== Public entry points ===================================================

@@ -82,6 +82,30 @@ def test_canonical_form_is_label_invariant():
     assert canonical_form(path_graph(4)) != canonical_form(cycle_graph(4))
 
 
+def test_canonical_form_memo_returns_the_uncached_key(connected_upto):
+    # every class n <= 7, asked for once (a miss), again (a hit) and as an
+    # equal copy (a hit on the same labelled graph)
+    unmemoised = canonical_form.__wrapped__
+    graphs = connected_upto(1, 7)
+    canonical_form.cache_clear()
+    for g in graphs:
+        key = unmemoised(g)
+        assert canonical_form(g) == key
+        assert canonical_form(g) == key
+        assert canonical_form(Graph.from_adj(g.n, g.adj)) == key
+    info = canonical_form.cache_info()
+    assert info.misses == 996 and info.hits == 2 * 996
+
+
+def test_canonical_form_memo_stays_within_its_bound(connected_upto):
+    bound = canonical_form.cache_info().maxsize
+    graphs = connected_upto(8, 8)
+    assert bound is not None and len(graphs) > bound
+    for g in graphs:
+        canonical_form(g)
+    assert canonical_form.cache_info().currsize == bound
+
+
 def test_refined_colors_follow_relabelling(connected_upto):
     # the canonical-deletion test is exact only because the colours are an
     # isomorphism invariant: relabelling a graph permutes its colours

@@ -365,10 +365,30 @@ def test_search_keeps_most_trees(monkeypatch):
     g = graph6_decode(SOLVE_LARGE_42)
     assert exact_iota(g, E2).value == 5
     # 9,334 calls while every cap-1 node branched over its first hood with
-    # cap-0 calls; a cap-1 node now makes none, and a lost cap-1 rule shows
-    # here
-    assert calls == 1282
+    # cap-0 calls, and 1,282 with the cap-1 rule and one cap per component;
+    # deepening repeats the shallow caps.  A lost cap-1 rule or a lost
+    # deepening shows here
+    assert calls == 1402
     assert grown < visits / 3
+
+
+def test_deepening_cuts_the_search_on_trees(monkeypatch):
+    # three n = 64 random trees: one cap per component, set to the
+    # component's size, made 7,134 calls; the caps 0, 1, 2, ... make 1,324
+    calls = 0
+    solve = families._Search.solve
+
+    def counted_solve(self, alive, cap, trees=None):
+        nonlocal calls
+        calls += 1
+        return solve(self, alive, cap, trees)
+
+    monkeypatch.setattr(families._Search, "solve", counted_solve)
+    rng = random.Random(1)
+    for _ in range(3):
+        adj = graphgen.random_connected(rng, 64, 0.0)
+        assert exact_iota(Graph.from_adj(64, adj), E2).value == checker.iota_e2(adj)
+    assert calls == 1324
 
 
 # ===== pieces of a host graph ================================================
@@ -410,15 +430,16 @@ def _check_piece(rng: random.Random, g: Graph, piece: int, tags: set) -> None:
             assert is_isolating(g, host(local), fam, within=piece) == \
                 is_isolating(h, local, fam)
     for theorem in THEOREMS:
-        assert bad_piece(g, piece, theorem, within=piece) == classify_exception(h, theorem)
+        assert bad_piece(g, piece, theorem) == classify_exception(h, theorem)
         # the pieces the prover classifies: components of the piece minus
         # N[u], whose potential counts the leaves of the piece
         u = old[rng.randrange(h.n)]
         rest = piece & ~closed_neighborhood(g, 1 << u)
         assert is_connected(g, rest) == is_connected(induced_subgraph(g, rest))
         for comp in iter_components(g, rest):
-            tag = bad_piece(g, comp, theorem, within=piece)
-            assert tag == bad_piece(h, mask_of(old.index(w) for w in bits(comp)), theorem)
+            tag = bad_piece(g, comp, theorem, leaves(g, piece))
+            assert tag == bad_piece(h, mask_of(old.index(w) for w in bits(comp)), theorem,
+                                    leaves(h))
             tags.add(tag)
 
 

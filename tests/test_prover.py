@@ -19,7 +19,8 @@ import pytest
 from isolation_lab import bounds, graphs, prover
 from isolation_lab.bounds import THEOREMS, bad_piece
 from isolation_lab.families import edge_family, exact_iota, is_isolating
-from isolation_lab.graphs import Graph, bits, graph6_decode, named_graph
+from isolation_lab.graphs import (Graph, bits, graph6_decode, iter_components, leaves,
+                                  named_graph)
 from isolation_lab.prover import (
     Certificate,
     InternalConsistencyError,
@@ -287,6 +288,39 @@ def test_certify_stream_counts_hold():
     assert digest.hexdigest() == STREAM_SHA256
 
 
+def test_one_degree_pass_gives_pivot_leaves_and_potentials(monkeypatch):
+    # on every piece the prover visits, in the fixtures and in certify-stream
+    # seed 1 chunk 0: the pivot is the first vertex of maximum degree, the
+    # shared leaf mask is the piece's leaves, and every potential that the
+    # step reads from it (the piece's, and each component's of the piece
+    # minus N[v]) equals the one counted by a plain scan of the piece
+    step, visited = prover._step, []
+
+    def plain_potential(th, g, piece, part):
+        ends = sum(1 for u in bits(part) if (g.adj[u] & piece).bit_count() == 1)
+        return th.per_vertex * part.bit_count() - th.per_leaf * ends
+
+    def checked(run, g, piece, v, lg):
+        assert v == max(bits(piece), key=lambda u: (g.adj[u] & piece).bit_count(),
+                        default=-1)
+        assert lg == leaves(g, piece)
+        parts = [piece]
+        if v >= 0:
+            parts += iter_components(g, piece & ~(g.adj[v] | 1 << v))
+        for part in parts:
+            assert run.th.potential(part, lg) == plain_potential(run.th, g, piece, part)
+        visited.append(piece)
+        return step(run, g, piece, v, lg)
+
+    monkeypatch.setattr(prover, "_step", checked)
+    inputs = [(k, Graph(n, edges)) for k, _, _, _, n, edges in ALL_FIXTURES]
+    inputs += [(k, Graph.from_adj(len(adj), adj))
+               for adj in graphgen.certify_stream(1, 0) for k in (2, 3)]
+    entries = sum(len(_prove(k, g).trace) for k, g in inputs)
+    # one step per trace entry: the chunk alone has 15,421
+    assert len(visited) == entries > 15421
+
+
 def test_exact_base_below_eight():
     cert = isolate_k2(graph6_decode("@"))
     assert cert.trace[-1].case == "exact-base" and cert.d == 0
@@ -388,8 +422,8 @@ def test_finish_catches_a_broken_step(monkeypatch, mutate, least):
     # that step's children are solved must name its case
     step, broken = prover._step, []
 
-    def patched(run, g, piece, v):
-        case, added, pieces = step(run, g, piece, v)
+    def patched(run, g, piece, v, lg):
+        case, added, pieces = step(run, g, piece, v, lg)
         out = None if broken else mutate(run, g, piece, added, pieces)
         if out is None:
             return case, added, pieces
@@ -466,7 +500,7 @@ def test_pendant_attachment_classification():
                     bad = 14 * iota > 4 * h.n - leaf
                 else:
                     bad = 4 * iota > h.n
-                got = bad_piece(g, h.vertex_mask, theorem)
+                got = bad_piece(g, h.vertex_mask, theorem, leaves(g))
                 assert got == (tag if bad else None), (theorem, tag, linked)
                 outcomes.add(bad)
     assert outcomes == {True, False}
