@@ -87,7 +87,7 @@ def _exception_keys(theorem: str) -> dict[int, dict[int, dict[tuple, tuple[str, 
     return keys
 
 
-def bad_piece(g: Graph, piece: int, theorem: str,
+def bad_piece(g: Graph, piece: int, theorem: str, *,
               leaf_mask: Optional[int] = None) -> Optional[str]:
     """The exception tag of the connected piece H = g[piece] if
     denominator * iota(H) exceeds its potential in G, else None.

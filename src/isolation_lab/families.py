@@ -71,9 +71,9 @@ computes it by depth-first branch and bound:
   bound only ends calls whose answer is None, so later nodes return what
   they returned before.
 
-* for E_k, ``exact_iota`` solves each component with the caps 0, 1, 2,
-  ... in turn, up to the old single cap (the component's size, or the
-  budget left), on one ``_Search`` whose memo carries over from cap to cap
+* ``exact_iota`` solves each component with the caps 0, 1, 2, ... in
+  turn, up to the old single cap (the component's size, or the budget
+  left), on one ``_Search`` whose memo carries over from cap to cap
   (iterative deepening; Korf, "Depth-first iterative-deepening",
   Artificial Intelligence 1985).  The witness does not depend on the cap:
   a call returns None exactly when every isolating set of its alive set
@@ -88,9 +88,8 @@ computes it by depth-first branch and bound:
   that answers is iota of the component, and its answer is the witness
   that the single cap returned.  The shallow caps repeat the top of the
   search, but the deep cap no longer explores branches that only a large
-  cap lets through.  Cycles keep the single cap: over the classes with
-  n <= 8, deepening made their solves with budget 1 about 1.7 times
-  slower and gained nothing without a budget.
+  cap lets through.  Both families deepen: the argument reads only the
+  hoods, which for cycles are the closed neighbourhoods of short cycles.
 
 ``alive`` is not split into its components below the top level.  A vertex
 outside ``alive`` can be adjacent to two of its components and isolate both
@@ -391,8 +390,8 @@ def exact_iota(g: Graph, fam: FamilySpec, budget: Optional[int] = None,
             continue  # F-free: the empty set isolates it, no search needed
         if search is None:
             search = _Search(g, fam, host)
-        # for E_k the first of the caps 0, 1, 2, ... that the optimum fits
-        for tried in range(cap + 1) if fam.kind == "edges" else (cap,):
+        # the first of the caps 0, 1, 2, ... that the optimum fits
+        for tried in range(cap + 1):
             got = search.solve(comp, tried)
             if got is not None:
                 break

@@ -437,9 +437,9 @@ def _check_piece(rng: random.Random, g: Graph, piece: int, tags: set) -> None:
         rest = piece & ~closed_neighborhood(g, 1 << u)
         assert is_connected(g, rest) == is_connected(induced_subgraph(g, rest))
         for comp in iter_components(g, rest):
-            tag = bad_piece(g, comp, theorem, leaves(g, piece))
+            tag = bad_piece(g, comp, theorem, leaf_mask=leaves(g, piece))
             assert tag == bad_piece(h, mask_of(old.index(w) for w in bits(comp)), theorem,
-                                    leaves(h))
+                                    leaf_mask=leaves(h))
             tags.add(tag)
 
 

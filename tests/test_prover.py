@@ -500,7 +500,7 @@ def test_pendant_attachment_classification():
                     bad = 14 * iota > 4 * h.n - leaf
                 else:
                     bad = 4 * iota > h.n
-                got = bad_piece(g, h.vertex_mask, theorem, leaves(g))
+                got = bad_piece(g, h.vertex_mask, theorem, leaf_mask=leaves(g))
                 assert got == (tag if bad else None), (theorem, tag, linked)
                 outcomes.add(bad)
     assert outcomes == {True, False}
