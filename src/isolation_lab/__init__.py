@@ -37,12 +37,7 @@ from .families import (
     is_isolating,
 )
 from .bounds import VerificationRecord, bad_piece, check_bound, classify_exception
-from .constructions import (
-    build_B,
-    build_B_prime_P3,
-    build_B_prime_7r_C6,
-    pattern_isolating_set,
-)
+from .constructions import build_B, pattern_isolating_set
 from .prover import (
     Certificate,
     InductionContext,

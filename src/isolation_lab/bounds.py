@@ -11,7 +11,13 @@ With n vertices and r leaves the four bounds are
 
 The six exceptions for the E_2 bound are P_3, K_3, K_{1,3}, C_6, the 6-cycle
 with a pendant vertex (here ``C6P``), and that graph with one extra chord
-(``C6PP``).
+(``C6PP``).  Every exception of every bound has iota = bound + 1.
+
+A record also names the families that make its bound sharp, as
+``constructions.build_B`` specs: B(n, K_2) for E_1, B(n, K_3) for E_3 and
+cycles, and for E_2 B'(n, P_3) (leaves count) and B'(7r, C_6) (leafless,
+so the coefficient 2/7 cannot be improved there).  Each member has iota =
+bound, except B'(7, C_6), which is the exception C6P.
 
 The proofs charge each induced piece H of G a potential beta_G(H) =
 (per_vertex |V(H)| - per_leaf ell_G(H)) / denominator, where ell_G(H)
@@ -39,7 +45,9 @@ from .graphs import Graph, induced_subgraph, leaves, named_graph
 class Theorem(NamedTuple):
     """iota(G, family) <= bound(G) for every connected G that is not one of
     the graphs tagged in ``exceptions`` (tags as in ``named_graph``), with
-    bound(G) the floor of the potential at H = G.
+    bound(G) the floor of the potential at H = G.  Each ``sharp`` spec
+    (F, joins, least n, step of n) names the family build_B(n, F, joins)
+    over every n >= least that the step divides.
     """
 
     family: FamilySpec
@@ -47,6 +55,7 @@ class Theorem(NamedTuple):
     per_leaf: int
     denominator: int
     exceptions: tuple[str, ...]
+    sharp: tuple[tuple[str, Optional[tuple[int, ...]], int, int], ...]
 
     def potential(self, piece: int, leaf_mask: int) -> int:
         """The numerator of beta_G(H) for the piece H given as a vertex mask,
@@ -60,11 +69,15 @@ class Theorem(NamedTuple):
         return self.potential(g.vertex_mask, self.per_leaf and leaves(g)) // self.denominator
 
 
+# B(n, K3) attains both floor(n/4) bounds
+_B_K3 = ("K3", None, 4, 1)
+
 THEOREMS: dict[str, Theorem] = {
-    "k1": Theorem(edge_family(1), 1, 0, 3, ("K2", "C5")),
-    "k2": Theorem(edge_family(2), 4, 1, 14, ("P3", "K3", "K13", "C6", "C6P", "C6PP")),
-    "k3": Theorem(edge_family(3), 1, 0, 4, ("K3", "C7")),
-    "cycles": Theorem(CYCLES, 1, 0, 4, ("K3",)),
+    "k1": Theorem(edge_family(1), 1, 0, 3, ("K2", "C5"), (("K2", None, 3, 1),)),
+    "k2": Theorem(edge_family(2), 4, 1, 14, ("P3", "K3", "K13", "C6", "C6P", "C6PP"),
+                  (("P3", (1,), 5, 1), ("C6", (0,), 7, 7))),
+    "k3": Theorem(edge_family(3), 1, 0, 4, ("K3", "C7"), (_B_K3,)),
+    "cycles": Theorem(CYCLES, 1, 0, 4, ("K3",), (_B_K3,)),
 }
 
 

@@ -43,14 +43,15 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import io
 import json
 import os
 import sys
 import time
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
-from .bounds import THEOREMS, check_bound
-from .constructions import build_B, build_B_prime_7r_C6, build_B_prime_P3
+from .bounds import THEOREMS, check_bound, classify_exception
+from .constructions import build_B
 from .enumeration import BUILTIN_MAX_N, connected_graphs, read_graph6_stream
 from .families import CYCLES, EDGE_FAMILY_MAX_K, edge_family, exact_iota
 from .graphs import (
@@ -178,9 +179,10 @@ def iter_source(
         return
 
     # latin-1 maps every byte to a character, so graph6_decode names a
-    # stray non-ASCII byte like any other one outside its range
-    lines: Iterable[str] = (sys.stdin if source == "-"
-                            else open(source[5:], "r", encoding="latin-1"))
+    # stray non-ASCII byte like any other one outside its range; stdin is
+    # read from its bytes too, whatever the locale's codec
+    lines = (io.TextIOWrapper(sys.stdin.buffer, encoding="latin-1") if source == "-"
+             else open(source[5:], "r", encoding="latin-1"))
     issues: list[tuple[int, str]] = []
     try:
         for g in read_graph6_stream(
@@ -189,8 +191,10 @@ def iter_source(
             if n_min <= g.n <= n_max:
                 yield g
     finally:
-        if lines is not sys.stdin:
-            lines.close()  # type: ignore[union-attr]
+        if source == "-":
+            lines.detach()  # sys.stdin stays open
+        else:
+            lines.close()
         for line_no, message in issues:
             print(f"warning: skipped line {line_no}: {message}", file=sys.stderr)
 
@@ -417,25 +421,20 @@ def cmd_ckn(args) -> int:
 
 
 def _extremal_rows(theorem: str, n_min: int, n_max: int):
-    """(name, param, graph, expected iota) rows for one bound's families.
+    """(name, param, graph, expected iota) rows for the bound's sharp specs.
 
-    Each construction meets its bound with equality, except B'(7, C6): that
-    graph is the exception C6P, with iota 2 above its bound 1.
+    A member meets its bound with equality unless it is one of the bound's
+    exceptions, which exceed it by one: only B'(7, C6), which is C6P.
     """
-    if theorem == "k2":
-        for n in range(max(n_min, 5), n_max + 1):
-            g = build_B_prime_P3(n)
-            yield f"B'({n},P3)", n, g, THEOREMS[theorem].bound(g)
-        for r in range(1, n_max // 7 + 1):
-            if n_min <= 7 * r <= n_max:
-                g = build_B_prime_7r_C6(r)
-                expected = 2 if r == 1 else THEOREMS[theorem].bound(g)
-                yield f"B'(7r,C6) r={r}", 7 * r, g, expected
-        return
-    f, n_low = ("K2", 3) if theorem == "k1" else ("K3", 4)
-    for n in range(max(n_min, n_low), n_max + 1):
-        g = build_B(n, f)
-        yield f"B({n},{f})", n, g, THEOREMS[theorem].bound(g)
+    th = THEOREMS[theorem]
+    for f, joins, least, step in th.sharp:
+        stem = "B" if joins is None else "B'"
+        low = max(n_min, least)
+        for n in range(low + -low % step, n_max + 1, step):
+            g = build_B(n, f, joins)
+            name = (f"{stem}({n},{f})" if step == 1
+                    else f"{stem}({step}r,{f}) r={n // step}")
+            yield name, n, g, th.bound(g) + (classify_exception(g, theorem) is not None)
 
 
 def cmd_extremal(args) -> int:
@@ -474,9 +473,12 @@ def cmd_extremal(args) -> int:
 # ===== emit ==================================================================
 
 
-# emit's constructions: kind -> (builder, its options in argument order)
-_EMIT = {"b": (build_B, ("n", "f")), "bp-p3": (build_B_prime_P3, ("n",)),
-         "bp-c6": (build_B_prime_7r_C6, ("r",))}
+# emit's constructions: kind -> (builder, its options in argument order);
+# bp-p3 and bp-c6 are the E_2 sharp specs B'(n, P3) and B'(7r, C6)
+_P3, _C6 = THEOREMS["k2"].sharp
+_EMIT = {"b": (build_B, ("n", "f")),
+         "bp-p3": (lambda n: build_B(n, *_P3[:2]), ("n",)),
+         "bp-c6": (lambda r: build_B(_C6[3] * r, *_C6[:2]), ("r",))}
 
 
 def cmd_emit(args) -> int:

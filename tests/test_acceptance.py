@@ -20,12 +20,7 @@ import pytest
 
 from conftest import record_result
 from isolation_lab.bounds import THEOREMS, classify_exception
-from isolation_lab.constructions import (
-    build_B,
-    build_B_prime_7r_C6,
-    build_B_prime_P3,
-    pattern_isolating_set,
-)
+from isolation_lab.constructions import build_B, pattern_isolating_set
 from isolation_lab.enumeration import canonical_form, connected_graphs
 from isolation_lab.families import CYCLES, edge_family, exact_iota, is_isolating
 from isolation_lab.graphs import (
@@ -234,12 +229,12 @@ def test_criterion_5_extremal_equalities():
     for n in range(4, 17):
         rows.append((f"B({n},K3)", build_B(n, "K3"), E3, n // 4))
     for n in range(5, 17):
-        g = build_B_prime_P3(n)
+        g = build_B(n, "P3", (1,))
         expected = THEOREMS["k2"].bound(g)
         assert expected == n // 4  # the leaf count is tuned to make these meet
         rows.append((f"B'({n},P3)", g, E2, expected))
     for r in (1, 2, 3):
-        rows.append((f"B'({7 * r},C6)", build_B_prime_7r_C6(r), E2, 2 * r))
+        rows.append((f"B'({7 * r},C6)", build_B(7 * r, "C6", (0,)), E2, 2 * r))
     mismatches = []
     for name, g, fam, expected in rows:
         # capping the search at the expected value decides equality exactly:

@@ -12,6 +12,7 @@ from isolation_lab.bounds import (
     check_bound,
     classify_exception,
 )
+from isolation_lab.families import exact_iota
 from isolation_lab.graphs import (
     Graph,
     complete_graph,
@@ -100,6 +101,16 @@ def test_s_graph_tags():
         assert classify_exception(named_graph(tag), "k2") == tag
     assert classify_exception(cycle_graph(7), "k2") is None
     assert set(THEOREMS) == {"k1", "k2", "k3", "cycles"}
+
+
+def test_every_exception_exceeds_its_bound_by_one():
+    # extremal expects bound + 1 of a sharp family's member that is an
+    # exception, which rests on this
+    pairs = [(th, tag) for th in THEOREMS.values() for tag in th.exceptions]
+    assert len(pairs) == 11
+    for th, tag in pairs:
+        g = named_graph(tag)
+        assert exact_iota(g, th.family).value == th.bound(g) + 1, tag
 
 
 def test_check_bound_exception_graph():

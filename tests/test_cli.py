@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import importlib
 import inspect
+import io
 import json
 import multiprocessing
 import os
@@ -297,6 +298,43 @@ def test_file_source_strips_only_ascii_whitespace(tmp_path, capsys):
     ]
 
 
+# lines that stdin must read as the `file:` source does: a byte that is not
+# UTF-8, a UTF-8 letter, a CRLF and a lone CR
+_STDIN_BYTES = b"DhC\nB\xff\nGhCGKC\r\nB\xc3\xa9\nDs_\rCh\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--family", "e1"],
+    ["solve", "--family", "e2"],
+    ["certify", "--k", "2"],
+], ids=["sweep", "solve", "certify"])
+def test_stdin_source_reads_bytes_like_a_file(argv, tmp_path, monkeypatch, capsys):
+    # stdin under a strict UTF-8 codec, as with PYTHONIOENCODING=utf-8:strict:
+    # the locale's codec must not decide what a line holds
+    path = tmp_path / "graphs.g6"
+    path.write_bytes(_STDIN_BYTES)
+    results = []
+    for source in (f"file:{path}", "-"):
+        jpath = tmp_path / f"rows-{len(results)}.json"
+        for extra in (["--json", str(jpath)], ["--strict-parse"]):
+            stdin = io.TextIOWrapper(io.BytesIO(_STDIN_BYTES), encoding="utf-8",
+                                     errors="strict")
+            monkeypatch.setattr(sys, "stdin", stdin)
+            code, _, err = run(argv + ["--source", source] + extra, capsys)
+            assert not stdin.closed
+            results.append((code, err))
+        results.append(jpath.read_text())
+    assert results[:3] == results[3:]
+    (code, err), strict, rows = results[:3]
+    assert code == 0 and len(rows.splitlines()) == 4
+    assert err.splitlines() == [
+        "warning: skipped line 2: byte 255 at position 1 outside graph6 range",
+        "warning: skipped line 4: byte 195 at position 1 outside graph6 range",
+    ]
+    assert strict == (3, "parse error: line 2: byte 255 at position 1 "
+                         "outside graph6 range\n")
+
+
 def test_file_source_missing(capsys):
     code, _, err = run(["sweep", "--family", "e1",
                         "--source", "file:/does/not/exist.g6"], capsys)
@@ -444,11 +482,25 @@ def test_ckn_generic_k(capsys):
 # ===== extremal ==============================================================
 
 
-def test_extremal_rows_hold(capsys):
-    code, out, _ = run(["extremal", "--family", "e2", "--n-max", "8"], capsys)
-    assert code == 0
-    assert "B'(5,P3)" in out and "B'(7r,C6) r=1" in out
-    assert "MISMATCH" not in out
+def test_extremal_rows_hold(tmp_path, capsys):
+    for family, names in [
+        ("e1", [f"B({n},K2)" for n in range(3, 16)]),
+        ("e2", [f"B'({n},P3)" for n in range(5, 16)]
+         + ["B'(7r,C6) r=1", "B'(7r,C6) r=2"]),
+        ("e3", [f"B({n},K3)" for n in range(4, 16)]),
+        ("cycles", [f"B({n},K3)" for n in range(4, 16)]),
+    ]:
+        jpath = tmp_path / f"{family}.json"
+        code, out, _ = run(["extremal", "--family", family, "--n-max", "15",
+                            "--json", str(jpath)], capsys)
+        assert code == 0
+        lines = out.splitlines()
+        assert [line[:16].rstrip() for line in lines] == names
+        assert all(line.endswith("  ok") for line in lines)
+        rows = [json.loads(line) for line in jpath.read_text().splitlines()]
+        assert [row["construction"] for row in rows] == names
+        assert all(list(row) == ["construction", "n", "expected", "iota", "equal"]
+                   and row["equal"] for row in rows)
 
 
 def test_extremal_detects_mismatch(monkeypatch, capsys):
