@@ -35,6 +35,7 @@ from .families import (
     edge_family,
     exact_iota,
     is_isolating,
+    piece_witness,
 )
 from .bounds import VerificationRecord, bad_piece, check_bound, classify_exception
 from .constructions import build_B, pattern_isolating_set

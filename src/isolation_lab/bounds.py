@@ -64,9 +64,12 @@ class Theorem(NamedTuple):
         return (self.per_vertex * piece.bit_count()
                 - self.per_leaf * (leaf_mask & piece).bit_count())
 
-    def bound(self, g: Graph) -> int:
-        # the leaf scan only where leaves count
-        return self.potential(g.vertex_mask, self.per_leaf and leaves(g)) // self.denominator
+    def bound(self, g: Graph, leaf_mask: Optional[int] = None) -> int:
+        """The bound for g: ``leaf_mask`` holds g's leaves where the caller
+        has them, and otherwise they are scanned only where they count."""
+        if leaf_mask is None:
+            leaf_mask = self.per_leaf and leaves(g)
+        return self.potential(g.vertex_mask, leaf_mask) // self.denominator
 
 
 # B(n, K3) attains both floor(n/4) bounds

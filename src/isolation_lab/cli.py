@@ -29,8 +29,9 @@ work.  Results are merged back in input order, so reports are the same for
 every N.
 
 graph6 is the I/O format only: a line is decoded where it is read, a graph
-is encoded where its row (``_row``) or an error message is written, and
-workers receive ``Graph`` objects.
+is encoded where its row (``_row``) or an error message is written (a graph
+read from a line gives back that line's text), and workers receive
+``Graph`` objects.
 
 Each run pays for its imports at start-up, so a CLI process loads only the
 standard-library modules its command uses: ``multiprocessing`` only with
@@ -83,6 +84,11 @@ EXCEPTION_NAMES = {
 }
 
 
+# The CLI's one size floor: the bounds speak about graphs with at least one
+# vertex, so every source and the graph6 argument start at n = 1.
+_N_FLOOR = 1
+
+
 class UsageError(Exception):
     """Bad combination of arguments (exit code 2)."""
 
@@ -126,11 +132,10 @@ def _source_range(source: str, n_min: int = 1,
                   n_max: Optional[int] = None) -> tuple[int, int]:
     """The range of n that a --source value reads, or its usage error.
 
-    This is the CLI's one size rule.  Every source starts at n = 1: the
-    bounds speak about graphs with at least one vertex.  ``n_max`` None
-    means every size the source holds, ``BUILTIN_MAX_N`` for builtin and
-    ``MAX_VERTICES`` for a file or stdin; a larger one is a usage error for
-    builtin.  A ``file:`` must be readable.  The commands that write
+    This is the CLI's one size rule.  Every source starts at ``_N_FLOOR``.
+    ``n_max`` None means every size the source holds, ``BUILTIN_MAX_N`` for
+    builtin and ``MAX_VERTICES`` for a file or stdin; a larger one is a
+    usage error for builtin.  A ``file:`` must be readable.  The commands that write
     reports call this before opening them, so a bad source leaves an
     existing report as it was.
     """
@@ -152,7 +157,7 @@ def _source_range(source: str, n_min: int = 1,
             f"builtin enumeration stops at n = {BUILTIN_MAX_N}; larger "
             f"graphs must be read from a graph6 file"
         )
-    return max(n_min, 1), n_max
+    return max(n_min, _N_FLOOR), n_max
 
 
 def iter_source(
@@ -257,12 +262,17 @@ def _writers(args, fields: tuple[str, ...] = ROW_FIELDS) -> Iterator[Callable[[d
 
 
 def _row(g: Graph, iota: Optional[int] = None, bound: Optional[int] = None,
-         exception: Optional[str] = None, tight: bool = False) -> dict:
-    """The seven leading ROW_FIELDS of a graph's report row.
+         exception: Optional[str] = None, tight: bool = False,
+         leaf_mask: Optional[int] = None) -> dict:
+    """The seven leading ROW_FIELDS of a graph's report row; ``leaf_mask``
+    holds g's leaves where the caller has them, and is scanned otherwise.
 
-    This is where a row's graph6 is encoded, once per row.
+    This is where a row's graph6 is encoded, once per row; a graph decoded
+    from a line gives back that line's text.
     """
-    return {"graph6": graph6_encode(g), "n": g.n, "leaves": leaves(g).bit_count(),
+    if leaf_mask is None:
+        leaf_mask = leaves(g)
+    return {"graph6": graph6_encode(g), "n": g.n, "leaves": leaf_mask.bit_count(),
             "iota": iota, "bound": bound, "exception": exception,
             "tight": tight}
 
@@ -505,12 +515,17 @@ def _given_graph(args) -> Optional[Graph]:
     """Check the input of solve/certify before their reports are opened.
 
     Returns the decoded graph6 argument, or None when --source, which must
-    be readable, gives the graphs.
+    be readable, gives the graphs.  The argument obeys ``_N_FLOOR``, below
+    which a --source line is dropped.
     """
     if args.graph6 is not None and args.source is not None:
         raise UsageError("give either one graph6 argument or --source, not both")
     if args.graph6 is not None:
-        return graph6_decode(args.graph6)
+        g = graph6_decode(args.graph6)
+        if g.n < _N_FLOOR:
+            raise UsageError(f"the graph6 argument has n = {g.n}; every graph "
+                             f"read needs n >= {_N_FLOOR}, as the bounds do")
+        return g
     if args.source is None:
         raise UsageError("need a graph6 argument or --source")
     _source_range(args.source)
@@ -578,7 +593,7 @@ def cmd_certify(args) -> int:
                       f"the E_{k} bound does not hold for it", file=sys.stderr)
                 refused += 1
                 continue
-            row = _row(g, bound=cert.bound)
+            row = _row(g, bound=cert.bound, leaf_mask=cert.leaves)
             row.update(_cert_fields(cert), certificate=sorted(bits(cert.d)))
             write(row)
             print(f"graph: {row['graph6']} (n={g.n}, {row['leaves']} leaves)")

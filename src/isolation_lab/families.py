@@ -11,7 +11,8 @@ is the one test of that rule.
 
 A vertex set D is F-isolating for G when G - N[D] contains no subgraph from
 F, and iota(G, F) is the minimum size of an F-isolating set.  ``exact_iota``
-computes it by depth-first branch and bound:
+computes it by depth-first branch and bound, and ``piece_witness`` answers
+a small connected piece once per shape (see the end of this docstring):
 
 * isolation numbers add up over the components of G, so each component is
   solved on its own, and one that is F-free needs no search (the empty set
@@ -97,16 +98,33 @@ with one choice, so the optima of the components do not add up.
 
 All searches are deterministic: components in ascending order, hitting
 sets of equal size by root in ascending order, candidate vertices in
-ascending index order.
+ascending index order.  Every tie-break compares vertex indices, directly
+or through a stable sort over them: the ranking of neighbours, the roots
+of a table, the smallest-first order of hoods, the breadth-first searches,
+the cycle kept and the branching order.  Nothing outside ``within`` is
+read.  So a relabelling that keeps the order of the vertices of
+``within`` maps each step of a search to the same step of the search on
+the relabelled graph, and the witness with it: ``exact_iota(g, fam,
+within=piece)`` returns the witness of ``exact_iota(induced_subgraph(g,
+piece), fam)`` read back through the piece's vertex order.  This is what
+lets ``piece_witness`` solve a small piece once per shape, its relabelled
+copy, rather than once per place where it occurs.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import NamedTuple, Optional
 
-from .graphs import Graph, bits, closed_neighborhood, iter_components, mask_of
+from .graphs import (Graph, bits, closed_neighborhood, induced_subgraph, iter_components,
+                     mask_of)
 
 EDGE_FAMILY_MAX_K = 16
+
+# small pieces whose witnesses are kept: the prover meets about 1,200
+# shapes per family in 2,000 graphs, and a fixed bound keeps the memo's
+# memory flat
+_SHAPE_MEMO = 2048
 
 
 class FamilySpec(NamedTuple):
@@ -400,3 +418,25 @@ def exact_iota(g: Graph, fam: FamilySpec, budget: Optional[int] = None,
         value += got[0]
         mask |= got[1]
     return IsolationResult(value, mask)
+
+
+def piece_witness(g: Graph, piece: int, fam: FamilySpec) -> int:
+    """The witness of ``exact_iota(g, fam, within=piece)`` for a connected
+    piece, solved once per shape.
+
+    An F-free piece gets the empty set from ``_comp_contains`` alone.  Any
+    other piece is solved as its relabelled copy ``induced_subgraph(g,
+    piece)``, whose witness is kept for the last ``_SHAPE_MEMO`` copies and
+    mapped back through the piece's vertex order.  Meant for small pieces:
+    a copy costs a pass over the piece, which only pays where the search
+    is short and shapes repeat.
+    """
+    if not _comp_contains(g, piece, fam):
+        return 0
+    order = tuple(bits(piece))
+    return mask_of(order[i] for i in bits(_shape_witness(induced_subgraph(g, piece), fam)))
+
+
+@lru_cache(maxsize=_SHAPE_MEMO)
+def _shape_witness(h: Graph, fam: FamilySpec) -> int:
+    return exact_iota(h, fam).witness

@@ -2,10 +2,14 @@
 
 Vertices are integers 0..n-1 and every vertex set is a Python int used as a
 bitmask, so set algebra is single machine-word arithmetic for the sizes this
-package cares about (n <= 64).  A graph is immutable.  A piece of a graph is
+package cares about (n <= 64).  A graph is immutable; one decoded from a
+graph6 line keeps the line's canonical text, so that it is encoded once,
+and its equality, hash and pickle ignore that text.  A piece of a graph is
 a vertex mask in the graph's own labels, and the functions that look at a
 piece take it as ``within``; ``induced_subgraph`` builds a relabelled copy
-only where a piece must become a graph of its own.
+only where a piece must become a graph of its own.  ``iter_components``
+can hand out each component's closed neighbourhood with it, read off the
+one growth that found it.
 
 Conventions used throughout the package:
 
@@ -52,7 +56,9 @@ class Graph:
     is symmetric, irreflexive, and no bit at index >= n is ever set.
     """
 
-    __slots__ = ("n", "adj")
+    # ``_g6``: the canonical graph6 text of the line the graph was decoded
+    # from, which ``graph6_encode`` returns as it is, or None
+    __slots__ = ("n", "adj", "_g6")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if not 0 <= n <= MAX_VERTICES:
@@ -67,6 +73,7 @@ class Graph:
             adj[v] |= 1 << u
         self.n = n
         self.adj = tuple(adj)
+        self._g6 = None
 
     @staticmethod
     def from_adj(n: int, adj: tuple[int, ...]) -> "Graph":
@@ -74,6 +81,7 @@ class Graph:
         g = Graph.__new__(Graph)
         g.n = n
         g.adj = adj
+        g._g6 = None
         return g
 
     # --- basic queries ---------------------------------------------------
@@ -90,8 +98,14 @@ class Graph:
 
     def edge_count(self, within: Optional[int] = None) -> int:
         """The number of edges (of the graph induced on ``within``)."""
-        mask = self.vertex_mask if within is None else within
-        return sum((self.adj[v] & mask).bit_count() for v in bits(mask)) // 2
+        adj = self.adj
+        mask = rest = self.vertex_mask if within is None else within
+        ends = 0
+        while rest:  # the lowest-bit loop inline, as in closed_neighborhood
+            low = rest & -rest
+            ends += (adj[low.bit_length() - 1] & mask).bit_count()
+            rest ^= low
+        return ends // 2
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -104,7 +118,8 @@ class Graph:
         return hash((self.n, self.adj))
 
     def __reduce__(self):
-        # Graphs cross process boundaries during parallel sweeps.
+        # Graphs cross process boundaries during parallel sweeps.  Equality,
+        # hashing and pickles read n and adj only, never the graph6 text.
         return (Graph.from_adj, (self.n, self.adj))
 
     def __repr__(self) -> str:
@@ -142,25 +157,29 @@ def induced_subgraph(g: Graph, keep: int) -> Graph:
     return Graph.from_adj(len(old), tuple(adj))
 
 
-def iter_components(g: Graph, within: Optional[int] = None) -> Iterator[int]:
+def iter_components(g: Graph, within: Optional[int] = None, *,
+                    closed: bool = False) -> Iterator:
     """Yield the vertex masks of the components of ``g`` (or of g induced on
-    ``within``) by smallest member, each one as soon as it is grown."""
+    ``within``) by smallest member, each one as soon as it is grown.
+
+    With ``closed`` each item is (comp, N[comp]): the growth reads every
+    neighbour of the component, so its closed neighbourhood in g (not cut
+    to ``within``) comes with it at no second walk.
+    """
     adj = g.adj
     todo = g.vertex_mask if within is None else within
     while todo:
         start = todo & -todo
-        comp = start
-        frontier = start
+        comp = hood = frontier = start
         while frontier:
-            grow = 0
             while frontier:  # the lowest-bit loop inline, as in closed_neighborhood
                 low = frontier & -frontier
-                grow |= adj[low.bit_length() - 1]
+                hood |= adj[low.bit_length() - 1]
                 frontier ^= low
-            grow &= todo & ~comp
-            comp |= grow
-            frontier = grow
-        yield comp
+            # the neighbours of earlier rounds inside todo are in comp already
+            frontier = hood & todo & ~comp
+            comp |= frontier
+        yield (comp, hood) if closed else comp
         todo &= ~comp
 
 
@@ -214,6 +233,10 @@ class Graph6Error(ValueError):
 
 
 def graph6_encode(g: Graph) -> str:
+    """The canonical graph6 text of g: the text of the line g was decoded
+    from when it had one, and otherwise the packed adjacency."""
+    if g._g6 is not None:
+        return g._g6
     n = g.n
     if n <= 62:
         head = chr(63 + n)
@@ -235,6 +258,11 @@ def graph6_encode(g: Graph) -> str:
 
 
 def graph6_decode(line: str) -> Graph:
+    """The graph of one graph6 line, which keeps the line's text (without
+    the layout and the ``>>graph6<<`` header) for ``graph6_encode`` when it
+    is canonical.  Only the vertex count can be written two ways, and the
+    long form is canonical from n = 63 on only, so ``~??Bw`` is re-encoded
+    as ``Bw``."""
     s = line.strip(ASCII_WHITESPACE)
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<"):]
@@ -281,7 +309,10 @@ def graph6_decode(line: str) -> Graph:
             low = col & -col
             adj[low.bit_length() - 1] |= bit
             col ^= low
-    return Graph.from_adj(n, tuple(adj))
+    g = Graph.from_adj(n, tuple(adj))
+    if s[0] != "~" or n > 62:
+        g._g6 = s
+    return g
 
 
 # ===== Named small graphs ====================================================

@@ -12,7 +12,7 @@ The construction mirrors the inductive argument that proves the bounds:
   the step reads adjacency, degrees, leaves and potentials in G, and its
   isolating set comes back in the input's labels;
 * pieces on at most 7 vertices are solved exactly (the bound is known to
-  hold for them outright);
+  hold for them outright) by ``families.piece_witness``, once per shape;
 * paths and cycles get the periodic pattern sets;
 * otherwise pick a maximum-degree vertex v and remove N[v].  A component
   H of the remainder is "bad" when its isolation number exceeds its share
@@ -51,11 +51,10 @@ from typing import NamedTuple, Optional
 
 from .bounds import THEOREMS, bad_piece, classify_exception
 from .constructions import pattern_isolating_set
-from .families import exact_iota, is_isolating
+from .families import is_isolating, piece_witness
 from .graphs import (
     Graph,
     bits,
-    closed_neighborhood,
     graph6_encode,
     is_connected,
     iter_components,
@@ -107,6 +106,7 @@ class Certificate(NamedTuple):
     d: int  # bitmask
     bound: int
     trace: tuple[TraceEntry, ...]
+    leaves: int  # bitmask of the graph's leaves, from the root step's degree pass
 
 
 class InductionContext(NamedTuple):
@@ -180,8 +180,9 @@ def _build_context(g: Graph, piece: int, v: int, lg: int, theorem: str) -> Induc
     good: list[int] = []
     links: dict[int, int] = {}
     bad: dict[int, str] = {}
-    for comp in iter_components(g, piece & ~nbrs & ~(1 << v)):
-        lk = closed_neighborhood(g, comp) & nbrs
+    # each component's links N(comp) & N(v), read off the growth that found it
+    for comp, hood in iter_components(g, piece & ~nbrs & ~(1 << v), closed=True):
+        lk = hood & nbrs
         if not lk:
             raise InternalConsistencyError("component with no link to N(v) in a connected piece")
         links[comp] = lk
@@ -560,7 +561,7 @@ _PIVOTLESS = ("exact-base", "path-pattern", "cycle-pattern")
 def _step(prover: _Prover, g: Graph, piece: int, v: int, lg: int) -> _Step:
     """The proof step for a connected piece with pivot v and leaf mask lg."""
     if piece.bit_count() <= _SMALL_EXACT:
-        return "exact-base", exact_iota(g, prover.fam, within=piece).witness, []
+        return "exact-base", piece_witness(g, piece, prover.fam), []
     nbrs = g.adj[v] & piece
     if nbrs.bit_count() <= 2:
         return _pattern_case(prover, g, piece, lg)
@@ -592,14 +593,16 @@ def _step(prover: _Prover, g: Graph, piece: int, v: int, lg: int) -> _Step:
     raise InternalConsistencyError("more than two doubly-linked bad components survived")
 
 
-def _dispatch(prover: _Prover, g: Graph, piece: int) -> int:
-    """Take one proof step on a connected piece, solve the pieces it recurses
-    on in order, and verify the assembled set."""
-    # one degree pass over the piece: a vertex of maximum degree, the lowest
-    # on ties (none in the empty graph, which the exact base case isolates
-    # with no vertex), and the leaf mask that every potential of the step
-    # reads.  Over the steps of a certify-stream chunk this loop takes less
-    # than half the time of max(bits(piece), key=...) followed by leaves().
+def _degree_pass(g: Graph, piece: int) -> tuple[int, int]:
+    """(v, lg): a vertex of maximum degree in the piece, the lowest on ties
+    (-1 in the empty graph, which the exact base case isolates with no
+    vertex), and the piece's leaf mask, which every potential of the step
+    reads.
+
+    One pass gives both: over the steps of a certify-stream chunk this loop
+    takes less than half the time of max(bits(piece), key=...) followed by
+    leaves().
+    """
     adj = g.adj
     v, top, lg = -1, -1, 0
     rest = piece
@@ -612,14 +615,21 @@ def _dispatch(prover: _Prover, g: Graph, piece: int) -> int:
         if deg > top:
             v, top = u, deg
         rest ^= low
+    return v, lg
+
+
+def _dispatch(prover: _Prover, g: Graph, piece: int, v: int, lg: int) -> int:
+    """Take one proof step on a connected piece with the pivot v and the
+    leaf mask lg of its degree pass, solve the pieces it recurses on in
+    order, and verify the assembled set."""
     case, d, pieces = _step(prover, g, piece, v, lg)
     for child in pieces:
         # small children are solved exactly, which also keeps every
         # exception graph out of the recursion: all have at most 7 vertices
         if child.bit_count() <= _SMALL_EXACT:
-            d |= exact_iota(g, prover.fam, within=child).witness
+            d |= piece_witness(g, child, prover.fam)
         else:
-            d |= _dispatch(prover, g, child)
+            d |= _dispatch(prover, g, child, *_degree_pass(g, child))
     return prover.finish(g, piece, lg, d, case, -1 if case in _PIVOTLESS else v)
 
 
@@ -634,8 +644,11 @@ def _certify(g: Graph, theorem: str) -> Certificate:
     if tag is not None:
         raise NotCovered(f"the E_{prover.fam.k} bound does not hold for the "
                          f"exception graph {tag}", tag)
-    d = _dispatch(prover, g, g.vertex_mask)
-    return Certificate(d, prover.th.bound(g), tuple(prover.trace))
+    # the root's degree pass also gives the certificate's bound, which is
+    # the root step's limit, and the graph's leaves
+    v, lg = _degree_pass(g, g.vertex_mask)
+    d = _dispatch(prover, g, g.vertex_mask, v, lg)
+    return Certificate(d, prover.th.bound(g, lg), tuple(prover.trace), lg)
 
 
 def isolate_k2(g: Graph) -> Certificate:

@@ -217,6 +217,29 @@ def test_file_range_starts_at_one(argv, tmp_path, capsys):
     assert "?" not in outputs[0]
 
 
+@pytest.mark.parametrize("argv", [["solve", "--family", "e2"],
+                                  ["solve", "--family", "k:4"],
+                                  ["certify", "--k", "2"],
+                                  ["certify", "--k", "3"]],
+                         ids=["solve-e2", "solve-k4", "certify-k2", "certify-k3"])
+def test_graph6_argument_starts_at_one(argv, tmp_path, capsys):
+    # the 0-vertex graph lies below the floor n >= 1 of every source, so as
+    # an argument it is a usage error that names the floor and opens no
+    # report, where a file: source drops the same line without a word
+    path = tmp_path / "rows.json"
+    code, out, err = run(argv + ["?", "--json", str(path)], capsys)
+    assert code == 2 and out == "" and not path.exists()
+    assert err.startswith("usage error: ") and "n >= 1" in err
+    source = tmp_path / "empty.g6"
+    source.write_text("?\n")
+    code, out, err = run(argv + ["--source", f"file:{source}", "--json", str(path)],
+                         capsys)
+    assert (code, out, err, path.read_text()) == (0, "", "", "")
+    # the smallest graph it admits is read as before
+    code, out, err = run(argv + ["@"], capsys)
+    assert code == 0 and out.startswith(("@: iota", "graph: @ (n=1, 0 leaves)"))
+
+
 def test_sweep_header_prints_the_range_read(capsys):
     code, out, _ = run(["sweep", "--family", "e1", "--n-min", "-1",
                         "--n-max", "3"], capsys)

@@ -1,10 +1,12 @@
-"""Every public name of the package has a caller inside the package, and
-every other module-level name is read there.
+"""Every public name of the package has a caller inside the package, every
+other module-level name is read there, and no module reaches into another
+one's private names.
 
 A name in ``isolation_lab.__all__``, or a public method of a class in it,
 that only the tests use is a helper the package does not need, and a
 function, class or constant outside ``__all__`` that nothing reads is left
-over from an edit or kept for the tests; the scans below find them.
+over from an edit or kept for the tests; the scans below find them.  An
+underscore name is used only in its own module.
 """
 
 from __future__ import annotations
@@ -85,3 +87,30 @@ def test_every_private_name_is_read():
             used |= _referenced(stmt) - names
     unread = sorted(f"{module}.{name}" for module, name in defined if name not in used)
     assert not unread, f"names outside __all__ the package never reads: {unread}"
+
+
+def test_no_module_imports_another_modules_private_names():
+    # an underscore name is private to its module: another package module
+    # that imports it, or reads it off the module, reaches past the public
+    # functions that keep that module's rules in one place
+    crossings = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        modules: set[str] = set()  # local names bound to package modules
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "")
+                                                     .startswith("isolation_lab")):
+                for alias in node.names:
+                    if alias.name.startswith("_") and not alias.name.startswith("__"):
+                        crossings.append(f"{path.stem} imports {node.module}.{alias.name}")
+                    elif node.module in (None, "isolation_lab"):  # from . import graphs
+                        modules.add(alias.asname or alias.name)
+            elif isinstance(node, ast.Import):
+                modules |= {alias.asname or alias.name for alias in node.names
+                            if alias.name.startswith("isolation_lab")}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                    and node.value.id in modules and node.attr.startswith("_") \
+                    and not node.attr.startswith("__"):
+                crossings.append(f"{path.stem} reads {node.value.id}.{node.attr}")
+    assert not crossings, crossings

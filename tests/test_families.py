@@ -18,6 +18,7 @@ from isolation_lab.families import (
     edge_family,
     exact_iota,
     is_isolating,
+    piece_witness,
 )
 from isolation_lab.graphs import (
     Graph,
@@ -461,6 +462,30 @@ def test_within_matches_the_induced_subgraph():
             _check_piece(rng, g, piece, tags)
     # the bad-piece comparison met some exceptions, not only good pieces
     assert {"K2", "P3", "K13"} <= tags
+
+
+def test_witness_follows_order_preserving_relabelling(connected_upto):
+    # the fact the small-piece memo rests on: every class n <= 7, placed at
+    # seeded order-keeping positions of a host on up to 20 vertices, with
+    # host edges among the other vertices and across to the piece, gets the
+    # witness of its own copy read back through the piece's vertex order
+    rng = random.Random(31)
+    for h in connected_upto(1, 7):
+        size = rng.randint(max(h.n, 8), 20)
+        old = sorted(rng.sample(range(size), h.n))
+        piece = mask_of(old)
+        edges = [(old[u], old[w]) for u, w in h.edges()]
+        for u in range(size):
+            for w in range(u + 1, size):
+                if not (piece >> u & 1 and piece >> w & 1) and rng.random() < 0.3:
+                    edges.append((u, w))
+        host = Graph(size, edges)
+        assert induced_subgraph(host, piece) == h
+        for fam in (E1, E2, E3, CYCLES):
+            ref = exact_iota(h, fam)
+            lifted = mask_of(old[i] for i in bits(ref.witness))
+            assert exact_iota(host, fam, within=piece) == (ref.value, lifted)
+            assert piece_witness(host, piece, fam) == lifted
 
 
 def test_search_tables_hold_the_piece_only():

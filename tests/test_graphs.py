@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import pickle
 import random
 import sys
 
@@ -209,6 +210,30 @@ def test_graph6_strips_only_ascii_whitespace():
             graph6_decode(line)
 
 
+def test_graph6_text_is_kept_only_when_canonical():
+    # a decoded graph gives back its line's text without the layout and the
+    # header; the long vertex count of a graph on at most 62 vertices is
+    # not canonical, so that line is re-encoded
+    for line in ("Bw", "~??Bw", ">>graph6<<Bw", " Bw\t", ">>graph6<<~??Bw\n"):
+        assert graph6_encode(graph6_decode(line)) == "Bw", repr(line)
+    big = graph6_encode(path_graph(63))
+    assert big.startswith("~??~") and graph6_encode(graph6_decode(big)) == big
+
+
+def test_graph6_text_is_no_part_of_the_graph():
+    # equality, hashing and pickles read n and adj only: a graph with a kept
+    # text is interchangeable with one without, and a pickle drops the text
+    texts = [graph6_decode(line) for line in ("Bw", "~??Bw", ">>graph6<<Bw")]
+    plain = Graph.from_adj(3, complete_graph(3).adj)
+    for g in texts:
+        assert g == plain and hash(g) == hash(plain)
+        assert pickle.dumps(g) == pickle.dumps(plain)
+        copy = pickle.loads(pickle.dumps(g))
+        assert copy == g and graph6_encode(copy) == "Bw"
+    assert len({*texts, plain, complete_graph(3)}) == 1
+    assert canonical_form(texts[0]) == canonical_form(plain)
+
+
 def _random_adj(rng: random.Random, n: int, p: float) -> tuple[int, ...]:
     adj = [0] * n
     for j in range(1, n):
@@ -284,6 +309,27 @@ def test_graph6_malformed_lines_keep_their_messages():
                         assert (g.n, g.adj) == expected, repr(bad)
                         outcomes["graph"] += 1
     assert outcomes["graph"] > 100 and outcomes["error"] > 1000, outcomes
+
+
+def test_graph6_kept_text_is_the_canonical_line():
+    # every line the decoder accepts, including the edits of the test above
+    # that it accepts, gives back the text the encoder writes for its graph
+    rng = random.Random(15)
+    accepted = 0
+    for n in list(range(12)) + [40, 61, 62, 63, 64]:
+        line = graph6_encode(Graph.from_adj(n, _random_adj(rng, n, 0.3)))
+        # the same graph with a long vertex count, canonical from n = 63 on
+        body = line[1:] if n <= 62 else line[4:]
+        long = "~" + "".join(chr(63 + (n >> shift & 63)) for shift in (12, 6, 0)) + body
+        for _ in range(8):
+            for text in _mutations(rng, line) + [long]:
+                try:
+                    g = graph6_decode(text)
+                except Graph6Error:
+                    continue
+                accepted += 1
+                assert graph6_encode(g) == oracles.graph6_encode(g.n, g.adj), repr(text)
+    assert accepted > 100
 
 
 @settings(max_examples=200, deadline=None)

@@ -10,17 +10,18 @@ bound, so any change to the dispatch order or the tie-breaking shows up here.
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import sys
 from collections import Counter
 
 import pytest
 
-from isolation_lab import bounds, graphs, prover
+from isolation_lab import bounds, cli, families, graphs, prover
 from isolation_lab.bounds import THEOREMS, bad_piece
 from isolation_lab.families import edge_family, exact_iota, is_isolating
-from isolation_lab.graphs import (Graph, bits, graph6_decode, iter_components, leaves,
-                                  named_graph)
+from isolation_lab.graphs import (Graph, bits, graph6_decode, is_connected, iter_components,
+                                  leaves, named_graph)
 from isolation_lab.prover import (
     Certificate,
     InternalConsistencyError,
@@ -181,6 +182,7 @@ def test_case_fixture(k, case, d_size, bound, n, edges):
     assert cert.trace[-1].case == case
     assert cert.d.bit_count() == d_size
     assert cert.bound == bound == THEOREMS[f"k{k}"].bound(g)
+    assert cert.leaves == leaves(g)
     fam = E2 if k == 2 else E3
     assert is_isolating(g, cert.d, fam)
     assert exact_iota(g, fam).value <= d_size <= bound
@@ -222,16 +224,19 @@ def test_sweep_witness(k, case, g6, d_size, bound):
     assert is_isolating(g, cert.d, E2 if k == 2 else E3)
 
 
-def test_success_path_builds_no_induced_subgraph(monkeypatch):
+def test_success_path_copies_only_exceptions_and_memo_keys(monkeypatch):
     # the prover works on pieces of the input in its own labels; the only
-    # relabelled copies are the pieces whose canonical form bad_piece needs
+    # relabelled copies are the pieces whose canonical form bad_piece needs,
+    # and the small-piece memo's keys: pieces of at most 7 vertices that
+    # hold an F-graph (an F-free piece is answered without a copy)
     original, canonical = graphs.induced_subgraph, bounds.canonical_form
-    built = []  # (calling function, the copy) per call
+    built = []  # (calling function, the bound's k, the copy) per call
     formed = {}  # id -> graph given to bad_piece's canonical_form, kept alive
+    k_now = 0
 
     def counting(g, keep):
         out = original(g, keep)
-        built.append((sys._getframe(1).f_code.co_name, out))
+        built.append((sys._getframe(1).f_code.co_name, k_now, out))
         return out
 
     def forming(g):
@@ -243,13 +248,17 @@ def test_success_path_builds_no_induced_subgraph(monkeypatch):
                 getattr(module, "induced_subgraph", None) is original:
             monkeypatch.setattr(module, "induced_subgraph", counting)
     monkeypatch.setattr(bounds, "canonical_form", forming)
-    for k, _, _, _, n, edges in ALL_FIXTURES:
-        _prove(k, Graph(n, edges))
-    for k, _, g6, _, _ in SWEEP_WITNESSES:
-        _prove(k, graph6_decode(g6))
-    assert built
-    for caller, h in built:
-        assert caller == "bad_piece" and formed.get(id(h)) is h
+    inputs = [(k, Graph(n, edges)) for k, _, _, _, n, edges in ALL_FIXTURES]
+    inputs += [(k, graph6_decode(g6)) for k, _, g6, _, _ in SWEEP_WITNESSES]
+    for k_now, g in inputs:
+        _prove(k_now, g)
+    assert {caller for caller, _, _ in built} == {"bad_piece", "piece_witness"}
+    for caller, k, h in built:
+        if caller == "bad_piece":
+            assert formed.get(id(h)) is h
+        else:
+            assert caller == "piece_witness"
+            assert h.n <= 7 and is_connected(h) and h.edge_count() >= k
 
 
 # certify-stream seed 1 chunk 0 of the benchmark: per (k, case), the trace
@@ -286,6 +295,45 @@ def test_certify_stream_counts_hold():
     assert sum(entries.values()) == 15421 and cert_sizes == 22250
     assert dict(entries) == STREAM_CASES
     assert digest.hexdigest() == STREAM_SHA256
+
+
+def test_shape_memo_changes_no_certificate():
+    # 300 graphs of the chunk above: each certificate (set, bound, trace and
+    # leaves) with the small-piece memo cleared before its graph is the one
+    # that a warm memo gives
+    inputs = [Graph.from_adj(len(adj), adj) for adj in graphgen.certify_stream(1, 0)][:300]
+    for k in (2, 3):
+        cold = []
+        for g in inputs:
+            families._shape_witness.cache_clear()
+            cold.append(_prove(k, g))
+        for _ in range(2):  # the first pass warms the memo for the second
+            assert [_prove(k, g) for g in inputs] == cold
+        assert families._shape_witness.cache_info().hits > 0
+
+
+def test_certify_scans_the_leaves_once(monkeypatch, tmp_path, capsys):
+    # the root step's degree pass gives the certificate's bound and the
+    # row's leaf count: neither Theorem.bound nor cli._row scans them again
+    callers = []
+    original = graphs.leaves
+
+    def counting(g, within=None):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return original(g, within)
+
+    for module in (bounds, cli):
+        monkeypatch.setattr(module, "leaves", counting)
+    inputs = [Graph.from_adj(len(adj), adj) for adj in graphgen.certify_stream(1, 0)[:200]]
+    source = tmp_path / "chunk.g6"
+    source.write_text("".join(f"{graphs.graph6_encode(g)}\n" for g in inputs))
+    for k in ("2", "3"):
+        assert cli.main(["certify", "--k", k, "--source", f"file:{source}",
+                         "--json", str(tmp_path / "rows.jsonl")]) == 0
+    capsys.readouterr()
+    assert "bound" not in callers and "_row" not in callers
+    rows = [json.loads(line) for line in (tmp_path / "rows.jsonl").read_text().splitlines()]
+    assert [row["leaves"] for row in rows] == [leaves(g).bit_count() for g in inputs]
 
 
 def test_one_degree_pass_gives_pivot_leaves_and_potentials(monkeypatch):
