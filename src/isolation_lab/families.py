@@ -11,8 +11,7 @@ is the one test of that rule.
 
 A vertex set D is F-isolating for G when G - N[D] contains no subgraph from
 F, and iota(G, F) is the minimum size of an F-isolating set.  ``exact_iota``
-computes it by depth-first branch and bound, and ``piece_witness`` answers
-a small connected piece once per shape (see the end of this docstring):
+computes it by depth-first branch and bound under iterative deepening:
 
 * isolation numbers add up over the components of G, so each component is
   solved on its own, and one that is F-free needs no search (the empty set
@@ -28,8 +27,26 @@ a small connected piece once per shape (see the end of this docstring):
   prunes with a packing bound: hitting sets that are pairwise disjoint each
   need their own vertex, so a greedy packing of them counts vertices that
   any isolating set of the node still needs;
-* one memo per call, keyed on ``alive``, holds the optimum of a node once
-  it is solved and the best lower bound proven for it otherwise;
+* ``exact_iota`` solves each component that holds an F-graph with the caps
+  1, 2, ... in turn, up to the component's size or the budget left, on one
+  ``_Search`` whose memo carries over from cap to cap (iterative
+  deepening; Korf, "Depth-first iterative-deepening", Artificial
+  Intelligence 1985).  ``solve(alive, cap)`` is a minimum isolating set of
+  g[alive] when one has at most ``cap`` vertices, else None, and it is only
+  asked when iota(alive) >= cap >= 1: the root at cap c only after cap
+  c - 1 returned None, and a child alive - N[u] at cap - 1 >= 1, since
+  only nodes with cap >= 2 branch, while iota(alive - N[u]) >=
+  iota(alive) - 1 (u and an isolating set of the child isolate the
+  node).  So every node's alive set holds
+  an F-graph, a set of ``cap`` vertices that a node finds is a minimum
+  one, and the node returns the first it finds: the first vertex of its
+  first smallest hood, in ascending order, whose child answers, with that
+  child's witness.  A None at cap c proves iota(alive) >= c + 1.  The
+  shallow caps repeat the top of the search, but no cap explores branches
+  that only a cap above the optimum lets through;
+* one memo per search, keyed on ``alive``, holds the optimum of a node once
+  it is solved and the best lower bound proven for it otherwise; a bound
+  only ends calls whose answer is None;
 * for E_k a node hands its trees to its children, as a table root ->
   (W, N_G[V(W)]) with W the vertices the breadth-first search chose (the
   whole component of the root when it has fewer than k edges, and the hood
@@ -51,46 +68,17 @@ a small connected piece once per shape (see the end of this docstring):
   lowest vertex of the first cyclic component.  Nodes with a table keep the
   shortest cycle over all roots, since their first smallest hood sets the
   branching order.
-* a node with cap 0 can neither pack nor branch: it returns (0, 0) when
-  ``hood`` is 0 and None otherwise, so it builds no table.  Where the
-  table would have stored its packing, the node stores the bound 1.  This
-  changes nothing: a later call on the same alive set with cap 0 returns
-  None at once under either bound, and one with a larger cap builds the
-  table, packs the same hoods to the same bound and returns what it
-  returned before.
-* a node with cap 1 only asks whether one vertex u is enough, that is,
-  whether g[alive - N[u]] is F-free.  Such a u lies in every hood of the
-  node, since deleting N[u] for u outside a hood leaves its W whole.  So
-  the node takes one hood h and, while h is not empty, tries its lowest
-  vertex u: it returns (1, {u}) when ``hood`` finds nothing in
-  alive - N[u], and otherwise cuts h down to that hood h', which misses u
-  because its W avoids N[u].  Every vertex that h loses is not enough, so
-  the first u that is enough is the least one, which is the witness the
-  table path returned after branching over its first smallest hood in
-  ascending order.  When h runs empty, no vertex is enough, and the node
-  stores the bound 2 and returns None, as the table path did; a stored
-  bound only ends calls whose answer is None, so later nodes return what
-  they returned before.
-
-* ``exact_iota`` solves each component with the caps 0, 1, 2, ... in
-  turn, up to the old single cap (the component's size, or the budget
-  left), on one ``_Search`` whose memo carries over from cap to cap
-  (iterative deepening; Korf, "Depth-first iterative-deepening",
-  Artificial Intelligence 1985).  The witness does not depend on the cap:
-  a call returns None exactly when every isolating set of its alive set
-  is larger than its cap, and otherwise the first minimum in branching
-  order.  A table node that finds a set of size c lowers its cap to c - 1
-  and replaces the set only by a smaller one, so it returns the least
-  value at the first vertex of its first smallest hood that attains it,
-  with that child's witness; the cap-0 and cap-1 rules return what the
-  table path returns, as argued above; and a memo entry is either that
-  optimum and witness or a proven lower bound, which only ends calls
-  whose answer is None.  So by induction on the alive set, the first cap
-  that answers is iota of the component, and its answer is the witness
-  that the single cap returned.  The shallow caps repeat the top of the
-  search, but the deep cap no longer explores branches that only a large
-  cap lets through.  Both families deepen: the argument reads only the
-  hoods, which for cycles are the closed neighbourhoods of short cycles.
+* a node with cap 1 builds no table: it only asks whether one vertex u is
+  enough, that is, whether g[alive - N[u]] is F-free.  Such a u lies in
+  every hood of the node, since deleting N[u] for u outside a hood leaves
+  its W whole.  So the node takes one hood h and, while h is not empty,
+  tries its lowest vertex u: it returns (1, {u}) when ``hood`` finds
+  nothing in alive - N[u], and otherwise cuts h down to that hood h',
+  which misses u because its W avoids N[u].  Every vertex that h loses is
+  not enough, so the first u that is enough is the least one, which is the
+  witness that branching over the first smallest hood in ascending order
+  would return.  When h runs empty, no vertex is enough, and the node
+  stores the bound 2 and returns None.
 
 ``alive`` is not split into its components below the top level.  A vertex
 outside ``alive`` can be adjacent to two of its components and isolate both
@@ -98,17 +86,10 @@ with one choice, so the optima of the components do not add up.
 
 All searches are deterministic: components in ascending order, hitting
 sets of equal size by root in ascending order, candidate vertices in
-ascending index order.  Every tie-break compares vertex indices, directly
-or through a stable sort over them: the ranking of neighbours, the roots
-of a table, the smallest-first order of hoods, the breadth-first searches,
-the cycle kept and the branching order.  Nothing outside ``within`` is
-read.  So a relabelling that keeps the order of the vertices of
-``within`` maps each step of a search to the same step of the search on
-the relabelled graph, and the witness with it: ``exact_iota(g, fam,
-within=piece)`` returns the witness of ``exact_iota(induced_subgraph(g,
-piece), fam)`` read back through the piece's vertex order.  This is what
-lets ``piece_witness`` solve a small piece once per shape, its relabelled
-copy, rather than once per place where it occurs.
+ascending index order.  ``piece_witness`` solves a connected piece as its
+relabelled copy ``induced_subgraph(g, piece)`` and keeps the witnesses of
+the last copies, so a small piece is solved once per shape rather than
+once per place where it occurs.
 """
 
 from __future__ import annotations
@@ -233,22 +214,17 @@ def _short_cycle(g: Graph, comp: int) -> int:
 
 
 class _Search:
-    """Branch and bound over the alive sets of g induced on ``within``, for
-    one family.  Closed neighbourhoods are cut to ``within``, and only its
-    members have table entries: a vertex outside it neither isolates nor
-    witnesses anything."""
+    """Branch and bound over the alive sets of g, for one family."""
 
-    def __init__(self, g: Graph, fam: FamilySpec, within: int):
+    def __init__(self, g: Graph, fam: FamilySpec):
         self.g = g
         self.fam = fam
-        self.within = within
-        self.closed = closed = {v: (g.adj[v] | 1 << v) & within for v in bits(within)}
+        self.closed = closed = [nbrs | 1 << v for v, nbrs in enumerate(g.adj)]
         if fam.kind == "edges":
-            size = {v: hood.bit_count() for v, hood in closed.items()}
+            size = [hood.bit_count() for hood in closed]
             # neighbours with small closed neighbourhoods first: witnesses
             # grown from them have small hitting sets, which pack better
-            self.ranked = {v: sorted(bits(g.adj[v] & within), key=size.__getitem__)
-                           for v in closed}
+            self.ranked = [sorted(bits(nbrs), key=size.__getitem__) for nbrs in g.adj]
         # alive -> (value, mask) once solved, or a proven lower bound (int)
         self.memo: dict = {}
 
@@ -266,7 +242,7 @@ class _Search:
         if self.fam.kind != "edges":
             g = self.g
             cycles = (_short_cycle(g, comp) for comp in iter_components(g, alive))
-            found = [closed_neighborhood(g, cyc) & self.within for cyc in cycles if cyc]
+            found = [closed_neighborhood(g, cyc) for cyc in cycles if cyc]
             return sorted(found, key=int.bit_count), None
         tree_hood, gone = self.tree_hood, ~alive
         # with no parent table every root regrows: a W of -1 meets ``gone``
@@ -304,19 +280,19 @@ class _Search:
         return chosen, hood
 
     def hood(self, alive: int, trees: Optional[dict]) -> int:
-        """N_G[V(W)] cut to ``within`` for one F-graph W in g[alive], or 0
-        when g[alive] is F-free.  For E_k, an entry of ``trees`` (a table of
-        a node whose alive set contains ``alive``) with a hood and with W
-        inside ``alive`` is still a k-edge witness; failing that, trees are
-        grown from the lowest unvisited roots until one has a hood.  For
-        cycles, W is the cycle that one breadth-first search closes from the
-        lowest vertex of the first cyclic component."""
+        """N_G[V(W)] for one F-graph W in g[alive], or 0 when g[alive] is
+        F-free.  For E_k, an entry of ``trees`` (a table of a node whose
+        alive set contains ``alive``) with a hood and with W inside
+        ``alive`` is still a k-edge witness; failing that, trees are grown
+        from the lowest unvisited roots until one has a hood.  For cycles,
+        W is the cycle that one breadth-first search closes from the lowest
+        vertex of the first cyclic component."""
         if self.fam.kind != "edges":
             g = self.g
             for comp in iter_components(g, alive):
                 cyc = _bfs_cycle(g, comp, (comp & -comp).bit_length() - 1)
                 if cyc:
-                    return closed_neighborhood(g, cyc) & self.within
+                    return closed_neighborhood(g, cyc)
             return 0
         if trees is not None:
             gone = ~alive
@@ -334,23 +310,17 @@ class _Search:
     def solve(self, alive: int, cap: int,
               trees: Optional[dict] = None) -> Optional[tuple[int, int]]:
         """(value, mask) of a minimum isolating set of g[alive] if its size
-        is at most ``cap``, else None.  ``trees`` are the parent node's, as
-        ``hoods`` takes them."""
+        is at most ``cap``, else None.  Asked only when iota(alive) >= cap
+        >= 1 (see the module docstring), so the first set found is minimum.
+        ``trees`` are the parent node's, as ``hoods`` takes them."""
         known = self.memo.get(alive, 0)
         if isinstance(known, tuple):
             return known if known[0] <= cap else None
         if known > cap:
             return None
-        if cap <= 1:
-            # no packing and no table: one hood, and for cap 1 the least
-            # vertex that meets every hood
+        if cap == 1:
+            # no packing and no table: the least vertex that meets every hood
             hood = self.hood(alive, trees)
-            if not hood:
-                self.memo[alive] = (0, 0)
-                return 0, 0
-            if cap == 0:
-                self.memo[alive] = 1
-                return None
             while hood:
                 u = (hood & -hood).bit_length() - 1
                 other = self.hood(alive & ~self.closed[u], trees)
@@ -361,45 +331,37 @@ class _Search:
             self.memo[alive] = 2
             return None
         hoods, trees = self.hoods(alive, trees)
-        if not hoods:
-            self.memo[alive] = (0, 0)
-            return 0, 0
         used = packed = 0
         for hood in hoods:
             if not hood & used:
                 used |= hood
                 packed += 1
-        lower = max(known, packed)
-        if lower > cap:
-            self.memo[alive] = lower
+        if packed > cap:
+            self.memo[alive] = packed
             return None
-        best = None
         for u in bits(hoods[0]):
             got = self.solve(alive & ~self.closed[u], cap - 1, trees)
             if got is not None:
-                best = got[0] + 1, got[1] | 1 << u
-                cap = best[0] - 1
-                if cap < lower:
-                    break
-        self.memo[alive] = cap + 1 if best is None else best
-        return best
+                self.memo[alive] = best = got[0] + 1, got[1] | 1 << u
+                return best
+        self.memo[alive] = cap + 1
+        return None
 
 
-def exact_iota(g: Graph, fam: FamilySpec, budget: Optional[int] = None,
-               within: Optional[int] = None) -> Optional[IsolationResult]:
-    """Minimum F-isolating set of g (or of g induced on ``within``), exactly.
+def exact_iota(g: Graph, fam: FamilySpec,
+               budget: Optional[int] = None) -> Optional[IsolationResult]:
+    """Minimum F-isolating set of g, exactly.
 
     Components are solved independently and the optima added up.  When
     ``budget`` is given and every isolating set needs more than ``budget``
     vertices, returns None (a distinct "exceeds budget" outcome, not an
     error), so sweeps can skip expensive graphs gracefully.  The witness is
-    a mask in g's labels, inside ``within``.
+    a mask in g's labels.
     """
-    host = g.vertex_mask if within is None else within
     search = None
     value = 0
     mask = 0
-    for comp in iter_components(g, host):
+    for comp in iter_components(g):
         # taking every vertex always isolates
         cap = comp.bit_count() if budget is None else budget - value
         if cap < 0:
@@ -407,13 +369,13 @@ def exact_iota(g: Graph, fam: FamilySpec, budget: Optional[int] = None,
         if not _comp_contains(g, comp, fam):
             continue  # F-free: the empty set isolates it, no search needed
         if search is None:
-            search = _Search(g, fam, host)
-        # the first of the caps 0, 1, 2, ... that the optimum fits
-        for tried in range(cap + 1):
+            search = _Search(g, fam)
+        # the first of the caps 1, 2, ... that the optimum fits
+        for tried in range(1, cap + 1):
             got = search.solve(comp, tried)
             if got is not None:
                 break
-        if got is None:
+        else:
             return None
         value += got[0]
         mask |= got[1]
@@ -421,15 +383,15 @@ def exact_iota(g: Graph, fam: FamilySpec, budget: Optional[int] = None,
 
 
 def piece_witness(g: Graph, piece: int, fam: FamilySpec) -> int:
-    """The witness of ``exact_iota(g, fam, within=piece)`` for a connected
-    piece, solved once per shape.
+    """The witness of the copy ``induced_subgraph(g, piece)`` of a connected
+    piece, read back in g's labels through the piece's vertex order, and
+    solved once per shape.
 
     An F-free piece gets the empty set from ``_comp_contains`` alone.  Any
-    other piece is solved as its relabelled copy ``induced_subgraph(g,
-    piece)``, whose witness is kept for the last ``_SHAPE_MEMO`` copies and
-    mapped back through the piece's vertex order.  Meant for small pieces:
-    a copy costs a pass over the piece, which only pays where the search
-    is short and shapes repeat.
+    other piece's copy is solved by ``exact_iota``, and its witness is kept
+    for the last ``_SHAPE_MEMO`` copies.  Meant for small pieces: a copy
+    costs a pass over the piece, which only pays where the search is short
+    and shapes repeat.
     """
     if not _comp_contains(g, piece, fam):
         return 0

@@ -12,7 +12,8 @@ The construction mirrors the inductive argument that proves the bounds:
   the step reads adjacency, degrees, leaves and potentials in G, and its
   isolating set comes back in the input's labels;
 * pieces on at most 7 vertices are solved exactly (the bound is known to
-  hold for them outright) by ``families.piece_witness``, once per shape;
+  hold for them outright) by ``families.piece_witness``, once per shape,
+  and an input graph that small by ``families.exact_iota`` itself;
 * paths and cycles get the periodic pattern sets;
 * otherwise pick a maximum-degree vertex v and remove N[v].  A component
   H of the remainder is "bad" when its isolation number exceeds its share
@@ -51,7 +52,7 @@ from typing import NamedTuple, Optional
 
 from .bounds import THEOREMS, bad_piece, classify_exception
 from .constructions import pattern_isolating_set
-from .families import is_isolating, piece_witness
+from .families import exact_iota, is_isolating, piece_witness
 from .graphs import (
     Graph,
     bits,
@@ -561,7 +562,9 @@ _PIVOTLESS = ("exact-base", "path-pattern", "cycle-pattern")
 def _step(prover: _Prover, g: Graph, piece: int, v: int, lg: int) -> _Step:
     """The proof step for a connected piece with pivot v and leaf mask lg."""
     if piece.bit_count() <= _SMALL_EXACT:
-        return "exact-base", piece_witness(g, piece, prover.fam), []
+        # only the root gets here, since _dispatch solves small children
+        # itself: the piece is all of g, so g needs no copy and no memo slot
+        return "exact-base", exact_iota(g, prover.fam).witness, []
     nbrs = g.adj[v] & piece
     if nbrs.bit_count() <= 2:
         return _pattern_case(prover, g, piece, lg)

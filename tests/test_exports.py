@@ -6,7 +6,9 @@ A name in ``isolation_lab.__all__``, or a public method of a class in it,
 that only the tests use is a helper the package does not need, and a
 function, class or constant outside ``__all__`` that nothing reads is left
 over from an edit or kept for the tests; the scans below find them.  An
-underscore name is used only in its own module.
+underscore name is used only in its own module, and a defaulted parameter
+of an exported function that no package call passes is a mode kept for
+the tests.
 """
 
 from __future__ import annotations
@@ -114,3 +116,37 @@ def test_no_module_imports_another_modules_private_names():
                     and not node.attr.startswith("__"):
                 crossings.append(f"{path.stem} reads {node.value.id}.{node.attr}")
     assert not crossings, crossings
+
+
+def test_every_defaulted_parameter_is_passed_by_the_package():
+    # a parameter with a default on an exported function that no package
+    # call passes, by position or by keyword, is a mode only the tests use
+    defaulted: dict[str, dict[str, int]] = {}  # function -> parameter -> position
+    calls: list[ast.Call] = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        calls += [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+        for stmt in tree.body:
+            if isinstance(stmt, ast.FunctionDef) and stmt.name in isolation_lab.__all__:
+                a = stmt.args
+                params = a.posonlyargs + a.args
+                first = len(params) - len(a.defaults)
+                found = {p.arg: i for i, p in enumerate(params) if i >= first}
+                found |= {p.arg: -1 for p, d in zip(a.kwonlyargs, a.kw_defaults) if d}
+                defaulted[stmt.name] = found
+    passed: set[tuple[str, str]] = set()
+    for call in calls:
+        func = call.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name not in defaulted:
+            continue
+        starred = any(isinstance(arg, ast.Starred) for arg in call.args)
+        for param, pos in defaulted[name].items():
+            by_position = pos >= 0 and (starred or len(call.args) > pos)
+            # ``**kw`` may pass any keyword
+            by_keyword = any(kw.arg in (param, None) for kw in call.keywords)
+            if by_position or by_keyword:
+                passed.add((name, param))
+    unpassed = sorted(f"{name}.{param}" for name, params in defaulted.items()
+                      for param in params if (name, param) not in passed)
+    assert not unpassed, f"defaulted parameters no package call passes: {unpassed}"

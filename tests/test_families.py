@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 import random
 import sys
+from itertools import combinations
 from typing import Optional
 
 import pytest
@@ -82,12 +83,14 @@ def _oracle_clear(g: Graph, alive: int, fam: FamilySpec) -> bool:
     return True
 
 
-def naive_iota(g: Graph, fam: FamilySpec) -> int:
-    subsets = sorted(range(1 << g.n), key=lambda m: m.bit_count())
-    for d in subsets:
-        alive = g.vertex_mask & ~closed_neighborhood(g, d)
-        if _oracle_clear(g, alive, fam):
-            return d.bit_count()
+def naive_iota(g: Graph, fam: FamilySpec, alive: Optional[int] = None) -> int:
+    """iota of g, or of the search node ``alive``: the least size of a D
+    inside V(g) that leaves g[alive - N[D]] F-free."""
+    alive = g.vertex_mask if alive is None else alive
+    for size in range(g.n + 1):
+        for d in combinations(range(g.n), size):
+            if _oracle_clear(g, alive & ~closed_neighborhood(g, mask_of(d)), fam):
+                return size
     raise AssertionError("taking all vertices always isolates")
 
 
@@ -161,8 +164,8 @@ def test_family_free_pieces_skip_the_search(monkeypatch):
         assert exact_iota(Graph(1), fam) == IsolationResult(0, 0)
         assert exact_iota(path_graph(2), fam, budget=0) == IsolationResult(0, 0)
         for piece in (0b1, 0b10, 0b11, 0b11000, 0b10001):
-            assert exact_iota(g, fam, within=piece) == IsolationResult(0, 0)
-    assert exact_iota(g, E1, within=0b10100) == IsolationResult(0, 0)
+            assert exact_iota(induced_subgraph(g, piece), fam) == IsolationResult(0, 0)
+    assert exact_iota(induced_subgraph(g, 0b10100), E1) == IsolationResult(0, 0)
 
 
 def test_family_free_piece_over_a_negative_budget():
@@ -177,37 +180,66 @@ def _regrown(g: Graph, fam: FamilySpec, **kw) -> Optional[IsolationResult]:
     return None if got is None else IsolationResult(*got)
 
 
-def _searched(g: Graph, fam: FamilySpec, within: int) -> IsolationResult:
-    """exact_iota's answer taken from the search alone, component by component."""
-    search = families._Search(g, fam, within)
-    value = mask = 0
-    for comp in iter_components(g, within):
-        got = search.solve(comp, comp.bit_count())
-        value += got[0]
-        mask |= got[1]
-    return IsolationResult(value, mask)
+def _on_copy(g: Graph, fam: FamilySpec, piece: int, **kw) -> Optional[IsolationResult]:
+    """exact_iota's answer on the copy ``induced_subgraph(g, piece)``, with
+    the witness read back in g's labels through the piece's vertex order."""
+    got = exact_iota(induced_subgraph(g, piece), fam, **kw)
+    if got is None:
+        return None
+    old = tuple(bits(piece))
+    return IsolationResult(got.value, mask_of(old[i] for i in bits(got.witness)))
+
+
+def _pieces(g: Graph) -> list[int]:
+    """The whole graph and the pieces G - N[v] that a proof step leaves."""
+    return [g.vertex_mask] + [g.vertex_mask & ~closed_neighborhood(g, 1 << v)
+                              for v in range(g.n)]
 
 
 @pytest.mark.parametrize("fam", [E1, E2, E3, CYCLES],
                          ids=["e1", "e2", "e3", "cycles"])
 def test_exact_iota_agrees_with_the_search(fam, connected_upto):
-    # the whole graph and the pieces G - N[v] that a proof step leaves: the
-    # same value and witness from the search alone and from the plain
-    # solver that regrows every tree; at budget 0, where every node searched
-    # has cap 0, None exactly when the piece holds an F-graph; at budget 1,
-    # where a node takes the least vertex that meets every hood, the plain
-    # solver's answer
+    # on the copy of the whole graph and of each G - N[v], the same value
+    # and witness as the plain solver that regrows every tree, solving the
+    # piece in place; at budget 0, None exactly when the piece holds an
+    # F-graph; at budget 1, where a node takes the least vertex that meets
+    # every hood, the plain solver's answer
     for g in connected_upto(1, 7):
-        pieces = [g.vertex_mask] + [g.vertex_mask & ~closed_neighborhood(g, 1 << v)
-                                    for v in range(g.n)]
-        for piece in pieces:
-            got = exact_iota(g, fam, within=piece)
-            assert got == _searched(g, fam, piece) == _regrown(g, fam, within=piece)
-            free = exact_iota(g, fam, budget=0, within=piece)
+        for piece in _pieces(g):
+            assert _on_copy(g, fam, piece) == _regrown(g, fam, within=piece)
+            free = _on_copy(g, fam, piece, budget=0)
             assert (free is None) == families._contains_within(g, piece, fam)
             assert free in (None, IsolationResult(0, 0))
-            assert exact_iota(g, fam, budget=1, within=piece) == \
+            assert _on_copy(g, fam, piece, budget=1) == \
                 _regrown(g, fam, budget=1, within=piece)
+
+
+@pytest.mark.parametrize("fam", [E1, E2, E3, CYCLES],
+                         ids=["e1", "e2", "e3", "cycles"])
+def test_search_nodes_are_asked_at_most_their_optimum(fam, connected_upto, monkeypatch):
+    # the precondition of _Search.solve that deepening gives: every call,
+    # with no budget and with budgets 1 and 2, on the copy of every class
+    # n <= 7 and of each G - N[v], has 1 <= cap <= iota(alive), so the first
+    # set a node finds is a minimum one
+    asked = set()
+    solve = families._Search.solve
+
+    def recorded(self, alive, cap, trees=None):
+        asked.add((self.g, alive, cap))
+        return solve(self, alive, cap, trees)
+
+    monkeypatch.setattr(families._Search, "solve", recorded)
+    copies = dict.fromkeys(induced_subgraph(g, piece) for g in connected_upto(1, 7)
+                           for piece in _pieces(g))
+    for h in copies:  # 1,232 distinct copies
+        for budget in (None, 1, 2):
+            exact_iota(h, fam, budget=budget)
+    least = {}
+    for h, alive, cap in asked:
+        if (h, alive) not in least:
+            least[h, alive] = naive_iota(h, fam, alive)
+        assert 1 <= cap <= least[h, alive], (h.adj, alive, cap)
+    assert len(asked) > 1000
 
 
 def test_short_cycle_matches_the_oracle(connected_upto):
@@ -215,8 +247,7 @@ def test_short_cycle_matches_the_oracle(connected_upto):
     # component of every class n <= 8 and of each G - N[v]
     checked = 0
     for g in connected_upto(3, 8):
-        for piece in [g.vertex_mask] + [g.vertex_mask & ~closed_neighborhood(g, 1 << v)
-                                        for v in range(g.n)]:
+        for piece in _pieces(g):
             for comp in iter_components(g, piece):
                 if families._comp_contains(g, comp, CYCLES):
                     assert families._short_cycle(g, comp) == oracles._short_cycle(g.adj, comp)
@@ -310,7 +341,7 @@ def test_kept_trees_equal_fresh_ones():
         n = rng.randrange(6, 33)
         g = Graph.from_adj(n, graphgen.random_connected(rng, n, rng.choice((0.0, 0.05, 0.15))))
         for fam in (E1, E2, E3, edge_family(5)):
-            search = families._Search(g, fam, g.vertex_mask)
+            search = families._Search(g, fam)
             alive = g.vertex_mask
             trees = search.hoods(alive)[1]
             while alive:
@@ -351,7 +382,7 @@ def test_search_keeps_most_trees(monkeypatch):
     def counted_hoods(self, alive, trees=None):
         nonlocal visits
         # a node asks for its table before it calls any child
-        assert cap > 1, "a node with cap 0 or 1 builds no table"
+        assert cap > 1, "a node with cap 1 builds no table"
         visits += alive.bit_count()
         return hoods(self, alive, trees)
 
@@ -367,15 +398,17 @@ def test_search_keeps_most_trees(monkeypatch):
     assert exact_iota(g, E2).value == 5
     # 9,334 calls while every cap-1 node branched over its first hood with
     # cap-0 calls, and 1,282 with the cap-1 rule and one cap per component;
-    # deepening repeats the shallow caps.  A lost cap-1 rule or a lost
-    # deepening shows here
-    assert calls == 1402
+    # deepening repeats the shallow caps.  1,402 while deepening started at
+    # cap 0: the one component's cap-0 root call is gone.  A lost cap-1
+    # rule or a lost deepening shows here
+    assert calls == 1401
     assert grown < visits / 3
 
 
 def test_deepening_cuts_the_search_on_trees(monkeypatch):
     # three n = 64 random trees: one cap per component, set to the
-    # component's size, made 7,134 calls; the caps 0, 1, 2, ... make 1,324
+    # component's size, made 7,134 calls; the caps 0, 1, 2, ... made 1,324,
+    # and the caps 1, 2, ... make 1,321, one cap-0 root call fewer per tree
     calls = 0
     solve = families._Search.solve
 
@@ -389,14 +422,16 @@ def test_deepening_cuts_the_search_on_trees(monkeypatch):
     for _ in range(3):
         adj = graphgen.random_connected(rng, 64, 0.0)
         assert exact_iota(Graph.from_adj(64, adj), E2).value == checker.iota_e2(adj)
-    assert calls == 1324
+    assert calls == 1321
 
 
 # ===== pieces of a host graph ================================================
 #
 # The prover works on pieces of one graph, passed as ``within``.  On a piece,
-# the solver, the membership test, the leaf mask and the bad-piece test must
-# answer exactly as on the piece relabelled into a graph of its own.
+# the membership test, the leaf mask and the bad-piece test must answer
+# exactly as on the piece relabelled into a graph of its own, and the
+# solver's answer on that copy, read back in the host's labels, must be the
+# plain solver's answer on the piece in place.
 
 
 def _host_pieces(rng: random.Random, g: Graph) -> list[int]:
@@ -425,8 +460,8 @@ def _check_piece(rng: random.Random, g: Graph, piece: int, tags: set) -> None:
     assert leaves(g, piece) == host(leaves(h))
     assert g.edge_count(piece) == h.edge_count()
     for fam in (E1, E2, E3, CYCLES):
-        got, ref = exact_iota(g, fam, within=piece), exact_iota(h, fam)
-        assert (got.value, got.witness) == (ref.value, host(ref.witness))
+        ref = exact_iota(h, fam)
+        assert _regrown(g, fam, within=piece) == (ref.value, host(ref.witness))
         for local in (ref.witness, rng.getrandbits(h.n)):
             assert is_isolating(g, host(local), fam, within=piece) == \
                 is_isolating(h, local, fam)
@@ -452,9 +487,9 @@ def test_within_matches_the_induced_subgraph():
     hub = Graph(9, [(i, i + 1) for i in range(7)] + [(i, 8) for i in range(8)])
     _check_piece(rng, hub, mask_of(range(8)), tags)
     for fam in (E1, E2, E3):
-        got = exact_iota(hub, fam, within=mask_of(range(8)))
-        assert not got.witness >> 8 & 1
-        assert got.value == exact_iota(path_graph(8), fam).value > 0
+        got = piece_witness(hub, mask_of(range(8)), fam)
+        assert not got >> 8 & 1
+        assert got.bit_count() == exact_iota(path_graph(8), fam).value > 0
     for _ in range(12):
         n = rng.randrange(16, 41)
         g = Graph.from_adj(n, graphgen.random_connected(rng, n, rng.choice((0.0, 0.05, 0.1))))
@@ -465,10 +500,11 @@ def test_within_matches_the_induced_subgraph():
 
 
 def test_witness_follows_order_preserving_relabelling(connected_upto):
-    # the fact the small-piece memo rests on: every class n <= 7, placed at
-    # seeded order-keeping positions of a host on up to 20 vertices, with
-    # host edges among the other vertices and across to the piece, gets the
-    # witness of its own copy read back through the piece's vertex order
+    # every class n <= 7, placed at seeded order-keeping positions of a host
+    # on up to 20 vertices, with host edges among the other vertices and
+    # across to the piece: the plain solver on the piece in place and
+    # piece_witness both give the witness of its own copy read back through
+    # the piece's vertex order
     rng = random.Random(31)
     for h in connected_upto(1, 7):
         size = rng.randint(max(h.n, 8), 20)
@@ -484,16 +520,6 @@ def test_witness_follows_order_preserving_relabelling(connected_upto):
         for fam in (E1, E2, E3, CYCLES):
             ref = exact_iota(h, fam)
             lifted = mask_of(old[i] for i in bits(ref.witness))
-            assert exact_iota(host, fam, within=piece) == (ref.value, lifted)
+            assert _regrown(host, fam, within=piece) == (ref.value, lifted)
             assert piece_witness(host, piece, fam) == lifted
 
-
-def test_search_tables_hold_the_piece_only():
-    # a 3-vertex piece of a 64-vertex host gets 3-entry tables, each cut to
-    # the piece
-    piece = 0b111 << 30
-    search = families._Search(path_graph(64), E2, piece)
-    assert search.closed == {30: 0b11 << 30, 31: piece, 32: 0b110 << 30}
-    assert search.ranked == {30: [31], 31: [30, 32], 32: [31]}
-    # a cycles search grows no trees, so it ranks no neighbours
-    assert not hasattr(families._Search(path_graph(64), CYCLES, piece), "ranked")

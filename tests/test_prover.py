@@ -19,7 +19,7 @@ import pytest
 
 from isolation_lab import bounds, cli, families, graphs, prover
 from isolation_lab.bounds import THEOREMS, bad_piece
-from isolation_lab.families import edge_family, exact_iota, is_isolating
+from isolation_lab.families import edge_family, exact_iota, is_isolating, piece_witness
 from isolation_lab.graphs import (Graph, bits, graph6_decode, is_connected, iter_components,
                                   leaves, named_graph)
 from isolation_lab.prover import (
@@ -459,7 +459,7 @@ def _add_outside_vertex(run, g, piece, added, pieces):
 
 def _drop_a_child(run, g, piece, added, pieces):
     for child in pieces:
-        if exact_iota(g, run.fam, within=child).value:  # its solution is non-empty
+        if piece_witness(g, child, run.fam):  # its solution is non-empty
             return added, [c for c in pieces if c != child]
     return None
 
