@@ -156,17 +156,19 @@ class VerificationRecord(NamedTuple):
     violated: bool
 
 
-def check_bound(g: Graph, theorem: str, budget: Optional[int] = None) -> VerificationRecord:
+def check_bound(g: Graph, theorem: str, budget: Optional[int] = None, *,
+                leaf_mask: Optional[int] = None) -> VerificationRecord:
     """Solve iota exactly and compare against the bound.
 
     Exception graphs are recorded as such and the bound is not asserted for
     them.  ``violated`` must come out False for every non-exception connected
     graph; anything else means the implementation (not the mathematics) is
-    broken.
+    broken.  ``leaf_mask`` holds g's leaves where the caller has them, as
+    ``Theorem.bound`` takes it.
     """
     exception = classify_exception(g, theorem)
     th = THEOREMS[theorem]
-    bound = th.bound(g)
+    bound = th.bound(g, leaf_mask)
     got = exact_iota(g, th.family, budget=budget)
     if got is None:
         return VerificationRecord(None, None, bound, exception,

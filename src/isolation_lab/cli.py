@@ -293,8 +293,10 @@ def _sweep_one(g: Graph, theorem: str, budget: Optional[int]) -> tuple[dict, lis
     prover failures).  The sandwich iota <= |certificate| <= bound is checked
     here for the E_2/E_3 bounds.
     """
-    rec = check_bound(g, theorem, budget=budget)
-    row = _row(g, rec.iota, rec.bound, rec.exception, rec.tight)
+    leaf_mask = leaves(g)  # one scan for the bound and the row
+    rec = check_bound(g, theorem, budget=budget, leaf_mask=leaf_mask)
+    row = _row(g, rec.iota, rec.bound, rec.exception, rec.tight,
+               leaf_mask=leaf_mask)
     g6 = row["graph6"]
     problems: list[str] = []
     if rec.violated:
@@ -553,8 +555,10 @@ def cmd_solve(args) -> int:
         for g in _input_graphs(args, given):
             # the bounds, and so their exceptions, cover connected graphs only
             if theorem is not None and is_connected(g):
-                rec = check_bound(g, theorem, budget=budget)
-                row = _row(g, rec.iota, rec.bound, rec.exception, rec.tight)
+                leaf_mask = leaves(g)
+                rec = check_bound(g, theorem, budget=budget, leaf_mask=leaf_mask)
+                row = _row(g, rec.iota, rec.bound, rec.exception, rec.tight,
+                           leaf_mask=leaf_mask)
                 witness = rec.witness
             else:
                 got = exact_iota(g, fam, budget=budget)

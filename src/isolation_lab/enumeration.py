@@ -22,9 +22,17 @@ invariants, so that child passes the test too.
 
 The test is cheap.  Per parent, the components of P - u are computed once
 for every u; u is then a non-cut vertex of the child iff the mask meets
-every component of P - u.  The refinement runs only when another non-cut
-vertex ties with the new one on degree, and its colours are handed on to
-the canonical search.
+every component of P - u.  Colours are compared only when another non-cut
+vertex ties with the new one on degree, and most ties are settled by the
+first refinement round alone.  A round packs each vertex's old colour into
+the most significant digit of its signature, so it never reverses the
+order of two vertices that already have different colours: once the new
+vertex's colour differs from the largest colour of its ties, the sign of
+the difference is that of the stable colouring.  Every tie has the new
+vertex's degree, its round-0 colour, so round 1 compares only their
+neighbour counts per degree class, without ranking the other vertices.
+The child is refined to the stable colouring only when round 1 leaves the
+new vertex tied, and those colours are handed on to the canonical search.
 
 Orbit pruning is the within-parent half of McKay's canonical augmentation
 ("Isomorph-free exhaustive generation", J. Algorithms 1998).  An
@@ -87,15 +95,17 @@ buckets until stable.  The refinement is isomorphism-invariant, so the
 restricted minimum still is a canonical form.
 
 A refinement round packs each vertex's colour and its neighbour counts per
-colour class into one int, complemented so that the ints sort like
-(colour, sorted neighbour colours) tuples: the colour values are those the
-tuples give, which matters because the canonical-deletion test compares
-them.  The search for the minimum compares each new column with the best one at the
-same position, keeping a flag per level for "prefix equal to the best so
-far", and tries only the lowest unused vertex of a set of twins (u, v with
-N(u) - v = N(v) - u): swapping two twins is an automorphism that fixes
-every chosen vertex, so the minimum is unchanged.  That keeps complete
-graphs, complete bipartite graphs and stars linear instead of factorial.
+colour class into one int (``_signatures``, the one packing that both the
+rounds and the round-1 tie test read), complemented so that the ints sort
+like (colour, sorted neighbour colours) tuples: the colour values are
+those the tuples give, which matters because the canonical-deletion test
+compares them.  The search for the minimum compares each new column with
+the best one at the same position, keeping a flag per level for "prefix
+equal to the best so far", and tries only the lowest unused vertex of a
+set of twins (u, v with N(u) - v = N(v) - u): swapping two twins is an
+automorphism that fixes every chosen vertex, so the minimum is unchanged.
+That keeps complete graphs, complete bipartite graphs and stars linear
+instead of factorial.
 
 External streams: one graph6 line per graph, optional ">>graph6<<" header,
 malformed lines reported with their line number and either skipped or fatal
@@ -120,36 +130,51 @@ _CANONICAL_MEMO = 1024
 # ===== Canonical form ========================================================
 
 
+def _signatures(adj: tuple[int, ...], colors: list[int],
+                vertices: Iterable[int]) -> list[int]:
+    """Each of ``vertices``'s signature in one refinement round of the graph
+    with adjacency ``adj`` under ``colors``: its colour, then per colour
+    class, in increasing colour order, n minus its number of neighbours in
+    the class, one digit of n.bit_length() bits each.  The colour is the
+    most significant digit, so a round never reverses the order of two
+    vertices of different colours."""
+    n = len(adj)
+    width = n.bit_length()  # one digit holds 0..n
+    members: dict[int, int] = {}
+    for v, c in enumerate(colors):
+        members[c] = members.get(c, 0) | 1 << v
+    masks = [members[c] for c in sorted(members)]
+    sigs = []
+    for v in vertices:
+        c = colors[v]
+        a = adj[v]
+        for m in masks:
+            c = c << width | n - (a & m).bit_count()
+        sigs.append(c)
+    return sigs
+
+
 def _refined_colors(g: Graph) -> list[int]:
     """Stable vertex colouring: degree, iteratively refined by neighbours.
 
     A round ranks each vertex by (its colour, the sorted colours of its
-    neighbours).  That tuple is packed into one int: the colour, then per
-    colour class, in increasing colour order, n minus the vertex's number
-    of neighbours in the class.  Vertices of one colour have one degree, and
-    two sorted multisets of one size compare like their negated count
-    vectors, so the ranks are those of the tuples.
+    neighbours), through its ``_signatures`` int.  Vertices of one colour
+    have one degree, and two sorted multisets of one size compare like
+    their negated count vectors, so the ranks are those of the tuples.
     """
     n = g.n
     adj = g.adj
-    width = n.bit_length()  # one digit holds 0..n
     colors = [a.bit_count() for a in adj]
+    classes = len(set(colors))
     for _ in range(n):
-        members: dict[int, int] = {}
-        for v, c in enumerate(colors):
-            members[c] = members.get(c, 0) | 1 << v
-        masks = [members[c] for c in sorted(members)]
-        sigs = []
-        for c, a in zip(colors, adj):
-            for m in masks:
-                c = c << width | n - (a & m).bit_count()
-            sigs.append(c)
+        sigs = _signatures(adj, colors, range(n))
         palette = {key: i for i, key in enumerate(sorted(set(sigs)))}
         colors = [palette[s] for s in sigs]
         # no class split (or none can split any more): further rounds
         # would return these values unchanged
-        if len(palette) == len(masks) or len(palette) == n:
+        if len(palette) == classes or len(palette) == n:
             break
+        classes = len(palette)
     return colors
 
 
@@ -315,19 +340,28 @@ def _children(parent: Graph) -> list[int]:
                 tried |= _orbit(mask, gens)
             if ties:
                 child = _child(parent, mask)
-                colors = _refined_colors(child)
-                top = max(colors[u] for u in ties)
-                if top > colors[new]:
+                adj = child.adj
+                # no round reverses an order, so round 1 decides when it
+                # tells the new vertex from its ties; they share its degree,
+                # and round 1 compares their counts per degree class
+                *others, mine = _signatures(adj, [a.bit_count() for a in adj],
+                                            ties + [new])
+                if max(others) > mine:
                     continue
-                if top == colors[new]:  # another vertex passes as well
-                    # keep the child iff its new vertex shares an
-                    # Aut(child) orbit with the canonical deletion vertex
-                    auts: list[list[int]] = []
-                    _, best = _search(child, colors, auts)
-                    first = next(v for v in best if colors[v] == top
-                                 and (v == new or v in ties))
-                    if 1 << new not in _orbit(1 << first, auts):
+                if max(others) == mine:  # still tied: the stable colours decide
+                    colors = _refined_colors(child)
+                    top = max(colors[u] for u in ties)
+                    if top > colors[new]:
                         continue
+                    if top == colors[new]:  # another vertex passes as well
+                        # keep the child iff its new vertex shares an
+                        # Aut(child) orbit with the canonical deletion vertex
+                        auts: list[list[int]] = []
+                        _, best = _search(child, colors, auts)
+                        first = next(v for v in best if colors[v] == top
+                                     and (v == new or v in ties))
+                        if 1 << new not in _orbit(1 << first, auts):
+                            continue
             out.append(mask)
     return out
 

@@ -22,7 +22,11 @@ computes it by depth-first branch and bound under iterative deepening:
   whole.  Small witnesses W supply these hitting sets: for E_k a k-edge
   subtree grown breadth first from each alive vertex (for E_2, a P_3),
   taking neighbours with small closed neighbourhoods first; for cycles a
-  short cycle in each cyclic component of g[alive];
+  short cycle in each cyclic component of g[alive].  A vertex's neighbours
+  are ranked the first time a tree grows through it.  The ranking, by
+  closed-neighbourhood size and then by index, is a function of g alone,
+  so ranking on demand rather than every vertex up front gives every tree
+  the same vertices in the same order, and changes no hood or witness;
 * the search branches on the vertices of the smallest hitting set, and it
   prunes with a packing bound: hitting sets that are pairwise disjoint each
   need their own vertex, so a greedy packing of them counts vertices that
@@ -221,10 +225,9 @@ class _Search:
         self.fam = fam
         self.closed = closed = [nbrs | 1 << v for v, nbrs in enumerate(g.adj)]
         if fam.kind == "edges":
-            size = [hood.bit_count() for hood in closed]
-            # neighbours with small closed neighbourhoods first: witnesses
-            # grown from them have small hitting sets, which pack better
-            self.ranked = [sorted(bits(nbrs), key=size.__getitem__) for nbrs in g.adj]
+            # per vertex, its neighbours in the order trees take them,
+            # sorted the first time a tree grows through it (None before)
+            self.ranked: list[Optional[list[int]]] = [None] * g.n
         # alive -> (value, mask) once solved, or a proven lower bound (int)
         self.memo: dict = {}
 
@@ -265,7 +268,14 @@ class _Search:
         while layer:
             nxt = []
             for v in layer:
-                for w in ranked[v]:
+                order = ranked[v]
+                if order is None:
+                    # neighbours with small closed neighbourhoods first:
+                    # witnesses grown from them have small hitting sets,
+                    # which pack better
+                    order = ranked[v] = sorted(
+                        bits(self.g.adj[v]), key=lambda w: closed[w].bit_count())
+                for w in order:
                     if alive >> w & 1 and not chosen >> w & 1:
                         chosen |= 1 << w
                         hood |= closed[w]

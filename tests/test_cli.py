@@ -17,8 +17,9 @@ import sys
 
 import pytest
 
-from isolation_lab import cli
+from isolation_lab import bounds, cli, graphs
 from isolation_lab.bounds import THEOREMS, check_bound
+from isolation_lab.enumeration import connected_graphs
 from isolation_lab.graphs import Graph, graph6_decode, graph6_encode, named_graph
 from isolation_lab.prover import InternalConsistencyError, isolate_k2
 
@@ -99,14 +100,40 @@ def test_builtin_graphs_are_never_decoded(command, monkeypatch, capsys):
 
 
 def test_sweep_reports_violations(monkeypatch, capsys):
-    def lying_check(g, theorem, budget=None):
-        return check_bound(g, theorem, budget=budget)._replace(violated=True)
+    def lying_check(g, theorem, budget=None, *, leaf_mask=None):
+        return check_bound(g, theorem, budget=budget,
+                           leaf_mask=leaf_mask)._replace(violated=True)
 
     monkeypatch.setattr(cli, "check_bound", lying_check)
     code, out, _ = run(["sweep", "--family", "e1", "--n-min", "4",
                         "--n-max", "4"], capsys)
     assert code == 1
     assert "VIOLATION" in out
+
+
+@pytest.mark.parametrize("command", ["sweep", "solve"])
+def test_each_row_scans_the_leaves_once(command, tmp_path, monkeypatch, capsys):
+    # one scan gives the row's leaf count and the bound: Theorem.bound and
+    # _row scan none
+    callers = []
+    original = graphs.leaves
+
+    def counting(g, within=None):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return original(g, within)
+
+    for module in (bounds, cli):
+        monkeypatch.setattr(module, "leaves", counting)
+    inputs = [g for n in range(1, 7) for g in connected_graphs(n)]
+    source = tmp_path / "inputs.g6"
+    source.write_text("".join(f"{graph6_encode(g)}\n" for g in inputs))
+    report = tmp_path / "rows.jsonl"
+    code, _, _ = run([command, "--family", "e2", "--source", f"file:{source}",
+                      "--json", str(report)], capsys)
+    rows = [json.loads(line) for line in report.read_text().splitlines()]
+    assert code == 0 and len(rows) == len(inputs) == 143
+    assert "bound" not in callers and "_row" not in callers
+    assert [row["leaves"] for row in rows] == [original(g).bit_count() for g in inputs]
 
 
 def _failing_prover(g):

@@ -22,6 +22,7 @@ from isolation_lab.graphs import (
     cycle_graph,
     graph6_encode,
     is_connected,
+    iter_components,
     path_graph,
     star_graph,
 )
@@ -205,6 +206,108 @@ def test_children_keep_one_per_class(connected_upto):
     assert kept == sum(KNOWN_CONNECTED_COUNTS[2:8])
     # of the 281 children searched at n = 7, one is rejected
     assert tied == 280 + 58 + 13 + 5 + 2 + 1
+
+
+def _children_refined_first(parent: Graph, refined_colors) -> list[int]:
+    """``enumeration._children`` deciding every tie on the stable colours,
+    as the reference for the round-1 decision."""
+    new = parent.n
+    degree = [a.bit_count() for a in parent.adj]
+    order = sorted(range(new), key=degree.__getitem__)
+    splits = [list(iter_components(parent, parent.vertex_mask & ~(1 << u)))
+              for u in range(new)]
+    gens: list[list[int]] = []
+    enumeration._search(parent, refined_colors(parent), gens)
+    tried: set[int] = set()
+    out = []
+    for mask in range(1, 1 << new):
+        d = mask.bit_count()
+        ties = []
+        for u in order:
+            du = degree[u] + (mask >> u & 1)
+            if du > d:
+                continue
+            if all(mask & c for c in splits[u]):
+                if du < d:
+                    break
+                ties.append(u)
+        else:
+            if gens:
+                if mask in tried:
+                    continue
+                tried |= enumeration._orbit(mask, gens)
+            if ties:
+                child = enumeration._child(parent, mask)
+                colors = refined_colors(child)
+                top = max(colors[u] for u in ties)
+                if top > colors[new]:
+                    continue
+                if top == colors[new]:
+                    auts: list[list[int]] = []
+                    _, best = enumeration._search(child, colors, auts)
+                    first = next(v for v in best if colors[v] == top
+                                 and (v == new or v in ties))
+                    if 1 << new not in enumeration._orbit(1 << first, auts):
+                        continue
+            out.append(mask)
+    return out
+
+
+def test_round_one_keeps_the_children_of_full_refinement(connected_upto, monkeypatch):
+    # a child whose round-1 signatures tell its new vertex from its ties is
+    # decided there; the kept masks must be those of deciding every tie on
+    # the stable colours, at n <= 8 and on a sample of level 9
+    real = enumeration._refined_colors
+    refined = 0
+
+    def counted(g):
+        nonlocal refined
+        refined += 1
+        return real(g)
+
+    monkeypatch.setattr(enumeration, "_refined_colors", counted)
+    parents = connected_upto(1, 7)
+    for parent in parents:
+        assert enumeration._children(parent) == _children_refined_first(parent, real)
+    # generation n <= 8: one refinement per parent, and one per child whose
+    # tie round 1 leaves (4,144 of the 12,252 children with a tie)
+    assert refined - len(parents) <= 4144
+    for parent in connected_upto(8, 8)[::40]:
+        assert enumeration._children(parent) == _children_refined_first(parent, real)
+
+
+def _rounds(g: Graph) -> list[list[int]]:
+    """The colourings of g from the degrees on, one per refinement round,
+    n + 1 rounds whether or not a round splits a class."""
+    colors = [a.bit_count() for a in g.adj]
+    out = [colors]
+    for _ in range(g.n + 1):
+        sigs = enumeration._signatures(g.adj, colors, range(g.n))
+        rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        colors = [rank[s] for s in sigs]
+        out.append(colors)
+    return out
+
+
+def test_refinement_never_reverses_an_order(connected_upto):
+    # the round-1 decision is exact only because a round keeps the order of
+    # any two vertices of different colours: the old colour is the leading
+    # digit of every signature
+    rng = random.Random(11)
+    for g in connected_upto(1, 7):
+        for h in (g, _relabelled(g, rng), _relabelled(g, rng)):
+            rounds = _rounds(h)
+            for r, earlier in enumerate(rounds):
+                classes: dict[int, list[int]] = {}
+                for v, c in enumerate(earlier):
+                    classes.setdefault(c, []).append(v)
+                ordered = [classes[c] for c in sorted(classes)]
+                for later in rounds[r + 1:]:
+                    for low, high in zip(ordered, ordered[1:]):
+                        assert (max(later[v] for v in low)
+                                < min(later[v] for v in high)), graph6_encode(h)
+            # the early stop loses nothing: later rounds change no colour
+            assert rounds[-1] == enumeration._refined_colors(h), graph6_encode(h)
 
 
 def test_search_ordering_gives_the_key(connected_upto):
