@@ -35,22 +35,28 @@ computes it by depth-first branch and bound under iterative deepening:
   1, 2, ... in turn, up to the component's size or the budget left, on one
   ``_Search`` whose memo carries over from cap to cap (iterative
   deepening; Korf, "Depth-first iterative-deepening", Artificial
-  Intelligence 1985).  ``solve(alive, cap)`` is a minimum isolating set of
-  g[alive] when one has at most ``cap`` vertices, else None, and it is only
-  asked when iota(alive) >= cap >= 1: the root at cap c only after cap
-  c - 1 returned None, and a child alive - N[u] at cap - 1 >= 1, since
-  only nodes with cap >= 2 branch, while iota(alive - N[u]) >=
-  iota(alive) - 1 (u and an isolating set of the child isolate the
-  node).  So every node's alive set holds
-  an F-graph, a set of ``cap`` vertices that a node finds is a minimum
-  one, and the node returns the first it finds: the first vertex of its
-  first smallest hood, in ascending order, whose child answers, with that
-  child's witness.  A None at cap c proves iota(alive) >= c + 1.  The
-  shallow caps repeat the top of the search, but no cap explores branches
-  that only a cap above the optimum lets through;
-* one memo per search, keyed on ``alive``, holds the optimum of a node once
-  it is solved and the best lower bound proven for it otherwise; a bound
-  only ends calls whose answer is None;
+  Intelligence 1985).  ``solve(alive, cap)`` is the mask of a minimum
+  isolating set of g[alive] when one has at most ``cap`` vertices, else
+  None, and it is only asked when iota(alive) >= cap >= 1: the root at cap
+  c only after cap c - 1 returned None, and a child alive - N[u] at
+  cap - 1 >= 1, since only nodes with cap >= 2 branch, while
+  iota(alive - N[u]) >= iota(alive) - 1 (u and an isolating set of the
+  child isolate the node).  So every node's alive set holds an F-graph, a
+  set that a node finds is a minimum one, and the node returns the first
+  it finds: the first vertex u of its first smallest hood, in ascending
+  order, whose child answers, added to that child's set.  The child's set
+  has cap - 1 vertices and misses u: each of its vertices lies in a hood
+  N_G[V(W)] of a node at or below the child, with W inside alive - N_G[u].
+  So a set that a node returns has exactly ``cap`` vertices, and
+  ``exact_iota`` adds the cap that answered.  A None at cap c proves
+  iota(alive) >= c + 1.  The shallow caps repeat the top of the search,
+  but no cap explores branches that only a cap above the optimum lets
+  through;
+* one memo per search, keyed on ``alive``, holds the best lower bound
+  proven for a node, and a bound only ends calls whose answer is None.  A
+  set that a node finds returns at once through every ancestor to the
+  root, which ends the deepening of its component, so a solved alive set
+  is never asked again and the memo holds lower bounds only;
 * for E_k a node hands its trees to its children, as a table root ->
   (W, N_G[V(W)]) with W the vertices the breadth-first search chose (the
   whole component of the root when it has fewer than k edges, and the hood
@@ -76,7 +82,7 @@ computes it by depth-first branch and bound under iterative deepening:
   enough, that is, whether g[alive - N[u]] is F-free.  Such a u lies in
   every hood of the node, since deleting N[u] for u outside a hood leaves
   its W whole.  So the node takes one hood h and, while h is not empty,
-  tries its lowest vertex u: it returns (1, {u}) when ``hood`` finds
+  tries its lowest vertex u: it returns {u} when ``hood`` finds
   nothing in alive - N[u], and otherwise cuts h down to that hood h',
   which misses u because its W avoids N[u].  Every vertex that h loses is
   not enough, so the first u that is enough is the least one, which is the
@@ -228,8 +234,8 @@ class _Search:
             # per vertex, its neighbours in the order trees take them,
             # sorted the first time a tree grows through it (None before)
             self.ranked: list[Optional[list[int]]] = [None] * g.n
-        # alive -> (value, mask) once solved, or a proven lower bound (int)
-        self.memo: dict = {}
+        # alive -> the best lower bound on iota(alive) proven so far
+        self.memo: dict[int, int] = {}
 
     def hoods(self, alive: int,
               trees: Optional[dict] = None) -> tuple[list[int], Optional[dict]]:
@@ -317,16 +323,14 @@ class _Search:
             rest &= ~w  # w is the root's whole component, and it is F-free
         return 0
 
-    def solve(self, alive: int, cap: int,
-              trees: Optional[dict] = None) -> Optional[tuple[int, int]]:
-        """(value, mask) of a minimum isolating set of g[alive] if its size
-        is at most ``cap``, else None.  Asked only when iota(alive) >= cap
-        >= 1 (see the module docstring), so the first set found is minimum.
-        ``trees`` are the parent node's, as ``hoods`` takes them."""
-        known = self.memo.get(alive, 0)
-        if isinstance(known, tuple):
-            return known if known[0] <= cap else None
-        if known > cap:
+    def solve(self, alive: int, cap: int, trees: Optional[dict] = None) -> Optional[int]:
+        """Mask of a minimum isolating set of g[alive] if its size is at
+        most ``cap``, else None.  Asked only when iota(alive) >= cap >= 1
+        (see the module docstring), so the first set found is minimum and
+        has exactly ``cap`` vertices.  A None stores a lower bound in the
+        memo; a found set is not stored, since its alive set is never asked
+        again.  ``trees`` are the parent node's, as ``hoods`` takes them."""
+        if self.memo.get(alive, 0) > cap:
             return None
         if cap == 1:
             # no packing and no table: the least vertex that meets every hood
@@ -335,8 +339,7 @@ class _Search:
                 u = (hood & -hood).bit_length() - 1
                 other = self.hood(alive & ~self.closed[u], trees)
                 if not other:
-                    self.memo[alive] = best = 1, 1 << u
-                    return best
+                    return 1 << u
                 hood &= other  # u is not in it: its W avoids N[u]
             self.memo[alive] = 2
             return None
@@ -352,8 +355,7 @@ class _Search:
         for u in bits(hoods[0]):
             got = self.solve(alive & ~self.closed[u], cap - 1, trees)
             if got is not None:
-                self.memo[alive] = best = got[0] + 1, got[1] | 1 << u
-                return best
+                return got | 1 << u  # got has cap - 1 vertices, and misses u
         self.memo[alive] = cap + 1
         return None
 
@@ -387,8 +389,8 @@ def exact_iota(g: Graph, fam: FamilySpec,
                 break
         else:
             return None
-        value += got[0]
-        mask |= got[1]
+        value += tried
+        mask |= got
     return IsolationResult(value, mask)
 
 

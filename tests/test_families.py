@@ -220,26 +220,40 @@ def test_search_nodes_are_asked_at_most_their_optimum(fam, connected_upto, monke
     # the precondition of _Search.solve that deepening gives: every call,
     # with no budget and with budgets 1 and 2, on the copy of every class
     # n <= 7 and of each G - N[v], has 1 <= cap <= iota(alive), so the first
-    # set a node finds is a minimum one
+    # set a node finds is a minimum one.  Every set a node answers has
+    # exactly cap vertices and isolates g[alive], and the memo holds lower
+    # bounds only
     asked = set()
+    answers = {}
+    searches = set()
     solve = families._Search.solve
 
     def recorded(self, alive, cap, trees=None):
         asked.add((self.g, alive, cap))
-        return solve(self, alive, cap, trees)
+        searches.add(self)
+        got = solve(self, alive, cap, trees)
+        if got is not None:
+            answers[self.g, alive, cap] = got
+        return got
 
     monkeypatch.setattr(families._Search, "solve", recorded)
     copies = dict.fromkeys(induced_subgraph(g, piece) for g in connected_upto(1, 7)
                            for piece in _pieces(g))
     for h in copies:  # 1,232 distinct copies
         for budget in (None, 1, 2):
+            searches.clear()
             exact_iota(h, fam, budget=budget)
+            for search in searches:
+                assert all(type(bound) is int for bound in search.memo.values())
     least = {}
     for h, alive, cap in asked:
         if (h, alive) not in least:
             least[h, alive] = naive_iota(h, fam, alive)
         assert 1 <= cap <= least[h, alive], (h.adj, alive, cap)
-    assert len(asked) > 1000
+    for (h, alive, cap), got in answers.items():
+        assert got.bit_count() == cap, (h.adj, alive, cap, got)
+        assert _oracle_clear(h, alive & ~closed_neighborhood(h, got), fam), (h.adj, alive, got)
+    assert len(asked) > 1000 and len(answers) > 100
 
 
 def test_short_cycle_matches_the_oracle(connected_upto):

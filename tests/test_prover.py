@@ -20,8 +20,8 @@ import pytest
 from isolation_lab import bounds, cli, families, graphs, prover
 from isolation_lab.bounds import THEOREMS, bad_piece
 from isolation_lab.families import edge_family, exact_iota, is_isolating, piece_witness
-from isolation_lab.graphs import (Graph, bits, graph6_decode, is_connected, iter_components,
-                                  leaves, named_graph)
+from isolation_lab.graphs import (Graph, bits, cycle_graph, graph6_decode, is_connected,
+                                  iter_components, leaves, named_graph)
 from isolation_lab.prover import (
     Certificate,
     InternalConsistencyError,
@@ -490,6 +490,25 @@ def test_finish_catches_a_broken_step(monkeypatch, mutate, least):
         else:
             assert not broken
     assert caught >= least
+
+
+def test_finish_catches_a_set_over_the_bound(monkeypatch):
+    # C8 under E_3 is one cycle-pattern step whose set has floor(8/4) = 2
+    # vertices, the bound itself; one vertex more still isolates and stays
+    # in the piece, so only the size check can catch it
+    tight = isolate_k3(cycle_graph(8))
+    assert tight.d.bit_count() == tight.bound == 2
+    assert [entry.case for entry in tight.trace] == ["cycle-pattern"]
+    pattern = prover.pattern_isolating_set
+
+    def one_more(kind, n, k):
+        local = pattern(kind, n, k)
+        return local | ~local & (local + 1)  # its lowest missing vertex
+
+    monkeypatch.setattr(prover, "pattern_isolating_set", one_more)
+    with pytest.raises(InternalConsistencyError,
+                       match=r"^case cycle-pattern: \|d\|=3 exceeds bound 2 on piece "):
+        isolate_k3(cycle_graph(8))
 
 
 # ===== bad-component classification ==========================================
