@@ -19,14 +19,16 @@ computes it by depth-first branch and bound under iterative deepening:
 * a search node is the set ``alive`` of vertices not yet covered by N[D].
   If g[alive] still contains an F-graph W, every isolating set contains a
   vertex of N_G[V(W)], because deleting N[u] for u outside it leaves W
-  whole.  Small witnesses W supply these hitting sets: for E_k a k-edge
-  subtree grown breadth first from each alive vertex (for E_2, a P_3),
-  taking neighbours with small closed neighbourhoods first; for cycles a
-  short cycle in each cyclic component of g[alive].  A vertex's neighbours
-  are ranked the first time a tree grows through it.  The ranking, by
-  closed-neighbourhood size and then by index, is a function of g alone,
-  so ranking on demand rather than every vertex up front gives every tree
-  the same vertices in the same order, and changes no hood or witness;
+  whole.  Small witnesses W supply these hitting sets, one from a
+  breadth-first search of g[alive] from each alive vertex that takes
+  neighbours with small closed neighbourhoods first: for E_k the first
+  k + 1 vertices it reaches, which span a k-edge subtree (for E_2, a P_3),
+  and for cycles the cycle that the first edge outside its tree closes.
+  A vertex's neighbours are ranked the first time a search grows through
+  it.  The ranking, by closed-neighbourhood size and then by index, is a
+  function of g alone, so ranking on demand rather than every vertex up
+  front gives every search the same vertices in the same order, and
+  changes no hood or witness;
 * the search branches on the vertices of the smallest hitting set, and it
   prunes with a packing bound: hitting sets that are pairwise disjoint each
   need their own vertex, so a greedy packing of them counts vertices that
@@ -57,27 +59,26 @@ computes it by depth-first branch and bound under iterative deepening:
   set that a node finds returns at once through every ancestor to the
   root, which ends the deepening of its component, so a solved alive set
   is never asked again and the memo holds lower bounds only;
-* for E_k a node hands its trees to its children, as a table root ->
-  (W, N_G[V(W)]) with W the vertices the breadth-first search chose (the
-  whole component of the root when it has fewer than k edges, and the hood
-  is 0).  A child, whose alive set is alive' = alive - N[u], keeps every
-  entry with W inside alive' and regrows the rest.  This changes nothing:
-  the search in alive' meets the same alive vertices in the same ranked
-  order until it stops, since each vertex it took lies in W and each one it
-  passed over was outside alive or already taken, so it takes the same W
-  and returns the same hood; a component with fewer than k edges only
-  loses edges.  So every node gets the same hoods, packs the same bound,
+* a node hands its witnesses to its children, as a table root ->
+  (W, hood) with W the vertices the breadth-first search reached before
+  it stopped and the hood that of the F-graph it found inside W (W is
+  the whole component of the root when that holds no F-graph, and the
+  hood is 0).  A child, whose alive set is
+  alive' = alive - N[u], keeps every entry with W inside alive' and
+  regrows the rest.  This changes nothing: the search in alive' meets the
+  same alive vertices in the same ranked order until it stops, since each
+  vertex it took lies in W and each one it passed over was outside alive
+  or already taken, so it takes the same W, meets the same closing edge
+  and returns the same hood; a component that holds no F-graph only loses
+  edges.  So every node gets the same hoods, packs the same bound,
   branches in the same order and returns the same value and witness.
   Only the tables on the current path of the search are alive, at most n
   entries per level.
 * ``_Search.hood`` finds one witness and returns its hood, or 0 when
-  g[alive] is F-free.  For E_k an entry of the parent's table with a hood
-  and with W inside alive is one (W still spans k edges); failing that,
-  trees are grown from the lowest unvisited roots until one has a hood.
-  For cycles it is the cycle that one breadth-first search closes from the
-  lowest vertex of the first cyclic component.  Nodes with a table keep the
-  shortest cycle over all roots, since their first smallest hood sets the
-  branching order.
+  g[alive] is F-free.  An entry of the parent's table with a hood and with
+  W inside alive is one, since the search from its root would find it
+  again; failing that, witnesses are grown from the lowest unvisited roots
+  until one has a hood.
 * a node with cap 1 builds no table: it only asks whether one vertex u is
   enough, that is, whether g[alive - N[u]] is F-free.  Such a u lies in
   every hood of the node, since deleting N[u] for u outside a hood leaves
@@ -169,57 +170,6 @@ def is_isolating(g: Graph, d: int, fam: FamilySpec, within: Optional[int] = None
     return not _contains_within(g, alive, fam)
 
 
-# ===== Witnesses =============================================================
-
-
-def _bfs_cycle(g: Graph, comp: int, root: int) -> int:
-    """Vertex set of the cycle closed by the first edge outside the
-    breadth-first tree of the component ``comp`` from ``root``, or 0 when
-    the component is a tree."""
-    parent = {root: -1}
-    queue = [root]  # read while it grows
-    edge = None
-    for u in queue:
-        for w in bits(g.adj[u] & comp):
-            if w not in parent:
-                parent[w] = u
-                queue.append(w)
-            elif w != parent[u]:
-                edge = u, w
-                break
-        if edge:
-            break
-    if edge is None:
-        return 0
-    u, w = edge
-    # u's path up to the root, then w's up to the first vertex on it:
-    # the two paths and the edge u-w form a simple cycle
-    up = [u]
-    while parent[up[-1]] != -1:
-        up.append(parent[up[-1]])
-    cyc = 0
-    while w not in up:
-        cyc |= 1 << w
-        w = parent[w]
-    return cyc | mask_of(up[:up.index(w) + 1])
-
-
-def _short_cycle(g: Graph, comp: int) -> int:
-    """Vertex set of a short cycle in the component ``comp``: the shortest
-    ``_bfs_cycle`` over the roots, the first root's on ties, or 0 when the
-    component is a tree."""
-    best = 0
-    for root in bits(comp):
-        cyc = _bfs_cycle(g, comp, root)
-        if not cyc:
-            return 0  # the first root's search closes no cycle: a tree
-        if not best or cyc.bit_count() < best.bit_count():
-            best = cyc
-            if best.bit_count() == 3:
-                break
-    return best
-
-
 # ===== Exact solver ==========================================================
 
 
@@ -230,34 +180,40 @@ class _Search:
         self.g = g
         self.fam = fam
         self.closed = closed = [nbrs | 1 << v for v, nbrs in enumerate(g.adj)]
-        if fam.kind == "edges":
-            # per vertex, its neighbours in the order trees take them,
-            # sorted the first time a tree grows through it (None before)
-            self.ranked: list[Optional[list[int]]] = [None] * g.n
+        self.sizes = [hood.bit_count() for hood in closed]
+        # per vertex, its neighbours in the order searches take them,
+        # sorted the first time a search grows through it (None before)
+        self.ranked: list[Optional[list[int]]] = [None] * g.n
+        # the family's witness grower, (self, alive, root) -> (W, hood),
+        # kept unbound so that the search holds no reference cycle
+        self.grow = _Search.tree_hood if fam.kind == "edges" else _Search.cycle_hood
         # alive -> the best lower bound on iota(alive) proven so far
         self.memo: dict[int, int] = {}
 
-    def hoods(self, alive: int,
-              trees: Optional[dict] = None) -> tuple[list[int], Optional[dict]]:
-        """N_G[V(W)] for small F-graphs W in g[alive], smallest first, and
-        for E_k the table root -> (W, N_G[V(W)]) of the trees they came from.
+    def rank(self, v: int) -> list[int]:
+        """v's neighbours with small closed neighbourhoods first, then by
+        index: witnesses grown through them have small hitting sets, which
+        pack better."""
+        order = self.ranked[v] = sorted(bits(self.g.adj[v]), key=self.sizes.__getitem__)
+        return order
 
-        The list is empty exactly when g[alive] is F-free.  ``trees`` is the
+    def hoods(self, alive: int,
+              table: Optional[dict] = None) -> tuple[list[int], dict]:
+        """N_G[V(W)] for small F-graphs W in g[alive], smallest first, and
+        the table root -> (W, hood) of the searches they came from, one per
+        alive root, with W the vertices that search reached.
+
+        The list is empty exactly when g[alive] is F-free.  ``table`` is the
         table of a node whose alive set contains ``alive``: an entry whose W
         lies inside ``alive`` is kept, the others are regrown.  A hood found
         twice is not dropped; it changes neither the packing nor the first
         smallest hood.
         """
-        if self.fam.kind != "edges":
-            g = self.g
-            cycles = (_short_cycle(g, comp) for comp in iter_components(g, alive))
-            found = [closed_neighborhood(g, cyc) for cyc in cycles if cyc]
-            return sorted(found, key=int.bit_count), None
-        tree_hood, gone = self.tree_hood, ~alive
+        grow, gone = self.grow, ~alive
         # with no parent table every root regrows: a W of -1 meets ``gone``
-        kept = trees or dict.fromkeys(bits(alive), (-1, 0))
-        table = {root: tree if not tree[0] & gone else tree_hood(alive, root)
-                 for root, tree in kept.items() if alive >> root & 1}
+        kept = table or dict.fromkeys(bits(alive), (-1, 0))
+        table = {root: entry if not entry[0] & gone else grow(self, alive, root)
+                 for root, entry in kept.items() if alive >> root & 1}
         found = [hood for _, hood in table.values() if hood]
         return sorted(found, key=int.bit_count), table
 
@@ -274,14 +230,7 @@ class _Search:
         while layer:
             nxt = []
             for v in layer:
-                order = ranked[v]
-                if order is None:
-                    # neighbours with small closed neighbourhoods first:
-                    # witnesses grown from them have small hitting sets,
-                    # which pack better
-                    order = ranked[v] = sorted(
-                        bits(self.g.adj[v]), key=lambda w: closed[w].bit_count())
-                for w in order:
+                for w in ranked[v] or self.rank(v):
                     if alive >> w & 1 and not chosen >> w & 1:
                         chosen |= 1 << w
                         hood |= closed[w]
@@ -295,55 +244,78 @@ class _Search:
             return chosen, 0
         return chosen, hood
 
-    def hood(self, alive: int, trees: Optional[dict]) -> int:
+    def cycle_hood(self, alive: int, root: int) -> tuple[int, int]:
+        """(W, N_G[V(C)]) for the cycle C that the first edge outside the
+        breadth-first tree of g[alive] from ``root`` closes, with W the
+        vertices the search reached until then.  When the component of
+        ``root`` is a tree, W is that whole component and the hood is 0."""
+        closed, ranked = self.closed, self.ranked
+        parent = {root: -1}  # the vertices reached
+        queue = [root]  # read while it grows
+        for v in queue:
+            for w in ranked[v] or self.rank(v):
+                if not alive >> w & 1:
+                    continue
+                if w not in parent:
+                    parent[w] = v
+                    queue.append(w)
+                elif w != parent[v]:
+                    # C is the edge v-w and the tree paths from v and from w
+                    # up to their lowest common ancestor
+                    above, x = 1 << v, v
+                    while x != root:
+                        x = parent[x]
+                        above |= 1 << x
+                    hood = 0
+                    while not above >> w & 1:
+                        hood |= closed[w]
+                        w = parent[w]
+                    while v != w:
+                        hood |= closed[v]
+                        v = parent[v]
+                    return mask_of(parent), hood | closed[w]
+        return mask_of(parent), 0
+
+    def hood(self, alive: int, table: Optional[dict]) -> int:
         """N_G[V(W)] for one F-graph W in g[alive], or 0 when g[alive] is
-        F-free.  For E_k, an entry of ``trees`` (a table of a node whose
-        alive set contains ``alive``) with a hood and with W inside
-        ``alive`` is still a k-edge witness; failing that, trees are grown
-        from the lowest unvisited roots until one has a hood.  For cycles,
-        W is the cycle that one breadth-first search closes from the lowest
-        vertex of the first cyclic component."""
-        if self.fam.kind != "edges":
-            g = self.g
-            for comp in iter_components(g, alive):
-                cyc = _bfs_cycle(g, comp, (comp & -comp).bit_length() - 1)
-                if cyc:
-                    return closed_neighborhood(g, cyc)
-            return 0
-        if trees is not None:
+        F-free.  An entry of ``table`` (a table of a node whose alive set
+        contains ``alive``) with a hood and with W inside ``alive`` is still
+        a witness; failing that, witnesses are grown from the lowest
+        unvisited roots until one has a hood."""
+        if table is not None:
             gone = ~alive
-            for w, hood in trees.values():
+            for w, hood in table.values():
                 if hood and not w & gone:
                     return hood
         rest = alive
         while rest:
-            w, hood = self.tree_hood(alive, (rest & -rest).bit_length() - 1)
+            w, hood = self.grow(self, alive, (rest & -rest).bit_length() - 1)
             if hood:
                 return hood
             rest &= ~w  # w is the root's whole component, and it is F-free
         return 0
 
-    def solve(self, alive: int, cap: int, trees: Optional[dict] = None) -> Optional[int]:
+    def solve(self, alive: int, cap: int, table: Optional[dict] = None) -> Optional[int]:
         """Mask of a minimum isolating set of g[alive] if its size is at
         most ``cap``, else None.  Asked only when iota(alive) >= cap >= 1
         (see the module docstring), so the first set found is minimum and
         has exactly ``cap`` vertices.  A None stores a lower bound in the
         memo; a found set is not stored, since its alive set is never asked
-        again.  ``trees`` are the parent node's, as ``hoods`` takes them."""
+        again.  ``table`` is the parent node's, as ``hoods`` takes it."""
         if self.memo.get(alive, 0) > cap:
             return None
         if cap == 1:
             # no packing and no table: the least vertex that meets every hood
-            hood = self.hood(alive, trees)
+            hood = self.hood(alive, table)
             while hood:
                 u = (hood & -hood).bit_length() - 1
-                other = self.hood(alive & ~self.closed[u], trees)
+                other = self.hood(alive & ~self.closed[u], table)
                 if not other:
                     return 1 << u
                 hood &= other  # u is not in it: its W avoids N[u]
             self.memo[alive] = 2
             return None
-        hoods, trees = self.hoods(alive, trees)
+        hoods, table = self.hoods(alive, table)
         used = packed = 0
         for hood in hoods:
             if not hood & used:
@@ -353,7 +325,7 @@ class _Search:
             self.memo[alive] = packed
             return None
         for u in bits(hoods[0]):
-            got = self.solve(alive & ~self.closed[u], cap - 1, trees)
+            got = self.solve(alive & ~self.closed[u], cap - 1, table)
             if got is not None:
                 return got | 1 << u  # got has cap - 1 vertices, and misses u
         self.memo[alive] = cap + 1

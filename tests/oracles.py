@@ -26,9 +26,10 @@ package's validation and error messages.  The package's whole-string codec
 must give the same lines, the same adjacency and the same messages.
 
 ``exact_iota`` is the exact solver's branch and bound in its plain form: it
-grows every witness tree afresh at every search node and drops repeated
-hoods.  The package's solver, which hands each node's trees to its
-children, must return the same value and the same witness.
+grows every witness afresh from every alive root at every search node (a
+tree for E_k, a cycle for cycles) and drops repeated hoods.  The package's
+solver, which hands each node's witnesses to its children, must return the
+same value and the same witness.
 """
 
 from __future__ import annotations
@@ -401,52 +402,6 @@ def _edges_within(adj, mask: int) -> int:
     return sum((adj[v] & mask).bit_count() for v in _bits(mask)) // 2
 
 
-def _short_cycle(adj, comp: int) -> int:
-    """Vertex set of a shortest-found BFS cycle in ``comp``, first root wins ties."""
-    best = None
-    for root in _bits(comp):
-        parent = {root: -1}
-        queue = [root]
-        edge = None
-        while queue and edge is None:
-            nxt = []
-            for u in queue:
-                for w in _bits(adj[u] & comp):
-                    if w == parent[u]:
-                        continue
-                    if w in parent:
-                        edge = (u, w)
-                        break
-                    parent[w] = u
-                    nxt.append(w)
-                if edge:
-                    break
-            queue = nxt
-        if edge is None:
-            continue
-        u, w = edge
-        path_u = []
-        x = u
-        while x != -1:
-            path_u.append(x)
-            x = parent[x]
-        on_u = set(path_u)
-        cyc = 0
-        x = w
-        while x not in on_u:
-            cyc |= 1 << x
-            x = parent[x]
-        for y in path_u:
-            cyc |= 1 << y
-            if y == x:
-                break
-        if best is None or cyc.bit_count() < best.bit_count():
-            best = cyc
-        if best.bit_count() == 3:
-            break
-    return best
-
-
 class _RegrowingSearch:
     def __init__(self, n: int, adj, kind: str, k: int, within: int):
         self.adj, self.kind, self.k, self.within = adj, kind, k, within
@@ -479,13 +434,44 @@ class _RegrowingSearch:
             layer = nxt
         return self.hood(chosen) if _edges_within(self.adj, chosen) >= self.k else 0
 
+    def cycle_hood(self, alive: int, root: int) -> int:
+        """Hood of the cycle closed by the first non-tree edge that a
+        layered search of ``alive`` from ``root`` meets, or 0 when the
+        root's component is a tree."""
+        parent = {root: -1}
+        layer = [root]
+        while layer:
+            nxt = []
+            for u in layer:
+                for w in self.ranked[u]:
+                    if not alive >> w & 1 or w == parent[u]:
+                        continue
+                    if w not in parent:
+                        parent[w] = u
+                        nxt.append(w)
+                        continue
+                    # the edge u-w and the tree paths from u and from w
+                    # up to their lowest common ancestor
+                    above = set()
+                    x = u
+                    while x != -1:
+                        above.add(x)
+                        x = parent[x]
+                    cyc = 0
+                    while w not in above:
+                        cyc |= 1 << w
+                        w = parent[w]
+                    x = u
+                    while x != w:
+                        cyc |= 1 << x
+                        x = parent[x]
+                    return self.hood(cyc | 1 << w)
+            layer = nxt
+        return 0
+
     def hoods(self, alive: int) -> list[int]:
-        if self.kind == "edges":
-            found = [self.tree_hood(alive, root) for root in _bits(alive)]
-        else:
-            found = [self.hood(_short_cycle(self.adj, comp))
-                     for comp in _components(self.adj, alive)
-                     if _edges_within(self.adj, comp) >= comp.bit_count()]
+        grow = self.tree_hood if self.kind == "edges" else self.cycle_hood
+        found = [grow(alive, root) for root in _bits(alive)]
         return sorted(dict.fromkeys(h for h in found if h), key=int.bit_count)
 
     def solve(self, alive: int, cap: int):

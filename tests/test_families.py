@@ -12,6 +12,7 @@ import pytest
 
 from isolation_lab import families
 from isolation_lab.bounds import THEOREMS, bad_piece, classify_exception
+from isolation_lab.constructions import build_B
 from isolation_lab.families import (
     CYCLES,
     FamilySpec,
@@ -175,7 +176,7 @@ def test_family_free_piece_over_a_negative_budget():
 
 
 def _regrown(g: Graph, fam: FamilySpec, **kw) -> Optional[IsolationResult]:
-    """exact_iota's answer from the plain solver that regrows every tree."""
+    """exact_iota's answer from the plain solver that regrows every witness."""
     got = oracles.exact_iota(g.n, g.adj, fam.kind, fam.k, **kw)
     return None if got is None else IsolationResult(*got)
 
@@ -200,7 +201,7 @@ def _pieces(g: Graph) -> list[int]:
                          ids=["e1", "e2", "e3", "cycles"])
 def test_exact_iota_agrees_with_the_search(fam, connected_upto):
     # on the copy of the whole graph and of each G - N[v], the same value
-    # and witness as the plain solver that regrows every tree, solving the
+    # and witness as the plain solver that regrows every witness, solving the
     # piece in place; at budget 0, None exactly when the piece holds an
     # F-graph; at budget 1, where a node takes the least vertex that meets
     # every hood, the plain solver's answer
@@ -228,10 +229,10 @@ def test_search_nodes_are_asked_at_most_their_optimum(fam, connected_upto, monke
     searches = set()
     solve = families._Search.solve
 
-    def recorded(self, alive, cap, trees=None):
+    def recorded(self, alive, cap, table=None):
         asked.add((self.g, alive, cap))
         searches.add(self)
-        got = solve(self, alive, cap, trees)
+        got = solve(self, alive, cap, table)
         if got is not None:
             answers[self.g, alive, cap] = got
         return got
@@ -256,17 +257,26 @@ def test_search_nodes_are_asked_at_most_their_optimum(fam, connected_upto, monke
     assert len(asked) > 1000 and len(answers) > 100
 
 
-def test_short_cycle_matches_the_oracle(connected_upto):
-    # the same cycle as the layered search of the oracle, on every cyclic
-    # component of every class n <= 8 and of each G - N[v]
+def test_cycle_hood_matches_the_oracle(connected_upto):
+    # from every root of every class n <= 7 and of each G - N[v], the hood
+    # of the same cycle as the layered search of the oracle in its ranked
+    # order, W the whole component when it is a tree, and otherwise a
+    # reached set that holds the cycle
     checked = 0
-    for g in connected_upto(3, 8):
+    for g in connected_upto(3, 7):
+        search = families._Search(g, CYCLES)
+        plain = oracles._RegrowingSearch(g.n, g.adj, "cycles", 0, g.vertex_mask)
         for piece in _pieces(g):
             for comp in iter_components(g, piece):
-                if families._comp_contains(g, comp, CYCLES):
-                    assert families._short_cycle(g, comp) == oracles._short_cycle(g.adj, comp)
+                for root in bits(comp):
+                    w, hood = search.cycle_hood(piece, root)
+                    assert hood == plain.cycle_hood(piece, root), (g.adj, piece, root)
+                    if hood:
+                        assert w & ~comp == 0 and families._comp_contains(g, comp, CYCLES)
+                    else:
+                        assert w == comp and not families._comp_contains(g, comp, CYCLES)
                     checked += 1
-    assert checked > 10000
+    assert checked > 25000
 
 
 def test_monotonicity_helper():
@@ -312,12 +322,13 @@ def test_exact_iota_matches_checker_on_large_sparse_graphs():
             assert is_isolating(g, got.witness, E2)
 
 
-# ===== witness trees handed down the search ==================================
+# ===== witnesses handed down the search ======================================
 #
-# For E_k a search node hands its table root -> (W, hood) to its children,
-# which keep the trees that lie inside their alive set.  The answers must be
-# those of the plain solver in tests/oracles.py, which regrows every tree at
-# every node.
+# A search node hands its table root -> (W, hood) to its children, which keep
+# the witnesses, trees for E_k and cycles for cycles, whose W lies inside
+# their alive set.  The answers must be those of the plain solver in
+# tests/oracles.py, which regrows every witness from every root at every
+# node.
 
 
 def test_solve_large_matches_the_regrowing_search():
@@ -339,41 +350,42 @@ def test_large_sparse_graphs_match_the_regrowing_search():
             adj[u] |= 1 << w
             adj[w] |= 1 << u
         g = Graph.from_adj(n, adj)
-        for fam in (E1, E2, E3):
-            assert exact_iota(g, fam) == _regrown(g, fam), (fam.k, adj)
+        for fam in (E1, E2, E3, CYCLES):
+            assert exact_iota(g, fam) == _regrown(g, fam), (fam, adj)
 
 
 def test_kept_trees_equal_fresh_ones():
     # down random chains alive > alive' > ..., by N[u] as the search drops
     # vertices or by random sets, every entry a node keeps or regrows equals
-    # the tree grown afresh in its alive set, and the hood found with the
-    # parent's trees is 0 exactly when the component edge counts find no
+    # the witness grown afresh in its alive set, and the hood found with the
+    # parent's table is 0 exactly when the component edge counts find no
     # F-graph, and holds every vertex u for which alive - N[u] is F-free
     rng = random.Random(2029)
-    kept = regrown = 0
+    kept = {"edges": 0, "cycles": 0}
+    regrown = dict(kept)
     for _ in range(30):
         n = rng.randrange(6, 33)
         g = Graph.from_adj(n, graphgen.random_connected(rng, n, rng.choice((0.0, 0.05, 0.15))))
-        for fam in (E1, E2, E3, edge_family(5)):
+        for fam in (E1, E2, E3, edge_family(5), CYCLES):
             search = families._Search(g, fam)
             alive = g.vertex_mask
-            trees = search.hoods(alive)[1]
+            table = search.hoods(alive)[1]
             while alive:
                 if rng.random() < 0.5:
                     alive &= ~search.closed[rng.choice(list(bits(alive)))]
                 else:
                     alive &= ~mask_of(v for v in bits(alive) if rng.random() < 0.2)
-                hood = search.hood(alive, trees)
+                hood = search.hood(alive, table)
                 assert bool(hood) == families._contains_within(g, alive, fam)
                 for u in bits(hood and g.vertex_mask & ~hood):
                     assert families._contains_within(g, alive & ~search.closed[u], fam)
-                child = search.hoods(alive, trees)[1]
-                assert child == {root: search.tree_hood(alive, root) for root in bits(alive)}
-                same = sum(child[root] is trees[root] for root in child)
-                kept += same
-                regrown += len(child) - same
-                trees = child
-    assert kept > 1000 and regrown > 1000
+                child = search.hoods(alive, table)[1]
+                assert child == {root: search.grow(search, alive, root) for root in bits(alive)}
+                same = sum(child[root] is table[root] for root in child)
+                kept[fam.kind] += same
+                regrown[fam.kind] += len(child) - same
+                table = child
+    assert min(kept.values()) > 1000 and min(regrown.values()) > 1000, (kept, regrown)
 
 
 # The solve-large graph with the most search nodes (n = 42, iota_2 = 5).
@@ -387,18 +399,18 @@ def test_search_keeps_most_trees(monkeypatch):
     solve, hoods, tree_hood = (families._Search.solve, families._Search.hoods,
                                families._Search.tree_hood)
 
-    def counted_solve(self, alive, cap_, trees=None):
+    def counted_solve(self, alive, cap_, table=None):
         nonlocal calls, cap
         calls += 1
         cap = cap_
-        return solve(self, alive, cap_, trees)
+        return solve(self, alive, cap_, table)
 
-    def counted_hoods(self, alive, trees=None):
+    def counted_hoods(self, alive, table=None):
         nonlocal visits
         # a node asks for its table before it calls any child
         assert cap > 1, "a node with cap 1 builds no table"
         visits += alive.bit_count()
-        return hoods(self, alive, trees)
+        return hoods(self, alive, table)
 
     def counted_tree_hood(self, alive, root):
         nonlocal grown
@@ -426,10 +438,10 @@ def test_deepening_cuts_the_search_on_trees(monkeypatch):
     calls = 0
     solve = families._Search.solve
 
-    def counted_solve(self, alive, cap, trees=None):
+    def counted_solve(self, alive, cap, table=None):
         nonlocal calls
         calls += 1
-        return solve(self, alive, cap, trees)
+        return solve(self, alive, cap, table)
 
     monkeypatch.setattr(families._Search, "solve", counted_solve)
     rng = random.Random(1)
@@ -437,6 +449,31 @@ def test_deepening_cuts_the_search_on_trees(monkeypatch):
         adj = graphgen.random_connected(rng, 64, 0.0)
         assert exact_iota(Graph.from_adj(64, adj), E2).value == checker.iota_e2(adj)
     assert calls == 1321
+
+
+def test_handed_down_cycles_cut_the_sharp_families(monkeypatch):
+    # the families that make iota(G, cycles) <= floor(n/4) sharp: B(n, K3)
+    # for n = 4..64 at a budget of the bound took 24,479 calls and
+    # B(7r, C6) with one join for r = 1..9 took 1,092,977 while table nodes
+    # kept one shortest cycle per component and handed nothing down; one
+    # ranked cycle per root, kept where it lies inside the child, takes 931
+    # and 81
+    calls = 0
+    solve = families._Search.solve
+
+    def counted_solve(self, alive, cap, table=None):
+        nonlocal calls
+        calls += 1
+        return solve(self, alive, cap, table)
+
+    monkeypatch.setattr(families._Search, "solve", counted_solve)
+    for n in range(4, 65):
+        assert exact_iota(build_B(n, "K3"), CYCLES, budget=n // 4).value == n // 4
+    assert calls <= 1000
+    calls = 0
+    for r in range(1, 10):
+        assert exact_iota(build_B(7 * r, "C6", (0,)), CYCLES).value == r
+    assert calls <= 100
 
 
 # ===== pieces of a host graph ================================================
