@@ -26,10 +26,11 @@ integer numerator is computed, from the mask of G's leaves.  H is *bad*
 when iota(H) > beta_G(H), and only an exception can be: a single vertex
 needs no isolating vertex, and for |V(H)| >= 2 a leaf of G in H is a leaf
 of H, so beta_G(H) >= beta_H(H) >= iota(H) for any other H.  Every
-exception exceeds its own potential, so ``classify_exception`` is
-``bad_piece`` on the whole graph.  G itself may be a piece of a larger
-graph g: the prover's recursion charges the components of a piece in that
-piece, passing the piece's leaf mask, which it builds once per proof step.
+exception exceeds its own potential, so a piece charged in itself is bad
+exactly when it is an exception, and ``classify_exception`` is that lookup
+on the whole graph.  G itself may be a piece of a larger graph g: the
+prover's recursion charges the components of a piece in that piece,
+passing the piece's leaf mask, which it builds once per proof step.
 """
 
 from __future__ import annotations
@@ -108,8 +109,9 @@ def bad_piece(g: Graph, piece: int, theorem: str, *,
     """The exception tag of the connected piece H = g[piece] if
     denominator * iota(H) exceeds its potential in G, else None.
     ``leaf_mask`` holds the leaves of G; without it H is charged in itself
-    (G = H), and its leaves are counted only for a piece that is an
-    exception.
+    (G = H), and the tag is a lookup: every exception exceeds its own
+    potential, since its iota is one above its bound (pinned for every
+    bound by ``test_every_exception_exceeds_its_bound_by_one``).
 
     Only a piece with the vertex count and then the edge count of some
     exception gets an induced subgraph and a canonical form.
@@ -123,9 +125,9 @@ def bad_piece(g: Graph, piece: int, theorem: str, *,
     if hit is None:
         return None
     tag, need = hit
-    if leaf_mask is None:
-        leaf_mask = leaves(g, piece)
-    return tag if need > THEOREMS[theorem].potential(piece, leaf_mask) else None
+    if leaf_mask is None or need > THEOREMS[theorem].potential(piece, leaf_mask):
+        return tag
+    return None
 
 
 def classify_exception(g: Graph, theorem: str) -> Optional[str]:

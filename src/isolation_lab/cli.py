@@ -51,7 +51,7 @@ import sys
 import time
 from typing import Callable, Iterator, Optional, Sequence
 
-from .bounds import THEOREMS, check_bound, classify_exception
+from .bounds import THEOREMS, VerificationRecord, check_bound, classify_exception
 from .constructions import build_B
 from .enumeration import BUILTIN_MAX_N, connected_graphs, read_graph6_stream
 from .families import CYCLES, EDGE_FAMILY_MAX_K, edge_family, exact_iota
@@ -277,6 +277,16 @@ def _row(g: Graph, iota: Optional[int] = None, bound: Optional[int] = None,
             "tight": tight}
 
 
+def _bound_row(g: Graph, theorem: str,
+               budget: Optional[int]) -> tuple[dict, VerificationRecord]:
+    """Check g against one bound: its report row and the check's record,
+    with one leaf scan for the bound and the row."""
+    leaf_mask = leaves(g)
+    rec = check_bound(g, theorem, budget=budget, leaf_mask=leaf_mask)
+    row = _row(g, rec.iota, rec.bound, rec.exception, rec.tight, leaf_mask=leaf_mask)
+    return row, rec
+
+
 def _cert_fields(cert) -> dict:
     """The certificate columns of a row: its size and its case trace."""
     return {"cert_size": cert.d.bit_count(),
@@ -293,10 +303,7 @@ def _sweep_one(g: Graph, theorem: str, budget: Optional[int]) -> tuple[dict, lis
     prover failures).  The sandwich iota <= |certificate| <= bound is checked
     here for the E_2/E_3 bounds.
     """
-    leaf_mask = leaves(g)  # one scan for the bound and the row
-    rec = check_bound(g, theorem, budget=budget, leaf_mask=leaf_mask)
-    row = _row(g, rec.iota, rec.bound, rec.exception, rec.tight,
-               leaf_mask=leaf_mask)
+    row, rec = _bound_row(g, theorem, budget)
     g6 = row["graph6"]
     problems: list[str] = []
     if rec.violated:
@@ -555,10 +562,7 @@ def cmd_solve(args) -> int:
         for g in _input_graphs(args, given):
             # the bounds, and so their exceptions, cover connected graphs only
             if theorem is not None and is_connected(g):
-                leaf_mask = leaves(g)
-                rec = check_bound(g, theorem, budget=budget, leaf_mask=leaf_mask)
-                row = _row(g, rec.iota, rec.bound, rec.exception, rec.tight,
-                           leaf_mask=leaf_mask)
+                row, rec = _bound_row(g, theorem, budget)
                 witness = rec.witness
             else:
                 got = exact_iota(g, fam, budget=budget)

@@ -37,10 +37,10 @@ computes it by depth-first branch and bound under iterative deepening:
   1, 2, ... in turn, up to the component's size or the budget left, on one
   ``_Search`` whose memo carries over from cap to cap (iterative
   deepening; Korf, "Depth-first iterative-deepening", Artificial
-  Intelligence 1985).  ``solve(alive, cap)`` is the mask of a minimum
-  isolating set of g[alive] when one has at most ``cap`` vertices, else
-  None, and it is only asked when iota(alive) >= cap >= 1: the root at cap
-  c only after cap c - 1 returned None, and a child alive - N[u] at
+  Intelligence 1985).  ``solve(alive, cap, table)`` is the mask of a
+  minimum isolating set of g[alive] when one has at most ``cap`` vertices,
+  else None, and it is only asked when iota(alive) >= cap >= 1: the root
+  at cap c only after cap c - 1 returned None, and a child alive - N[u] at
   cap - 1 >= 1, since only nodes with cap >= 2 branch, while
   iota(alive - N[u]) >= iota(alive) - 1 (u and an isolating set of the
   child isolate the node).  So every node's alive set holds an F-graph, a
@@ -49,8 +49,9 @@ computes it by depth-first branch and bound under iterative deepening:
   order, whose child answers, added to that child's set.  The child's set
   has cap - 1 vertices and misses u: each of its vertices lies in a hood
   N_G[V(W)] of a node at or below the child, with W inside alive - N_G[u].
-  So a set that a node returns has exactly ``cap`` vertices, and
-  ``exact_iota`` adds the cap that answered.  A None at cap c proves
+  So a set that a node returns has exactly ``cap`` vertices, the cap that
+  answered, and it lies inside the component, so iota(g) is the size of the
+  union of the components' sets.  A None at cap c proves
   iota(alive) >= c + 1.  The shallow caps repeat the top of the search,
   but no cap explores branches that only a cap above the optimum lets
   through;
@@ -63,15 +64,17 @@ computes it by depth-first branch and bound under iterative deepening:
   (W, hood) with W the vertices the breadth-first search reached before
   it stopped and the hood that of the F-graph it found inside W (W is
   the whole component of the root when that holds no F-graph, and the
-  hood is 0).  A child, whose alive set is
-  alive' = alive - N[u], keeps every entry with W inside alive' and
-  regrows the rest.  This changes nothing: the search in alive' meets the
-  same alive vertices in the same ranked order until it stops, since each
-  vertex it took lies in W and each one it passed over was outside alive
-  or already taken, so it takes the same W, meets the same closing edge
-  and returns the same hood; a component that holds no F-graph only loses
-  edges.  So every node gets the same hoods, packs the same bound,
-  branches in the same order and returns the same value and witness.
+  hood is 0).  Every node gets its parent's table, and a component's root
+  gets the empty table {}, from which every witness is grown.  A child,
+  whose alive set is alive' = alive - N[u], keeps every entry with W
+  inside alive' and regrows the rest.  This changes nothing: the search
+  in alive' meets the same alive vertices in the same ranked order until
+  it stops, since each vertex it took lies in W and each one it passed
+  over was outside alive or already taken, so it takes the same W, meets
+  the same closing edge and returns the same hood; a component that holds
+  no F-graph only loses edges.  So every node gets the same hoods, packs
+  the same bound, branches in the same order and returns the same value
+  and witness.
   Only the tables on the current path of the search are alive, at most n
   entries per level.
 * ``_Search.hood`` finds one witness and returns its hood, or 0 when
@@ -197,20 +200,19 @@ class _Search:
         order = self.ranked[v] = sorted(bits(self.g.adj[v]), key=self.sizes.__getitem__)
         return order
 
-    def hoods(self, alive: int,
-              table: Optional[dict] = None) -> tuple[list[int], dict]:
+    def hoods(self, alive: int, table: dict) -> tuple[list[int], dict]:
         """N_G[V(W)] for small F-graphs W in g[alive], smallest first, and
         the table root -> (W, hood) of the searches they came from, one per
         alive root, with W the vertices that search reached.
 
         The list is empty exactly when g[alive] is F-free.  ``table`` is the
-        table of a node whose alive set contains ``alive``: an entry whose W
-        lies inside ``alive`` is kept, the others are regrown.  A hood found
-        twice is not dropped; it changes neither the packing nor the first
-        smallest hood.
+        table of a node whose alive set contains ``alive``, or {} at a
+        component's root: an entry whose W lies inside ``alive`` is kept, the
+        others are regrown.  A hood found twice is not dropped; it changes
+        neither the packing nor the first smallest hood.
         """
         grow, gone = self.grow, ~alive
-        # with no parent table every root regrows: a W of -1 meets ``gone``
+        # at the root every vertex regrows: a W of -1 meets ``gone``
         kept = table or dict.fromkeys(bits(alive), (-1, 0))
         table = {root: entry if not entry[0] & gone else grow(self, alive, root)
                  for root, entry in kept.items() if alive >> root & 1}
@@ -276,17 +278,16 @@ class _Search:
                     return mask_of(parent), hood | closed[w]
         return mask_of(parent), 0
 
-    def hood(self, alive: int, table: Optional[dict]) -> int:
+    def hood(self, alive: int, table: dict) -> int:
         """N_G[V(W)] for one F-graph W in g[alive], or 0 when g[alive] is
         F-free.  An entry of ``table`` (a table of a node whose alive set
-        contains ``alive``) with a hood and with W inside ``alive`` is still
-        a witness; failing that, witnesses are grown from the lowest
-        unvisited roots until one has a hood."""
-        if table is not None:
-            gone = ~alive
-            for w, hood in table.values():
-                if hood and not w & gone:
-                    return hood
+        contains ``alive``, as ``hoods`` takes it) with a hood and with W
+        inside ``alive`` is still a witness; failing that, witnesses are
+        grown from the lowest unvisited roots until one has a hood."""
+        gone = ~alive
+        for w, hood in table.values():
+            if hood and not w & gone:
+                return hood
         rest = alive
         while rest:
             w, hood = self.grow(self, alive, (rest & -rest).bit_length() - 1)
@@ -295,7 +296,7 @@ class _Search:
             rest &= ~w  # w is the root's whole component, and it is F-free
         return 0
 
-    def solve(self, alive: int, cap: int, table: Optional[dict] = None) -> Optional[int]:
+    def solve(self, alive: int, cap: int, table: dict) -> Optional[int]:
         """Mask of a minimum isolating set of g[alive] if its size is at
         most ``cap``, else None.  Asked only when iota(alive) >= cap >= 1
         (see the module docstring), so the first set found is minimum and
@@ -343,11 +344,10 @@ def exact_iota(g: Graph, fam: FamilySpec,
     a mask in g's labels.
     """
     search = None
-    value = 0
     mask = 0
     for comp in iter_components(g):
         # taking every vertex always isolates
-        cap = comp.bit_count() if budget is None else budget - value
+        cap = comp.bit_count() if budget is None else budget - mask.bit_count()
         if cap < 0:
             return None
         if not _comp_contains(g, comp, fam):
@@ -356,14 +356,13 @@ def exact_iota(g: Graph, fam: FamilySpec,
             search = _Search(g, fam)
         # the first of the caps 1, 2, ... that the optimum fits
         for tried in range(1, cap + 1):
-            got = search.solve(comp, tried)
+            got = search.solve(comp, tried, {})
             if got is not None:
                 break
         else:
             return None
-        value += tried
         mask |= got
-    return IsolationResult(value, mask)
+    return IsolationResult(mask.bit_count(), mask)
 
 
 def piece_witness(g: Graph, piece: int, fam: FamilySpec) -> int:

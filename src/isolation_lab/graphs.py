@@ -189,16 +189,14 @@ def is_connected(g: Graph, within: Optional[int] = None) -> bool:
     return next(iter_components(g, todo), 0) == todo
 
 
-def leaves(g: Graph, within: Optional[int] = None) -> int:
-    """Bitmask of the degree-1 vertices of ``g`` (or of g induced on ``within``)."""
-    adj = g.adj
-    todo = rest = g.vertex_mask if within is None else within
+def leaves(g: Graph) -> int:
+    """Bitmask of the degree-1 vertices of ``g``.  A piece's leaves, which
+    count only its own vertices, come from the caller's degree pass over
+    the piece (as in ``prover``) or from its ``induced_subgraph``."""
     m = 0
-    while rest:  # the lowest-bit loop inline, as in closed_neighborhood
-        low = rest & -rest
-        if (adj[low.bit_length() - 1] & todo).bit_count() == 1:
-            m |= low
-        rest ^= low
+    for v, nbrs in enumerate(g.adj):
+        if nbrs.bit_count() == 1:
+            m |= 1 << v
     return m
 
 

@@ -29,7 +29,8 @@ must give the same lines, the same adjacency and the same messages.
 grows every witness afresh from every alive root at every search node (a
 tree for E_k, a cycle for cycles) and drops repeated hoods.  The package's
 solver, which hands each node's witnesses to its children, must return the
-same value and the same witness.
+same value and the same witness.  Its ``components`` and ``edges_within``
+also serve the brute-force isolation oracle in ``tests/test_families.py``.
 """
 
 from __future__ import annotations
@@ -233,7 +234,7 @@ def keyed_children(adj, colors=refined_colors,
     """
     n = len(adj)
     full = (1 << n) - 1
-    splits = [_components(adj, full & ~(1 << u)) for u in range(n)]
+    splits = [components(adj, full & ~(1 << u)) for u in range(n)]
     out = []
     for mask in range(1, 1 << n):
         d = mask.bit_count()
@@ -273,7 +274,7 @@ def deletion_candidates(n: int, adj) -> list[int]:
     colour."""
     full = (1 << n) - 1
     noncut = [v for v in range(n)
-              if len(_components(adj, full & ~(1 << v))) == 1]
+              if len(components(adj, full & ~(1 << v))) == 1]
     low = min(adj[v].bit_count() for v in noncut)
     noncut = [v for v in noncut if adj[v].bit_count() == low]
     colors = refined_colors(n, adj)
@@ -382,7 +383,7 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _components(adj, alive: int) -> list[int]:
+def components(adj, alive: int) -> list[int]:
     """Components of the graph induced on ``alive``, by smallest member."""
     comps = []
     while alive:
@@ -398,7 +399,8 @@ def _components(adj, alive: int) -> list[int]:
     return comps
 
 
-def _edges_within(adj, mask: int) -> int:
+def edges_within(adj, mask: int) -> int:
+    """The number of edges of the graph induced on ``mask``."""
     return sum((adj[v] & mask).bit_count() for v in _bits(mask)) // 2
 
 
@@ -432,7 +434,7 @@ class _RegrowingSearch:
                             return self.hood(chosen)
                         nxt.append(w)
             layer = nxt
-        return self.hood(chosen) if _edges_within(self.adj, chosen) >= self.k else 0
+        return self.hood(chosen) if edges_within(self.adj, chosen) >= self.k else 0
 
     def cycle_hood(self, alive: int, root: int) -> int:
         """Hood of the cycle closed by the first non-tree edge that a
@@ -513,11 +515,11 @@ def exact_iota(n: int, adj, kind: str, k: int = 0, budget: Optional[int] = None,
     host = (1 << n) - 1 if within is None else within
     search = _RegrowingSearch(n, adj, kind, k, host)
     value = mask = 0
-    for comp in _components(adj, host):
+    for comp in components(adj, host):
         cap = comp.bit_count() if budget is None else budget - value
         if cap < 0:
             return None
-        edges = _edges_within(adj, comp)
+        edges = edges_within(adj, comp)
         if edges < (k if kind == "edges" else comp.bit_count()):
             continue
         got = search.solve(comp, cap)

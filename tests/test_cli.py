@@ -25,7 +25,9 @@ from isolation_lab.prover import InternalConsistencyError, isolate_k2
 
 # The benchmark's tracer imports the package only when it runs, so its
 # table of wrapped functions can be read here.
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
+PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
+sys.path.insert(0, PERFBENCH)
+import graphgen  # noqa: E402
 import tracing  # noqa: E402
 
 
@@ -118,9 +120,9 @@ def test_each_row_scans_the_leaves_once(command, tmp_path, monkeypatch, capsys):
     callers = []
     original = graphs.leaves
 
-    def counting(g, within=None):
+    def counting(g):
         callers.append(sys._getframe(1).f_code.co_name)
-        return original(g, within)
+        return original(g)
 
     for module in (bounds, cli):
         monkeypatch.setattr(module, "leaves", counting)
@@ -805,6 +807,35 @@ def test_trace_hooks_exist():
     # resume of _input_graphs
     assert inspect.isgeneratorfunction(cli.iter_source)
     assert inspect.isgeneratorfunction(cli._input_graphs)
+
+
+def test_traced_benchmark_counts_every_layer(tmp_path):
+    # the tracer rebinds each layer's name in every package module, so a
+    # layer reached through a reference bound at import (a dict of
+    # functions, say) would silently read 0 calls in the benchmark's
+    # per-layer metrics; a small traced run of the three workloads' commands
+    # must count a call of each layer
+    solve_in, certify_in = tmp_path / "solve.g6", tmp_path / "certify.g6"
+    graphgen.write(str(solve_in), graphgen.solve_large(1)[:3])
+    graphgen.write(str(certify_in), graphgen.certify_stream(1, 0)[:5])
+    argvs = [["sweep", "--family", "e2", "--n-max", "5"],
+             ["solve", "--family", "e2", "--source", f"file:{solve_in}"],
+             ["certify", "--k", "2", "--source", f"file:{certify_in}"],
+             ["certify", "--k", "3", "--source", f"file:{certify_in}"]]
+    src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+    report = tmp_path / "report.json"
+    done = subprocess.run(
+        [sys.executable, os.path.join(PERFBENCH, "tracing.py"), "--trace", "1",
+         "--stdout", str(tmp_path / "stdout.txt"), "--spans", str(tmp_path / "spans.jsonl"),
+         "--report", str(report), "--", *map(json.dumps, argvs)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    got = json.loads(report.read_text())
+    assert got["exit_codes"] == [0] * len(argvs)
+    for layer in ("families.exact_iota", "families.is_isolating", "bounds.classify_exception",
+                  "prover.isolate_k2", "prover.isolate_k3", "graphs.graph6_decode",
+                  "graphs.graph6_encode"):
+        assert got["metrics"][f"{layer}.calls"][0] > 0, layer
 
 
 # Standard-library modules that only some commands use: records are

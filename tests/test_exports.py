@@ -8,13 +8,16 @@ function, class or constant outside ``__all__`` that nothing reads is left
 over from an edit or kept for the tests; the scans below find them.  An
 underscore name is used only in its own module, and a defaulted parameter
 of an exported function that no package call passes is a mode kept for
-the tests.
+the tests.  The reverse holds inside the package: a default of a private
+function or method that every package call overrides is a value that only
+the tests use.
 """
 
 from __future__ import annotations
 
 import ast
 import pathlib
+from typing import Optional
 
 import isolation_lab
 
@@ -118,35 +121,81 @@ def test_no_module_imports_another_modules_private_names():
     assert not crossings, crossings
 
 
+def _defaulted(fn: ast.FunctionDef, method: bool = False) -> dict[str, int]:
+    """Each defaulted parameter of ``fn`` -> its position among a call's
+    arguments, or -1 when it is keyword-only; a method's call does not list
+    ``self``."""
+    a = fn.args
+    params = a.posonlyargs + a.args
+    first = len(params) - len(a.defaults)
+    found = {p.arg: i - method for i, p in enumerate(params) if i >= first}
+    found |= {p.arg: -1 for p, d in zip(a.kwonlyargs, a.kw_defaults) if d}
+    return found
+
+
+def _passes(call: ast.Call, param: str, pos: int) -> Optional[bool]:
+    """Does ``call`` pass ``param``, at argument position ``pos``?  None when
+    a ``*args`` or ``**kw`` of the call may or may not pass it."""
+    if any(kw.arg == param for kw in call.keywords):
+        return True
+    # the arguments before the first ``*args`` have known positions
+    plain = next((i for i, arg in enumerate(call.args) if isinstance(arg, ast.Starred)),
+                 len(call.args))
+    if 0 <= pos < plain:
+        return True
+    if (pos >= 0 and plain < len(call.args)) or any(kw.arg is None for kw in call.keywords):
+        return None
+    return False
+
+
+def _package_calls(defaulted: dict[str, dict[str, int]]) -> dict[str, list[ast.Call]]:
+    """The package's calls of each function in ``defaulted``, matched by the
+    called name (``f(...)`` or ``x.f(...)``)."""
+    calls: dict[str, list[ast.Call]] = {name: [] for name in defaulted}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in calls:
+                    calls[name].append(node)
+    return calls
+
+
 def test_every_defaulted_parameter_is_passed_by_the_package():
     # a parameter with a default on an exported function that no package
     # call passes, by position or by keyword, is a mode only the tests use
     defaulted: dict[str, dict[str, int]] = {}  # function -> parameter -> position
-    calls: list[ast.Call] = []
     for path in sorted(PACKAGE.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        calls += [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
-        for stmt in tree.body:
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
             if isinstance(stmt, ast.FunctionDef) and stmt.name in isolation_lab.__all__:
-                a = stmt.args
-                params = a.posonlyargs + a.args
-                first = len(params) - len(a.defaults)
-                found = {p.arg: i for i, p in enumerate(params) if i >= first}
-                found |= {p.arg: -1 for p, d in zip(a.kwonlyargs, a.kw_defaults) if d}
-                defaulted[stmt.name] = found
-    passed: set[tuple[str, str]] = set()
-    for call in calls:
-        func = call.func
-        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-        if name not in defaulted:
-            continue
-        starred = any(isinstance(arg, ast.Starred) for arg in call.args)
-        for param, pos in defaulted[name].items():
-            by_position = pos >= 0 and (starred or len(call.args) > pos)
-            # ``**kw`` may pass any keyword
-            by_keyword = any(kw.arg in (param, None) for kw in call.keywords)
-            if by_position or by_keyword:
-                passed.add((name, param))
+                defaulted[stmt.name] = _defaulted(stmt)
+    calls = _package_calls(defaulted)
     unpassed = sorted(f"{name}.{param}" for name, params in defaulted.items()
-                      for param in params if (name, param) not in passed)
+                      for param, pos in params.items()
+                      if all(_passes(call, param, pos) is False for call in calls[name]))
     assert not unpassed, f"defaulted parameters no package call passes: {unpassed}"
+
+
+def test_no_private_default_is_overridden_by_every_package_call():
+    # a default of a package-private function or method (an underscore
+    # function, or a method of an underscore class) that every package call
+    # overrides is a value that only the tests use
+    defaulted: dict[str, dict[str, int]] = {}  # function or method -> parameter -> position
+    owner: dict[str, str] = {}  # method -> its class, for the message
+    for path in sorted(PACKAGE.glob("*.py")):
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(stmt, ast.FunctionDef) and stmt.name.startswith("_") \
+                    and not stmt.name.startswith("__"):
+                defaulted[stmt.name] = _defaulted(stmt)
+            elif isinstance(stmt, ast.ClassDef) and stmt.name.startswith("_"):
+                for item in stmt.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
+                        defaulted[item.name] = _defaulted(item, method=True)
+                        owner[item.name] = f"{stmt.name}."
+    calls = _package_calls(defaulted)
+    overridden = sorted(f"{owner.get(name, '')}{name}.{param}"
+                        for name, params in defaulted.items() if calls[name]
+                        for param, pos in params.items()
+                        if all(_passes(call, param, pos) for call in calls[name]))
+    assert not overridden, f"defaults every package call overrides: {overridden}"

@@ -21,7 +21,7 @@ from isolation_lab import bounds, cli, families, graphs, prover
 from isolation_lab.bounds import THEOREMS, bad_piece
 from isolation_lab.families import edge_family, exact_iota, is_isolating, piece_witness
 from isolation_lab.graphs import (Graph, bits, cycle_graph, graph6_decode, is_connected,
-                                  iter_components, leaves, named_graph)
+                                  iter_components, leaves, mask_of, named_graph)
 from isolation_lab.prover import (
     Certificate,
     InternalConsistencyError,
@@ -318,9 +318,9 @@ def test_certify_scans_the_leaves_once(monkeypatch, tmp_path, capsys):
     callers = []
     original = graphs.leaves
 
-    def counting(g, within=None):
+    def counting(g):
         callers.append(sys._getframe(1).f_code.co_name)
-        return original(g, within)
+        return original(g)
 
     for module in (bounds, cli):
         monkeypatch.setattr(module, "leaves", counting)
@@ -351,7 +351,7 @@ def test_one_degree_pass_gives_pivot_leaves_and_potentials(monkeypatch):
     def checked(run, g, piece, v, lg):
         assert v == max(bits(piece), key=lambda u: (g.adj[u] & piece).bit_count(),
                         default=-1)
-        assert lg == leaves(g, piece)
+        assert lg == mask_of(u for u in bits(piece) if (g.adj[u] & piece).bit_count() == 1)
         parts = [piece]
         if v >= 0:
             parts += iter_components(g, piece & ~(g.adj[v] | 1 << v))
